@@ -11,8 +11,7 @@ from .assembly import (BoundaryConditions, DiscreteSystem, FourFieldBlocks,
 from .mesh import (FACE_FLUX, FACE_INTERIOR, FACE_PRESSURE, MeshError,
                    PolyMesh, build_cartesian, build_hybrid, build_skewed,
                    build_voronoi, read_mesh, write_mesh)
-from .solver import (BlockPreconditioner, CondensedBlocks, KrylovReport,
-                     SolverError, gmres)
+from .solver import BlockPreconditioner, KrylovReport, SolverError, gmres
 from .stab import (MacroPartition, beta_coefficient, build_macro_elements,
                    checkerboard_indicator)
 
@@ -23,7 +22,7 @@ __all__ = [
     "State", "FACE_FLUX", "FACE_INTERIOR", "FACE_PRESSURE", "MeshError",
     "PolyMesh", "build_cartesian", "build_hybrid", "build_skewed",
     "build_voronoi", "read_mesh", "write_mesh", "BlockPreconditioner",
-    "CondensedBlocks", "KrylovReport", "SolverError", "gmres",
+    "KrylovReport", "SolverError", "gmres",
     "MacroPartition", "beta_coefficient", "build_macro_elements",
     "checkerboard_indicator", "__version__",
 ]

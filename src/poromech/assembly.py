@@ -27,8 +27,8 @@ import scipy.sparse.linalg as spla
 from . import mfd, vem
 from .mesh import FACE_FLUX, FACE_PRESSURE, PolyMesh, kappa_as_tensor
 from .mesh.core import polygon_quadrature
-from .solver import CondensedBlocks, BlockPreconditioner, SolverError, gmres
-from .stab import (MacroPartition, assemble_jump_matrix, beta_coefficient,
+from .solver import BlockPreconditioner, SolverError, gmres
+from .stab import (assemble_jump_matrix, beta_coefficient,
                    build_macro_elements)
 
 
@@ -109,7 +109,7 @@ class DiscreteSystem:
 
     def __init__(self, mesh: PolyMesh, material: Material,
                  bcs: BoundaryConditions, dt: float, *,
-                 stabilize: bool | MacroPartition = False,
+                 stabilize: bool = False,
                  body_force=None, mass_source=None,
                  linear_solver: str = "direct", tpfa: bool = False,
                  rtol: float = 1e-6, maxiter: int = 500):
@@ -138,7 +138,7 @@ class DiscreteSystem:
         self._build_dirichlet()
         self._build_system()
         self._quad = None
-        self._body_op = None
+        self._mean_op = None
         self._uu_lu = None
         self._pipi_lu = None
 
@@ -208,15 +208,13 @@ class DiscreteSystem:
                             (self.n_pi, self.n_pi))
         self.storage_diag = self.material.storage * self.mesh.cell_area
 
-    def _build_stabilization(self, stabilize) -> None:
+    def _build_stabilization(self, stabilize: bool) -> None:
         mat = self.material
-        if stabilize is False or stabilize is None:
+        if not stabilize:
             self.partition = None
             self.j_mat = None
         else:
-            self.partition = (stabilize if isinstance(stabilize,
-                                                      MacroPartition)
-                              else build_macro_elements(self.mesh))
+            self.partition = build_macro_elements(self.mesh)
             beta = beta_coefficient(mat.shear, mat.lam, mat.alpha)
             self.j_mat = assemble_jump_matrix(self.mesh, self.partition,
                                               beta)
@@ -288,15 +286,8 @@ class DiscreteSystem:
             self._precond = None
         else:
             self._lu = None
-            blocks = CondensedBlocks(
-                a_uu=self.a_uu[self.free_u][:, self.free_u].tocsr(),
-                a_up=self.a_up[self.free_u].tocsr(),
-                a_pp=self.a_pp,
-                a_ppi=self.a_ppi[:, self.free_pi].tocsr(),
-                a_pipi=self.a_pipi[self.free_pi][:, self.free_pi].tocsr(),
-                dt=self.dt,
-                u_components=self.free_u % 2)
-            self._precond = BlockPreconditioner(blocks)
+            self._precond = BlockPreconditioner(self._a_ff, self.free_u % 2,
+                                                self.n_p)
 
     def _solve(self, rhs: np.ndarray, t: float) -> np.ndarray:
         x_d = self.dirichlet_values(t)
@@ -350,37 +341,36 @@ class DiscreteSystem:
                           np.concatenate(cells))
         return self._quad
 
-    def _body_operator(self) -> sp.csr_matrix:
-        # Maps per-cell mean loads (interleaved x, y) to vertex forces
-        # through the cell mean of the displacement space.
-        if self._body_op is None:
-            rows, cols, vals = [], [], []
-            for k in range(self.mesh.num_cells):
-                cell = self.mesh.cells[k]
-                mean = self.vem_cells[k].mean_row * self.mesh.cell_area[k]
-                rows.extend([np.asarray(2 * cell), np.asarray(2 * cell + 1)])
-                cols.extend([np.full(cell.size, 2 * k),
-                             np.full(cell.size, 2 * k + 1)])
-                vals.extend([mean, mean])
-            self._body_op = sp.csr_matrix(
-                (np.concatenate(vals),
-                 (np.concatenate(rows), np.concatenate(cols))),
-                shape=(self.n_u, 2 * self.n_p))
-        return self._body_op
+    def cell_mean_operator(self) -> sp.csr_matrix:
+        """Cell means of an interleaved vertex field, (2 n_p, n_u): rows
+        2k and 2k + 1 give the x and y means over cell k, through the cell
+        mean of the displacement space."""
+        if self._mean_op is None:
+            cells = np.concatenate(self.mesh.cells)
+            owner = np.repeat(np.arange(self.n_p),
+                              [c.size for c in self.mesh.cells])
+            rows = np.concatenate([2 * owner, 2 * owner + 1])
+            cols = np.concatenate([2 * cells, 2 * cells + 1])
+            vals = np.concatenate([ops.mean_row for ops in self.vem_cells])
+            self._mean_op = sp.csr_matrix(
+                (np.tile(vals, 2), (rows, cols)),
+                shape=(2 * self.n_p, self.n_u))
+        return self._mean_op
 
     def mech_rhs(self, t: float) -> np.ndarray:
         """Momentum right-hand side: body force and traction terms."""
         b_u = np.zeros(self.n_u)
         if self.body_force is not None:
+            # Cell integrals of the load reach the vertices through the
+            # transposed cell-mean operator.
             pts, wts, cells = self.quadrature()
             load = np.asarray(self.body_force(pts, t), dtype=float)
-            means = np.empty(2 * self.n_p)
-            area = self.mesh.cell_area
-            means[0::2] = np.bincount(cells, wts * load[:, 0],
-                                      minlength=self.n_p) / area
-            means[1::2] = np.bincount(cells, wts * load[:, 1],
-                                      minlength=self.n_p) / area
-            b_u += self._body_operator() @ means
+            loads = np.empty(2 * self.n_p)
+            loads[0::2] = np.bincount(cells, wts * load[:, 0],
+                                      minlength=self.n_p)
+            loads[1::2] = np.bincount(cells, wts * load[:, 1],
+                                      minlength=self.n_p)
+            b_u += self.cell_mean_operator().T @ loads
         if self.bcs.traction:
             mesh = self.mesh
             for f in np.flatnonzero(mesh.boundary_mask):
@@ -439,6 +429,8 @@ class DiscreteSystem:
         the flow problem against p0.
         """
         mesh = self.mesh
+        x_d = self.dirichlet_values(t0)
+        u_d, pi_d = x_d[:self.fixed_u.size], x_d[self.fixed_u.size:]
         if callable(p0):
             pts, wts, cells = self.quadrature()
             p_cells = np.bincount(cells, wts * np.asarray(p0(pts)),
@@ -452,8 +444,6 @@ class DiscreteSystem:
                 self._uu_lu = spla.splu(sp.csc_matrix(
                     self.a_uu[self.free_u][:, self.free_u]))
             b_u = self.mech_rhs(t0) + self.a_up @ p_cells
-            u_d = np.array([np.asarray(value(x, t0), dtype=float)[comp]
-                            for _, comp, x, value in self._u_specs])
             b_f = b_u[self.free_u]
             if self.fixed_u.size:
                 b_f = b_f - self.a_uu[self.free_u][:, self.fixed_u] @ u_d
@@ -467,8 +457,6 @@ class DiscreteSystem:
             self._pipi_lu = spla.splu(sp.csc_matrix(
                 self.a_pipi[self.free_pi][:, self.free_pi]))
         r_pi = self.trace_rhs(t0) - self.a_ppi.T @ p_cells
-        pi_d = np.array([self.bcs.pressure(mesh.face_midpoint[f], t0)
-                         for f in self.fixed_pi])
         b_f = r_pi[self.free_pi]
         if self.fixed_pi.size:
             b_f = b_f - self.a_pipi[self.free_pi][:, self.fixed_pi] @ pi_d

@@ -60,8 +60,3 @@ def local_inner_product_tpfa(verts: np.ndarray, kappa) -> np.ndarray:
                          "(cell not star-shaped around its centroid?)")
     return np.diag(lengths * (cvec ** 2).sum(axis=1) / denom)
 
-
-def local_divergence(verts: np.ndarray) -> np.ndarray:
-    """Discrete divergence row (m,): div w = (1/|K|) sum_f |f| w_{K,f}."""
-    area, lengths, _, _ = _face_geometry(verts)
-    return lengths / area

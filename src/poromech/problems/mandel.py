@@ -13,8 +13,6 @@ early-time pressure rise above the undrained value is strongest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import brentq
 

@@ -28,31 +28,19 @@ class ErrorNorms:
         self.pressure = pressure
         self.displacement = displacement
         mesh = system.mesh
-        rows_m, cols_m, vals_m = [], [], []
-        rows_s, cols_s, vals_s = [], [], []
-        for k in range(mesh.num_cells):
-            cell = mesh.cells[k]
-            ops = system.vem_cells[k]
-            dx, dy = ops.grad
-            rows_m.extend([np.full(cell.size, 2 * k),
-                           np.full(cell.size, 2 * k + 1)])
-            cols_m.extend([2 * cell, 2 * cell + 1])
-            vals_m.extend([ops.mean_row, ops.mean_row])
-            rows_s.extend([np.full(cell.size, 3 * k),
-                           np.full(cell.size, 3 * k + 1),
-                           np.full(cell.size, 3 * k + 2),
-                           np.full(cell.size, 3 * k + 2)])
-            cols_s.extend([2 * cell, 2 * cell + 1, 2 * cell, 2 * cell + 1])
-            vals_s.extend([dx, dy, dy, dx])
-        n_u, n_p = system.n_u, system.n_p
-        self._mean_op = sp.csr_matrix(
-            (np.concatenate(vals_m),
-             (np.concatenate(rows_m), np.concatenate(cols_m))),
-            shape=(2 * n_p, n_u))
+        self._mean_op = system.cell_mean_operator()
+        # Cell-mean strain (e_xx, e_yy, 2 e_xy) per cell from the mean
+        # gradients of the interleaved vertex displacements.
+        cells = np.concatenate(mesh.cells)
+        owner = 3 * np.repeat(np.arange(system.n_p),
+                              [c.size for c in mesh.cells])
+        dx, dy = np.hstack([ops.grad for ops in system.vem_cells])
         self._strain_op = sp.csr_matrix(
-            (np.concatenate(vals_s),
-             (np.concatenate(rows_s), np.concatenate(cols_s))),
-            shape=(3 * n_p, n_u))
+            (np.concatenate([dx, dy, dy, dx]),
+             (np.concatenate([owner, owner + 1, owner + 2, owner + 2]),
+              np.concatenate([2 * cells, 2 * cells + 1, 2 * cells,
+                              2 * cells + 1]))),
+            shape=(3 * system.n_p, system.n_u))
         self._acc = np.zeros(3)
         self.steps = 0
 

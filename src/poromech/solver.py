@@ -1,7 +1,11 @@
 """Right-preconditioned GMRES and the block upper-triangular preconditioner
 of the condensed displacement-pressure-trace system.
 
-The preconditioner is the inverse of
+Entry points: ``gmres`` solves with any matvec and optional right
+preconditioner; ``BlockPreconditioner(matrix, u_components, n_p)`` builds
+the preconditioner from slices of the condensed free-dof matrix that GMRES
+solves, so no block is assembled twice.  The preconditioner is the inverse
+of
 
     [ Auu~   -A_up      0     ]
     [ 0       Bpp~   dt A_ppi ]
@@ -39,8 +43,13 @@ class SolverError(RuntimeError):
     """Raised on Krylov breakdown or preconditioner build failure."""
 
 
+# An unconverged Arnoldi step whose new vector is shorter than this fraction
+# of the preconditioned operator's output is a breakdown.
+BREAKDOWN_TOL = 1e-14
+
+
 def gmres(matvec, b: np.ndarray, rtol: float = 1e-6, maxiter: int = 500,
-          precond=None, breakdown_tol: float = 1e-14):
+          precond=None):
     """Non-restarted GMRES with right preconditioning and a zero initial
     guess.
 
@@ -103,7 +112,7 @@ def gmres(matvec, b: np.ndarray, rtol: float = 1e-6, maxiter: int = 500,
         if residuals[-1] <= rtol * norm_b:
             converged = True
             break
-        if h_next <= breakdown_tol * scale:
+        if h_next <= BREAKDOWN_TOL * scale:
             raise SolverError(f"GMRES breakdown at iteration {k} with "
                               f"relative residual {residuals[-1] / norm_b:.3e}")
         basis[j + 1] = w / h_next
@@ -128,62 +137,47 @@ def separate_components(a_uu: sp.spmatrix, components: np.ndarray):
                          shape=coo.shape)
 
 
-@dataclass
-class CondensedBlocks:
-    """Free-dof blocks of the condensed system
-
-        [ A_uu    -A_up      0     ] (u)
-        [ A_up^T   A_pp   dt A_ppi ] (p)
-        [ 0      A_ppi^T    A_pipi ] (pi)
-    """
-    a_uu: sp.csr_matrix
-    a_up: sp.csr_matrix
-    a_pp: sp.csr_matrix
-    a_ppi: sp.csr_matrix
-    a_pipi: sp.csr_matrix
-    dt: float
-    u_components: np.ndarray
-
-    def assemble(self) -> sp.csr_matrix:
-        return sp.bmat(
-            [[self.a_uu, -self.a_up, None],
-             [self.a_up.T, self.a_pp, self.dt * self.a_ppi],
-             [None, self.a_ppi.T, self.a_pipi]], format="csr")
-
-
 class BlockPreconditioner:
     """Inverse action of the block upper-triangular preconditioner.
 
-    Applied right to left: a direct solve with the trace Schur complement
+    Every block is a slice of ``matrix``, the condensed free-dof matrix
+    ordered (u, p, pi) that the Krylov solver is applied to;
+    ``u_components`` holds the component (0 or 1) of each of its leading
+    displacement rows and ``n_p`` is the number of pressure rows.  Applied
+    right to left: a direct solve with the trace Schur complement
     approximation, the trace-to-pressure coupling update, one l1-Jacobi
     sweep with the fixed-stress pressure matrix, the pressure-to-
     displacement coupling update, and a direct solve with the separate-
     component displacement block.
     """
 
-    def __init__(self, blocks: CondensedBlocks):
-        self.blocks = blocks
-        nu = blocks.a_uu.shape[0]
-        npp = blocks.a_pp.shape[0]
-        self.slices = (slice(0, nu), slice(nu, nu + npp),
-                       slice(nu + npp, nu + npp + blocks.a_pipi.shape[0]))
+    def __init__(self, matrix: sp.spmatrix, u_components: np.ndarray,
+                 n_p: int):
+        matrix = sp.csr_matrix(matrix)
+        nu = u_components.size
+        self.slices = (slice(0, nu), slice(nu, nu + n_p),
+                       slice(nu + n_p, matrix.shape[0]))
+        su, sp_, spi = self.slices
+        a_uu = matrix[su, su]
+        self._a_up = matrix[su, sp_]       # -A_up
+        self._a_ppi = matrix[sp_, spi]     # dt A_ppi
         try:
             self._uu_lu = spla.splu(sp.csc_matrix(
-                separate_components(blocks.a_uu, blocks.u_components)))
+                separate_components(a_uu, u_components)))
         except RuntimeError as exc:
             raise SolverError(f"displacement block factorization failed: "
                               f"{exc}") from exc
 
         # Fixed-stress pressure approximation:
         # Bpp~ = A_pp + diag(A_up^T diag(A_uu)^-1 A_up).
-        d_uu = blocks.a_uu.diagonal()
+        d_uu = a_uu.diagonal()
         if np.any(d_uu <= 0.0):
             raise SolverError("displacement block has a non-positive "
                               "diagonal entry")
-        scaled = blocks.a_up.multiply(1.0 / d_uu[:, None])
+        scaled = self._a_up.multiply(1.0 / d_uu[:, None])
         fs_diag = np.asarray(
-            scaled.multiply(blocks.a_up).sum(axis=0)).ravel()
-        bpp = sp.csr_matrix(blocks.a_pp + sp.diags(fs_diag))
+            scaled.multiply(self._a_up).sum(axis=0)).ravel()
+        bpp = sp.csr_matrix(matrix[sp_, sp_] + sp.diags(fs_diag))
         # l1-Jacobi: d_i = B_ii + sum_{j != i} |B_ij|.
         self._l1_diag = (bpp.diagonal()
                          + np.asarray(abs(bpp).sum(axis=1)).ravel()
@@ -192,8 +186,8 @@ class BlockPreconditioner:
             raise SolverError("fixed-stress pressure sweep is not positive")
 
         # Trace Schur complement through the pressure sweep.
-        cpi = blocks.a_pipi - blocks.dt * (
-            blocks.a_ppi.T @ sp.diags(1.0 / self._l1_diag) @ blocks.a_ppi)
+        cpi = matrix[spi, spi] - (
+            matrix[spi, sp_] @ sp.diags(1.0 / self._l1_diag) @ self._a_ppi)
         try:
             self._pipi_lu = spla.splu(sp.csc_matrix(cpi))
         except RuntimeError as exc:
@@ -202,19 +196,7 @@ class BlockPreconditioner:
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         su, sp_, spi = self.slices
-        blocks = self.blocks
         pi = self._pipi_lu.solve(y[spi])
-        p = y[sp_] - blocks.dt * (blocks.a_ppi @ pi)
-        p = p / self._l1_diag
-        u = y[su] + blocks.a_up @ p
-        u = self._uu_lu.solve(u)
+        p = (y[sp_] - self._a_ppi @ pi) / self._l1_diag
+        u = self._uu_lu.solve(y[su] - self._a_up @ p)
         return np.concatenate([u, p, pi])
-
-
-def export_matrix(path, matrix: sp.spmatrix) -> None:
-    """Write a sparse matrix as plain-text coordinate triplets."""
-    coo = sp.coo_matrix(matrix)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {float(v)!r}\n")

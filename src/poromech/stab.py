@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh.core import FACE_INTERIOR, MeshError, PolyMesh
+from .mesh.core import MeshError, PolyMesh
 
 
 @dataclass
@@ -82,22 +82,38 @@ def build_macro_elements(mesh: PolyMesh) -> MacroPartition:
                                   for m in macros])
 
 
-def corner_areas(mesh: PolyMesh) -> list[np.ndarray]:
-    """Per cell, the area m_{K,v} of the quadrilateral spanned by vertex v,
-    the midpoints of the two cell faces meeting at v, and the centroid."""
-    out = []
-    for k, cell in enumerate(mesh.cells):
-        verts = mesh.vertices[cell]
-        mids = 0.5 * (verts + np.roll(verts, -1, axis=0))
-        centroid = mesh.cell_centroid[k]
-        areas = np.empty(len(cell))
-        for i in range(len(cell)):
-            quad = np.array([verts[i], mids[i], centroid, mids[i - 1]])
-            x, y = quad[:, 0], quad[:, 1]
-            areas[i] = 0.5 * abs(np.dot(x, np.roll(y, -1))
-                                 - np.dot(np.roll(x, -1), y))
-        out.append(areas)
-    return out
+def _next_in_cell(mesh: PolyMesh) -> np.ndarray:
+    """Flat index of the next cell vertex of each cell-vertex pair, both
+    in the order of np.concatenate(mesh.cells)."""
+    sizes = np.array([c.size for c in mesh.cells])
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    local = np.arange(starts.size) - starts
+    return starts + (local + 1) % np.repeat(sizes, sizes)
+
+
+def corner_areas(mesh: PolyMesh) -> np.ndarray:
+    """Area m_{K,v} of the quadrilateral spanned by vertex v of cell K, the
+    midpoints of the two faces of K meeting at v, and the centroid of K.
+
+    One entry per cell-vertex pair, in the order of
+    np.concatenate(mesh.cells).
+    """
+    nxt = _next_in_cell(mesh)
+    prv = np.empty_like(nxt)
+    prv[nxt] = np.arange(nxt.size)
+    verts = mesh.vertices[np.concatenate(mesh.cells)]
+    # Shoelace formula relative to v, which avoids cancellation between
+    # products of absolute coordinates.
+    to_next = 0.5 * (verts[nxt] - verts)
+    to_prev = 0.5 * (verts[prv] - verts)
+    to_centroid = np.repeat(mesh.cell_centroid,
+                            [c.size for c in mesh.cells], axis=0) - verts
+    return 0.5 * np.abs(_cross(to_next, to_centroid)
+                        + _cross(to_centroid, to_prev))
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
 
 
 def upsilon_weights(mesh: PolyMesh) -> np.ndarray:
@@ -108,14 +124,11 @@ def upsilon_weights(mesh: PolyMesh) -> np.ndarray:
     interior face gets h^2.
     """
     areas = corner_areas(mesh)
-    local_index = [{int(v): i for i, v in enumerate(cell)}
-                   for cell in mesh.cells]
-    ups = np.zeros(mesh.num_faces)
-    for f in np.flatnonzero(~mesh.boundary_mask):
-        va, vb = mesh.faces[f]
-        for k in mesh.face_cells[f]:
-            ups[f] += areas[k][local_index[k][int(va)]]
-            ups[f] += areas[k][local_index[k][int(vb)]]
+    # Edge i of a cell runs from its vertex i to vertex i + 1.
+    ups = np.bincount(np.concatenate(mesh.cell_faces),
+                      areas + areas[_next_in_cell(mesh)],
+                      minlength=mesh.num_faces)
+    ups[mesh.boundary_mask] = 0.0
     return ups
 
 

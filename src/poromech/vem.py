@@ -1,11 +1,14 @@
 """Lowest-order virtual element operators for plane-strain elasticity.
 
-All operators act on the vertex values of a single polygonal cell. The
-discrete space is accessed only through its degrees of freedom: integrals of
-a virtual function over the cell boundary are exact because its trace is
-piecewise linear, and its cell mean equals the mean of the energy projection
-onto linear polynomials. Vector degrees of freedom are interleaved,
-(u_x, u_y) per vertex.
+``vem_cell(verts, shear, lam)`` is the single entry point: it returns the
+VemCell record of one polygonal cell, with its energy projector, vertex
+monomials, cell-mean gradient, mean-value and divergence rows, and elastic
+stiffness.  All operators act on the vertex values of the cell.  The
+discrete space is accessed only through its degrees of freedom: integrals
+of a virtual function over the cell boundary are exact because its trace
+is piecewise linear, and its cell mean equals the mean of the energy
+projection onto linear polynomials.  Vector degrees of freedom are
+interleaved, (u_x, u_y) per vertex.
 """
 
 from __future__ import annotations
@@ -17,164 +20,76 @@ import numpy as np
 from .mesh.core import (polygon_area_centroid, polygon_diameter,
                         polygon_edge_geometry)
 
-# Two-point Gauss-Legendre rule on [0, 1]; exact for the (linear) traces
-# integrated along cell edges.
-_GL2_POINTS = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)
-_GL2_WEIGHTS = np.array([0.5, 0.5])
-
 
 @dataclass
-class _CellBasis:
-    area: float
-    centroid: np.ndarray
-    diam: float
-    proj: np.ndarray     # (3, nv) energy-projection coefficients
-    mono: np.ndarray     # (nv, 3) scaled monomials at the vertices
-    grad: np.ndarray     # (2, nv) cell-mean gradient
+class VemCell:
+    """Virtual element operators of one cell with nv vertices."""
+    proj: np.ndarray           # (3, nv), projection onto the monomials
+    mono: np.ndarray           # (nv, 3), scaled monomials at the vertices
+    grad: np.ndarray           # (2, nv), cell-mean gradient
+    stiffness: np.ndarray      # (2 nv, 2 nv), interleaved vector dofs
+
+    @property
+    def mean_row(self) -> np.ndarray:
+        """Cell-mean value row (nv,), the constant projection coefficient
+        (the enhanced space makes the cell mean of a virtual function equal
+        that of its projection)."""
+        return self.proj[0]
+
+    @property
+    def div_row(self) -> np.ndarray:
+        """Cell-mean divergence row (2 nv,) on interleaved vector dofs."""
+        return self.grad.T.ravel()
 
 
-def _basis(verts: np.ndarray) -> _CellBasis:
+def vem_cell(verts: np.ndarray, shear: float, lam: float) -> VemCell:
+    """All VEM operators of one counterclockwise polygon.
+
+    The projection is onto the scaled monomials {1, (x-x_K)/h_K,
+    (y-y_K)/h_K}.  The stiffness is the consistency part
+    |K| sigma'(eps_K) : eps_K from the cell-mean strain plus the stability
+    part 2 G times the vertex-value inner product of the projection
+    residual, applied per displacement component.
+    """
     verts = np.asarray(verts, dtype=float)
     area, centroid = polygon_area_centroid(verts)
     diam = polygon_diameter(verts)
     lengths, _, normals = polygon_edge_geometry(verts)
     nv = len(verts)
+    mono = np.column_stack([np.ones(nv), (verts - centroid) / diam])
 
-    # Edge integrals of the vertex basis: b_mono[v, j] = int phi_v m_j ds,
-    # b_flux[v, i] = int phi_v n_i ds over the cell boundary.
-    b_mono = np.zeros((nv, 3))
-    b_flux = np.zeros((nv, 2))
-    nxt = np.roll(np.arange(nv), -1)
-    for e in range(nv):
-        a, b = verts[e], verts[nxt[e]]
-        for s, w in zip(_GL2_POINTS, _GL2_WEIGHTS):
-            x = (1.0 - s) * a + s * b
-            m = np.array([1.0,
-                          (x[0] - centroid[0]) / diam,
-                          (x[1] - centroid[1]) / diam])
-            for v, phi in ((e, 1.0 - s), (nxt[e], s)):
-                b_mono[v] += w * lengths[e] * phi * m
-                b_flux[v] += w * lengths[e] * phi * normals[e]
+    # Boundary integrals of the vertex basis, exact for its edgewise-linear
+    # trace: on edge e from vertex a to b, int_e phi_a m ds =
+    # |e| (2 m(x_a) + m(x_b)) / 6 for linear m, and int_e phi_a n ds =
+    # |e| n_e / 2.  Vertex v ends edge v - 1 and starts edge v.
+    prev = np.roll(lengths, 1)[:, None]
+    b_mono = (lengths[:, None] * (2.0 * mono + np.roll(mono, -1, axis=0))
+              + prev * (2.0 * mono + np.roll(mono, 1, axis=0))) / 6.0
+    edge_flux = 0.5 * lengths[:, None] * normals
+    b_flux = edge_flux + np.roll(edge_flux, 1, axis=0)
 
-    # Projection onto {1, (x-x_K)/h_K, (y-y_K)/h_K}: row 0 matches the
-    # boundary mean, rows 1-2 the gradient orthogonality conditions, both
-    # written as boundary integrals.
+    # Projection: row 0 matches the boundary mean, rows 1-2 the gradient
+    # orthogonality conditions, both written as boundary integrals.
     perimeter = lengths.sum()
     lhs = np.zeros((3, 3))
     lhs[0, :] = b_mono.sum(axis=0) / perimeter
     lhs[1, 1] = lhs[2, 2] = area / diam ** 2
-    rhs = np.zeros((3, nv))
-    rhs[0, :] = b_mono[:, 0] / perimeter
-    rhs[1, :] = b_flux[:, 0] / diam
-    rhs[2, :] = b_flux[:, 1] / diam
+    rhs = np.vstack([b_mono[:, 0] / perimeter, b_flux.T / diam])
     proj = np.linalg.solve(lhs, rhs)
-
-    mono = np.column_stack([np.ones(nv),
-                            (verts[:, 0] - centroid[0]) / diam,
-                            (verts[:, 1] - centroid[1]) / diam])
     # Divergence-theorem value of the cell-mean gradient.
     grad = b_flux.T / area
-    return _CellBasis(area, centroid, diam, proj, mono, grad)
 
-
-def projector(verts: np.ndarray) -> np.ndarray:
-    """Energy-projection coefficients (3, nv) of the vertex basis onto the
-    scaled monomials {1, (x-x_K)/h_K, (y-y_K)/h_K}."""
-    return _basis(verts).proj
-
-
-def vertex_monomials(verts: np.ndarray) -> np.ndarray:
-    """Scaled monomials evaluated at the cell vertices, (nv, 3)."""
-    return _basis(verts).mono
-
-
-def mean_gradient(verts: np.ndarray) -> np.ndarray:
-    """Cell-mean gradient operator (2, nv), the divergence-theorem value
-    (1/|K|) int phi_v n ds."""
-    return _basis(verts).grad
-
-
-def mean_value_row(verts: np.ndarray) -> np.ndarray:
-    """Cell-mean operator (nv,).
-
-    The enhanced space makes the cell mean of a virtual function equal that
-    of its projection; with centroid-based monomials this is the constant
-    projection coefficient.
-    """
-    return _basis(verts).proj[0]
-
-
-def local_divergence(verts: np.ndarray) -> np.ndarray:
-    """Cell-mean divergence row (2 nv,) on interleaved vector dofs."""
-    return _div_row(_basis(verts).grad)
-
-
-def local_stiffness(verts: np.ndarray, shear: float,
-                    lam: float) -> np.ndarray:
-    """Elastic stiffness (2 nv, 2 nv) on interleaved vector dofs.
-
-    Consistency part |K| sigma'(eps_K) : eps_K from the cell-mean strain;
-    stability part 2 G times the vertex-value inner product of the
-    projection residual, applied per displacement component.
-    """
-    return _stiffness(_basis(verts), shear, lam)
-
-
-def mean_strain(verts: np.ndarray, dofs: np.ndarray) -> np.ndarray:
-    """Cell-mean symmetric strain tensor (2, 2) of interleaved vector dofs."""
-    grad = _basis(verts).grad
-    gmat = np.vstack([grad @ dofs[0::2], grad @ dofs[1::2]])
-    # gmat[i, j] = mean of d u_i / d x_j
-    return 0.5 * (gmat + gmat.T)
-
-
-def mean_stress(verts: np.ndarray, dofs: np.ndarray, shear: float,
-                lam: float) -> np.ndarray:
-    """Cell-mean effective stress sigma' = 2 G eps + lambda tr(eps) I."""
-    eps = mean_strain(verts, dofs)
-    return 2.0 * shear * eps + lam * np.trace(eps) * np.eye(2)
-
-
-def _div_row(grad: np.ndarray) -> np.ndarray:
-    d = np.zeros(2 * grad.shape[1])
-    d[0::2] = grad[0]
-    d[1::2] = grad[1]
-    return d
-
-
-def _stiffness(basis: _CellBasis, shear: float, lam: float) -> np.ndarray:
-    nv = basis.mono.shape[0]
     strain = np.zeros((3, 2 * nv))           # (e_xx, e_yy, 2 e_xy)
-    strain[0, 0::2] = basis.grad[0]
-    strain[1, 1::2] = basis.grad[1]
-    strain[2, 0::2] = basis.grad[1]
-    strain[2, 1::2] = basis.grad[0]
+    strain[0, 0::2] = grad[0]
+    strain[1, 1::2] = grad[1]
+    strain[2, 0::2] = grad[1]
+    strain[2, 1::2] = grad[0]
     dmat = np.array([[2.0 * shear + lam, lam, 0.0],
                      [lam, 2.0 * shear + lam, 0.0],
                      [0.0, 0.0, shear]])
-    k_cons = basis.area * strain.T @ dmat @ strain
-
-    resid = np.eye(nv) - basis.mono @ basis.proj
-    s_scal = resid.T @ resid
-    k_stab = np.zeros((2 * nv, 2 * nv))
-    k_stab[0::2, 0::2] = s_scal
-    k_stab[1::2, 1::2] = s_scal
-    return k_cons + 2.0 * shear * k_stab
-
-
-@dataclass
-class VemCell:
-    """Per-cell virtual element operators used by the global assembler."""
-    stiffness: np.ndarray      # (2 nv, 2 nv)
-    div_row: np.ndarray        # (2 nv,), cell-mean divergence
-    mean_row: np.ndarray       # (nv,), cell-mean value per component
-    grad: np.ndarray           # (2, nv), cell-mean gradient
-
-
-def vem_cell(verts: np.ndarray, shear: float, lam: float) -> VemCell:
-    """All VEM operators of one cell, sharing the geometry computation."""
-    basis = _basis(verts)
-    return VemCell(stiffness=_stiffness(basis, shear, lam),
-                   div_row=_div_row(basis.grad),
-                   mean_row=basis.proj[0],
-                   grad=basis.grad)
+    resid = np.eye(nv) - mono @ proj
+    k_stab = 2.0 * shear * (resid.T @ resid)
+    stiffness = area * strain.T @ dmat @ strain
+    stiffness[0::2, 0::2] += k_stab
+    stiffness[1::2, 1::2] += k_stab
+    return VemCell(proj=proj, mono=mono, grad=grad, stiffness=stiffness)

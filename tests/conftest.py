@@ -1,59 +1,15 @@
-"""Shared fixtures: small meshes and random polygon generators."""
+"""Shared fixtures: small meshes built once per session."""
 
-import numpy as np
 import pytest
 
-from poromech.mesh import (build_cartesian, build_hybrid, build_skewed,
-                           build_voronoi)
-
-UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-RIGHT_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
-
-def random_convex_polygon(rng, n_verts, radius=1.0):
-    """Strictly convex CCW polygon: points on a random ellipse, sorted by
-    parameter angle (gap bounds avoid slivers and duplicate vertices)."""
-    while True:
-        t = np.sort(rng.uniform(0.0, 2.0 * np.pi, n_verts))
-        gaps = np.diff(np.append(t, t[0] + 2.0 * np.pi))
-        if gaps.min() > 0.05 and gaps.max() < 2.5:
-            break
-    phi = rng.uniform(0.0, np.pi)
-    axes = rng.uniform(0.3, 1.0, 2) * radius
-    rot = np.array([[np.cos(phi), -np.sin(phi)],
-                    [np.sin(phi), np.cos(phi)]])
-    circle = np.column_stack([np.cos(t), np.sin(t)])
-    center = rng.uniform(-1.0, 1.0, 2)
-    return center + circle @ np.diag(axes) @ rot.T
-
-
-def random_spd_tensor(rng, cond_max=100.0):
-    """Random 2x2 SPD tensor with bounded condition number."""
-    theta = rng.uniform(0.0, np.pi)
-    c, s = np.cos(theta), np.sin(theta)
-    q = np.array([[c, -s], [s, c]])
-    lo = rng.uniform(1e-2, 1.0)
-    hi = lo * rng.uniform(1.0, cond_max)
-    return q @ np.diag([lo, hi]) @ q.T
-
-
-def build_family(family, n, seed=0, lloyd_iters=20):
-    if family == "cartesian":
-        return build_cartesian(n, n)
-    if family == "skewed":
-        return build_skewed(n, n)
-    if family == "hybrid":
-        return build_hybrid(n, n)
-    if family == "voronoi":
-        return build_voronoi(n * n, lloyd_iters, seed)
-    raise ValueError(family)
+from poromech.mesh import build_cartesian
+from poromech.problems.studies import FAMILIES, family_mesh
 
 
 @pytest.fixture(scope="session")
 def family_meshes_level0():
     """One level-0 (10x10-sized) mesh per family, built once."""
-    return {family: build_family(family, 10)
-            for family in ("cartesian", "skewed", "hybrid", "voronoi")}
+    return {family: family_mesh(family, 10) for family in FAMILIES}
 
 
 @pytest.fixture(scope="session")

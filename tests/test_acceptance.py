@@ -17,15 +17,14 @@ import scipy.sparse.linalg as spla
 
 from poromech import mfd, vem
 from poromech.assembly import BoundaryConditions, DiscreteSystem, Material
-from poromech.mesh import (build_cartesian, build_hybrid, build_skewed,
-                           build_voronoi)
+from poromech.mesh import build_cartesian, build_voronoi
 from poromech.problems import mandel
 from poromech.problems.studies import (convergence_study, family_mesh,
                                        observed_rates, solver_study,
                                        stabilization_study,
                                        time_refinement_study)
 
-from conftest import random_convex_polygon, random_spd_tensor
+from helpers import random_convex_polygon, random_spd_tensor
 from test_assembly import dense_four_field_solve, mixed_problem
 
 
@@ -134,8 +133,8 @@ def test_criterion_3_local_operators():
                          / np.linalg.norm(r_mat))
         eigs = np.linalg.eigvalsh(m)
         min_m_eig = min(min_m_eig, eigs[0] / eigs[-1])
-        k_a = vem.local_stiffness(verts, float(rng.uniform(0.1, 10.0)),
-                                  float(rng.uniform(0.1, 10.0)))
+        k_a = vem.vem_cell(verts, float(rng.uniform(0.1, 10.0)),
+                           float(rng.uniform(0.1, 10.0))).stiffness
         spec = np.linalg.eigvalsh(k_a)
         worst_kernel = max(worst_kernel, abs(spec[0]) / spec[-1],
                            abs(spec[2]) / spec[-1])

@@ -1,7 +1,6 @@
 """Command-line driver: subcommand smoke runs, config merging, exit codes
 and deterministic outputs."""
 
-import numpy as np
 import pytest
 
 from poromech.cli import main

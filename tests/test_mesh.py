@@ -13,7 +13,7 @@ from poromech.mesh import (FACE_FLUX, FACE_INTERIOR, FACE_PRESSURE,
                            polygon_diameter, polygon_edge_geometry,
                            polygon_quadrature, read_mesh, write_mesh)
 
-from conftest import RIGHT_TRIANGLE, UNIT_SQUARE, random_convex_polygon
+from helpers import RIGHT_TRIANGLE, UNIT_SQUARE, random_convex_polygon
 
 
 # ----- counts and geometry ---------------------------------------------------

@@ -1,5 +1,5 @@
-"""Per-cell mimetic flow operators: consistency matrices, inner products,
-divergence."""
+"""Per-cell mimetic flow operators: consistency matrices and inner
+products."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from poromech import mfd
 from poromech.mesh.core import polygon_area_centroid, polygon_edge_geometry
 
-from conftest import RIGHT_TRIANGLE, UNIT_SQUARE, random_convex_polygon, \
+from helpers import RIGHT_TRIANGLE, UNIT_SQUARE, random_convex_polygon, \
     random_spd_tensor
 
 # face order of the unit square cell: bottom, right, top, left
@@ -67,19 +67,6 @@ def test_tpfa_rejects_distorted_cell():
     assert np.min(((mids - centroid) * normals).sum(axis=1)) <= 0.0
     with pytest.raises(ValueError, match="two-point"):
         mfd.local_inner_product_tpfa(chevron, 1.0)
-
-
-def test_local_divergence_examples():
-    div = mfd.local_divergence(UNIT_SQUARE)
-    assert div @ np.ones(4) == pytest.approx(4.0, rel=1e-14)
-    # constant field v: w_f = v . n sums to zero by closure
-    normals = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    assert div @ (normals @ [0.3, -0.9]) == pytest.approx(0.0, abs=1e-14)
-    # v = (x, y) evaluated at face midpoints on the right triangle
-    tri_div = mfd.local_divergence(RIGHT_TRIANGLE)
-    _, mids, tri_normals = polygon_edge_geometry(RIGHT_TRIANGLE)
-    w = (mids * tri_normals).sum(axis=1)
-    assert tri_div @ w == pytest.approx(2.0, rel=1e-13)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,15 +1,15 @@
 """Krylov solver and block preconditioner, checked against a textbook
 Arnoldi least-squares implementation and dense factor products."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from poromech.assembly import (BoundaryConditions, DiscreteSystem, Material,
-                               State)
+from poromech.assembly import BoundaryConditions, DiscreteSystem, Material
 from poromech.mesh import build_cartesian
-from poromech.solver import (BlockPreconditioner, CondensedBlocks,
-                             SolverError, export_matrix, gmres,
+from poromech.solver import (BlockPreconditioner, SolverError, gmres,
                              separate_components)
 
 
@@ -126,6 +126,29 @@ def test_separate_components_drops_cross_couplings():
 
 # ----- block preconditioner ----------------------------------------------------------
 
+def named_blocks(a_uu, a_up, a_pp, a_ppi, a_pipi, dt, u_components):
+    """Free-dof blocks of the condensed system
+
+        [ A_uu    -A_up      0     ] (u)
+        [ A_up^T   A_pp   dt A_ppi ] (p)
+        [ 0      A_ppi^T    A_pipi ] (pi)
+    """
+    return SimpleNamespace(a_uu=a_uu, a_up=a_up, a_pp=a_pp, a_ppi=a_ppi,
+                           a_pipi=a_pipi, dt=dt, u_components=u_components)
+
+
+def condensed(blocks):
+    return sp.bmat(
+        [[blocks.a_uu, -blocks.a_up, None],
+         [blocks.a_up.T, blocks.a_pp, blocks.dt * blocks.a_ppi],
+         [None, blocks.a_ppi.T, blocks.a_pipi]], format="csr")
+
+
+def block_preconditioner(blocks):
+    return BlockPreconditioner(condensed(blocks), blocks.u_components,
+                               blocks.a_pp.shape[0])
+
+
 def random_blocks(seed=0, nu=8, npp=5, npi=4, dt=0.3):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((nu, nu))
@@ -136,8 +159,8 @@ def random_blocks(seed=0, nu=8, npp=5, npi=4, dt=0.3):
     a_ppi = sp.csr_matrix(rng.standard_normal((npp, npi)))
     a_pipi = sp.csr_matrix(
         np.diag(rng.uniform(5.0, 6.0, npi)) + 0.1 * np.eye(npi))
-    return CondensedBlocks(a_uu, a_up, a_pp, a_ppi, a_pipi, dt,
-                           u_components=np.arange(nu) % 2)
+    return named_blocks(a_uu, a_up, a_pp, a_ppi, a_pipi, dt,
+                        u_components=np.arange(nu) % 2)
 
 
 def upper_triangular_reference(blocks):
@@ -168,7 +191,7 @@ def upper_triangular_reference(blocks):
 
 def test_preconditioner_inverts_block_factor():
     blocks = random_blocks(seed=4)
-    precond = BlockPreconditioner(blocks)
+    precond = block_preconditioner(blocks)
     u_ref = upper_triangular_reference(blocks)
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -187,12 +210,17 @@ def test_preconditioner_on_assembled_system_blocks():
         pressure=lambda x, t: 0.0)
     system = DiscreteSystem(mesh, material, bcs, dt=1e-4,
                             stabilize=True, linear_solver="gmres")
-    precond = system._precond
-    u_ref = upper_triangular_reference(precond.blocks)
+    free_u, free_pi = system.free_u, system.free_pi
+    blocks = named_blocks(
+        a_uu=system.a_uu[free_u][:, free_u], a_up=system.a_up[free_u],
+        a_pp=system.a_pp, a_ppi=system.a_ppi[:, free_pi],
+        a_pipi=system.a_pipi[free_pi][:, free_pi], dt=system.dt,
+        u_components=free_u % 2)
+    u_ref = upper_triangular_reference(blocks)
     rng = np.random.default_rng(2)
     y = rng.standard_normal(u_ref.shape[0])
-    assert precond(y) == pytest.approx(np.linalg.solve(u_ref, y),
-                                       rel=1e-11, abs=1e-11)
+    assert system._precond(y) == pytest.approx(np.linalg.solve(u_ref, y),
+                                               rel=1e-11, abs=1e-11)
 
 
 def test_exact_approximations_converge_immediately():
@@ -201,15 +229,15 @@ def test_exact_approximations_converge_immediately():
     identity plus a nilpotent update."""
     rng = np.random.default_rng(3)
     nu, npp, npi = 6, 4, 3
-    blocks = CondensedBlocks(
+    blocks = named_blocks(
         a_uu=sp.csr_matrix(np.diag(rng.uniform(1.0, 2.0, nu))),
         a_up=sp.csr_matrix((nu, npp)),
         a_pp=sp.csr_matrix(np.diag(rng.uniform(0.5, 1.5, npp))),
         a_ppi=sp.csr_matrix(0.1 * rng.standard_normal((npp, npi))),
         a_pipi=sp.csr_matrix(np.diag(rng.uniform(2.0, 3.0, npi))),
         dt=0.3, u_components=np.arange(nu) % 2)
-    a = blocks.assemble()
-    precond = BlockPreconditioner(blocks)
+    a = condensed(blocks)
+    precond = block_preconditioner(blocks)
     b = rng.standard_normal(nu + npp + npi)
     x, report = gmres(lambda v: a @ v, b, rtol=1e-10, precond=precond)
     assert report.converged and report.iterations <= 3
@@ -218,11 +246,11 @@ def test_exact_approximations_converge_immediately():
 
 def test_preconditioned_solve_matches_direct():
     blocks = random_blocks(seed=8)
-    a = blocks.assemble()
+    a = condensed(blocks)
     rng = np.random.default_rng(1)
     b = rng.standard_normal(a.shape[0])
     x, report = gmres(lambda v: a @ v, b, rtol=1e-12,
-                      precond=BlockPreconditioner(blocks))
+                      precond=block_preconditioner(blocks))
     assert report.converged
     assert x == pytest.approx(np.linalg.solve(a.toarray(), b),
                               abs=1e-9 * np.linalg.norm(b))
@@ -234,20 +262,4 @@ def test_preconditioner_rejects_nonpositive_displacement_diagonal():
     bad[0, 0] = 0.0
     blocks.a_uu = bad.tocsr()
     with pytest.raises(SolverError, match="diagonal"):
-        BlockPreconditioner(blocks)
-
-
-def test_export_matrix_roundtrip(tmp_path):
-    blocks = random_blocks(seed=6)
-    path = tmp_path / "a.txt"
-    export_matrix(path, blocks.assemble())
-    lines = path.read_text().splitlines()
-    rows, cols, nnz = map(int, lines[0].split())
-    coo = sp.coo_matrix(blocks.assemble())
-    assert (rows, cols, nnz) == (coo.shape[0], coo.shape[1], coo.nnz)
-    entries = np.array([[float(tok) for tok in line.split()]
-                        for line in lines[1:]])
-    rebuilt = sp.coo_matrix(
-        (entries[:, 2], (entries[:, 0].astype(int),
-                         entries[:, 1].astype(int))), shape=(rows, cols))
-    assert np.array_equal(rebuilt.toarray(), coo.toarray())
+        block_preconditioner(blocks)

@@ -74,7 +74,8 @@ def test_partition_needs_internal_vertices():
 
 def test_corner_areas_tile_the_cells(family_meshes_level0):
     for family, mesh in family_meshes_level0.items():
-        areas = corner_areas(mesh)
+        areas = np.split(corner_areas(mesh),
+                         np.cumsum([c.size for c in mesh.cells])[:-1])
         for k in range(mesh.num_cells):
             assert areas[k].sum() == pytest.approx(mesh.cell_area[k],
                                                    rel=1e-12), family
@@ -100,6 +101,36 @@ def test_upsilon_positive_all_families(family_meshes_level0):
         interior = mesh.face_cells[:, 1] >= 0
         assert np.all(ups[interior] > 0.0), family
         assert np.all(ups[~interior] == 0.0), family
+
+
+def reference_upsilon(mesh):
+    """Face-by-face sum of the corner quadrilateral areas at both face
+    endpoints in both adjacent cells, each area from the shoelace formula."""
+    ups = np.zeros(mesh.num_faces)
+    for f in np.flatnonzero(~mesh.boundary_mask):
+        for k in mesh.face_cells[f]:
+            cell = list(mesh.cells[k])
+            n = len(cell)
+            for v in mesh.faces[f]:
+                i = cell.index(v)
+                x_v = mesh.vertices[v]
+                quad = np.array([
+                    x_v, 0.5 * (x_v + mesh.vertices[cell[(i + 1) % n]]),
+                    mesh.cell_centroid[k],
+                    0.5 * (x_v + mesh.vertices[cell[i - 1]])])
+                x, y = quad[:, 0], quad[:, 1]
+                ups[f] += 0.5 * abs(np.dot(x, np.roll(y, -1))
+                                    - np.dot(np.roll(x, -1), y))
+    return ups
+
+
+def test_upsilon_matches_face_loop(family_meshes_level0):
+    for family, mesh in family_meshes_level0.items():
+        ref = reference_upsilon(mesh)
+        # The reference shoelace sums products of absolute coordinates, so
+        # each of its four areas carries a round-off of order eps |x|^2.
+        tol = 64.0 * np.finfo(float).eps * np.abs(mesh.vertices).max() ** 2
+        assert np.abs(upsilon_weights(mesh) - ref).max() <= tol, family
 
 
 # ----- stabilization coefficient --------------------------------------------------

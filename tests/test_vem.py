@@ -1,5 +1,5 @@
 """Per-cell virtual element operators: projector, means, stiffness,
-divergence."""
+divergence, all read from the vem_cell record."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,13 @@ from poromech.mesh import build_cartesian
 from poromech.mesh.core import polygon_area_centroid, polygon_diameter, \
     polygon_edge_geometry
 
-from conftest import RIGHT_TRIANGLE, UNIT_SQUARE, random_convex_polygon
+from helpers import RIGHT_TRIANGLE, UNIT_SQUARE, random_convex_polygon
 
 RNG = np.random.default_rng(20240817)
+
+
+def cell(verts, shear=1.0, lam=1.0):
+    return vem.vem_cell(verts, shear, lam)
 
 
 def reference_projector(verts):
@@ -50,7 +54,7 @@ def reference_projector(verts):
 def test_projector_matches_defining_equations():
     for n_verts in (3, 4, 5, 6, 8, 10):
         verts = random_convex_polygon(RNG, n_verts)
-        assert vem.projector(verts) == pytest.approx(
+        assert cell(verts).proj == pytest.approx(
             reference_projector(verts), abs=1e-12)
 
 
@@ -59,20 +63,20 @@ def test_projector_reproduces_linears():
         verts = random_convex_polygon(RNG, n_verts)
         coef = RNG.uniform(-2.0, 2.0, 3)
         vals = coef[0] + verts @ coef[1:]
-        projected = vem.vertex_monomials(verts) @ (
-            vem.projector(verts) @ vals)
+        projected = cell(verts).mono @ (
+            cell(verts).proj @ vals)
         assert projected == pytest.approx(vals, abs=1e-12)
 
 
 def test_projector_constant_on_unit_square():
-    coeffs = vem.projector(UNIT_SQUARE) @ np.ones(4)
+    coeffs = cell(UNIT_SQUARE).proj @ np.ones(4)
     assert coeffs == pytest.approx([1.0, 0.0, 0.0], abs=1e-14)
 
 
 def test_monomial_invariants():
     for n_verts in (3, 5, 8):
         verts = random_convex_polygon(RNG, n_verts)
-        mono = vem.vertex_monomials(verts)
+        mono = cell(verts).mono
         _, centroid = polygon_area_centroid(verts)
         diam = polygon_diameter(verts)
         assert mono[:, 0] == pytest.approx(np.ones(n_verts))
@@ -85,38 +89,38 @@ def test_monomial_invariants():
 
 def test_mean_operators_on_unit_square():
     x_vals = UNIT_SQUARE[:, 0]
-    assert vem.mean_value_row(UNIT_SQUARE) @ x_vals == \
+    assert cell(UNIT_SQUARE).mean_row @ x_vals == \
         pytest.approx(0.5, abs=1e-14)
-    assert vem.mean_gradient(UNIT_SQUARE) @ x_vals == \
+    assert cell(UNIT_SQUARE).grad @ x_vals == \
         pytest.approx([1.0, 0.0], abs=1e-14)
     # vertex values (0, 1, 1, 0) interpolate x on the square
-    assert vem.mean_gradient(UNIT_SQUARE) @ np.array([0, 1, 1, 0.0]) == \
+    assert cell(UNIT_SQUARE).grad @ np.array([0, 1, 1, 0.0]) == \
         pytest.approx([1.0, 0.0], abs=1e-14)
     const = 3.25 * np.ones(4)
-    assert vem.mean_value_row(UNIT_SQUARE) @ const == \
+    assert cell(UNIT_SQUARE).mean_row @ const == \
         pytest.approx(3.25, abs=1e-14)
-    assert vem.mean_gradient(UNIT_SQUARE) @ const == \
+    assert cell(UNIT_SQUARE).grad @ const == \
         pytest.approx([0.0, 0.0], abs=1e-14)
 
 
 def test_mean_row_partition_of_unity():
     for n_verts in (3, 4, 7, 10):
         verts = random_convex_polygon(RNG, n_verts)
-        assert vem.mean_value_row(verts).sum() == pytest.approx(1.0,
+        assert cell(verts).mean_row.sum() == pytest.approx(1.0,
                                                                 abs=1e-12)
         # exactness on linears: mean of x is the centroid abscissa
         _, centroid = polygon_area_centroid(verts)
-        assert vem.mean_value_row(verts) @ verts[:, 0] == \
+        assert cell(verts).mean_row @ verts[:, 0] == \
             pytest.approx(centroid[0], abs=1e-12)
 
 
 def test_mean_row_of_unit_square_is_uniform():
-    assert vem.mean_value_row(UNIT_SQUARE) == pytest.approx(
+    assert cell(UNIT_SQUARE).mean_row == pytest.approx(
         np.full(4, 0.25), abs=1e-14)
 
 
 def test_triangle_mean_row_sums_to_one():
-    row = vem.mean_value_row(RIGHT_TRIANGLE)
+    row = cell(RIGHT_TRIANGLE).mean_row
     assert row.sum() == pytest.approx(1.0, abs=1e-14)
 
 
@@ -144,7 +148,7 @@ def exact_energy(amat, bmat, shear, lam, area):
 def test_stiffness_kernel_is_rigid_modes():
     for n_verts in (3, 4, 6, 9):
         verts = random_convex_polygon(RNG, n_verts)
-        k_a = vem.local_stiffness(verts, shear=1.3, lam=0.7)
+        k_a = cell(verts, shear=1.3, lam=0.7).stiffness
         assert k_a == pytest.approx(k_a.T, abs=1e-12)
         eigs = np.sort(np.linalg.eigvalsh(k_a))
         norm = abs(eigs[-1])
@@ -165,7 +169,7 @@ def test_stiffness_exact_on_linear_pairs():
         verts = random_convex_polygon(RNG, n_verts)
         area, _ = polygon_area_centroid(verts)
         shear, lam = 2.1, 3.4
-        k_a = vem.local_stiffness(verts, shear, lam)
+        k_a = cell(verts, shear, lam).stiffness
         amat = RNG.uniform(-1.0, 1.0, (2, 2))
         bmat = RNG.uniform(-1.0, 1.0, (2, 2))
         energy = linear_dofs(verts, amat) @ k_a @ linear_dofs(verts, bmat)
@@ -175,13 +179,13 @@ def test_stiffness_exact_on_linear_pairs():
 
 def test_hourglass_energy_on_unit_square():
     hg = interleave(np.array([1.0, -1.0, 1.0, -1.0]), np.zeros(4))
-    k_a = vem.local_stiffness(UNIT_SQUARE, shear=1.0, lam=1.0)
+    k_a = cell(UNIT_SQUARE, shear=1.0, lam=1.0).stiffness
     # the mean gradient of the hourglass mode vanishes: pure stability
-    assert vem.mean_gradient(UNIT_SQUARE) @ hg[0::2] == \
+    assert cell(UNIT_SQUARE).grad @ hg[0::2] == \
         pytest.approx([0.0, 0.0], abs=1e-14)
     assert hg @ k_a @ hg == pytest.approx(8.0, rel=1e-12)
     # energy scales with the shear modulus only
-    k_b = vem.local_stiffness(UNIT_SQUARE, shear=2.5, lam=9.0)
+    k_b = cell(UNIT_SQUARE, shear=2.5, lam=9.0).stiffness
     assert hg @ k_b @ hg == pytest.approx(20.0, rel=1e-12)
 
 
@@ -190,8 +194,8 @@ def test_stability_ignores_linear_interpolants():
         verts = random_convex_polygon(RNG, n_verts)
         coef = RNG.uniform(-1.0, 1.0, 3)
         vals = coef[0] + verts @ coef[1:]
-        resid = vals - vem.vertex_monomials(verts) @ (
-            vem.projector(verts) @ vals)
+        resid = vals - cell(verts).mono @ (
+            cell(verts).proj @ vals)
         assert resid == pytest.approx(np.zeros(n_verts), abs=1e-12)
 
 
@@ -200,7 +204,7 @@ def test_stability_ignores_linear_interpolants():
 def test_divergence_examples():
     for n_verts in (3, 4, 6, 8):
         verts = random_convex_polygon(RNG, n_verts)
-        div = vem.local_divergence(verts)
+        div = cell(verts).div_row
         assert div @ linear_dofs(verts, np.eye(2)) == \
             pytest.approx(2.0, rel=1e-12)
         assert div @ linear_dofs(verts, np.zeros((2, 2)), (0.7, -1.2)) == \
@@ -209,7 +213,7 @@ def test_divergence_examples():
 
 def test_divergence_of_quadratic_interpolant():
     dofs = interleave(UNIT_SQUARE[:, 0] ** 2, np.zeros(4))
-    assert vem.local_divergence(UNIT_SQUARE) @ dofs == \
+    assert cell(UNIT_SQUARE).div_row @ dofs == \
         pytest.approx(1.0, rel=1e-13)
 
 
@@ -221,10 +225,14 @@ def test_mean_strain_and_stress_on_linear_fields():
     shear, lam = 1.9, 4.2
     dofs = linear_dofs(verts, amat, (0.3, 0.4))
     eps = 0.5 * (amat + amat.T)
-    assert vem.mean_strain(verts, dofs) == pytest.approx(eps, abs=1e-12)
+    grad = cell(verts).grad
+    # gmat[i, j] = mean of d u_i / d x_j
+    gmat = np.vstack([grad @ dofs[0::2], grad @ dofs[1::2]])
+    strain = 0.5 * (gmat + gmat.T)
+    assert strain == pytest.approx(eps, abs=1e-12)
     sigma = 2.0 * shear * eps + lam * np.trace(eps) * np.eye(2)
-    assert vem.mean_stress(verts, dofs, shear, lam) == \
-        pytest.approx(sigma, abs=1e-12)
+    stress = 2.0 * shear * strain + lam * np.trace(strain) * np.eye(2)
+    assert stress == pytest.approx(sigma, abs=1e-12)
 
 
 # ----- patch test ------------------------------------------------------------------
@@ -239,8 +247,8 @@ def test_patch_reproduces_linear_displacement():
         dofs = np.empty(2 * cell.size, dtype=int)
         dofs[0::2] = 2 * cell
         dofs[1::2] = 2 * cell + 1
-        k_glob[np.ix_(dofs, dofs)] += vem.local_stiffness(
-            mesh.cell_polygon(k), shear=1.0, lam=10.0)
+        k_glob[np.ix_(dofs, dofs)] += vem.vem_cell(
+            mesh.cell_polygon(k), shear=1.0, lam=10.0).stiffness
     amat = np.array([[0.3, -0.8], [1.1, 0.5]])
     exact = linear_dofs(mesh.vertices, amat, (0.1, -0.2))
     on_boundary = mesh.boundary_vertex_mask
