@@ -22,14 +22,21 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import mfd, vem
 from .mesh import FACE_FLUX, FACE_PRESSURE, PolyMesh, kappa_as_tensor
 from .mesh.core import polygon_quadrature
-from .solver import BlockPreconditioner, SolverError, gmres
+from .solver import BlockPreconditioner, SolverError, factorize, gmres
 from .stab import (assemble_jump_matrix, beta_coefficient,
                    build_macro_elements)
+
+# Iterative refinement of the direct solve stops once the componentwise
+# backward error max_i |r_i| / (|A| |x| + |b|)_i is at most REFINE_STOP,
+# after at most REFINE_SWEEPS sweeps; above REFINE_FAIL after the cap the
+# solve is an error.
+REFINE_STOP = 4.0 * np.finfo(float).eps
+REFINE_FAIL = float(np.sqrt(np.finfo(float).eps))
+REFINE_SWEEPS = 4
 
 
 @dataclass
@@ -282,10 +289,12 @@ class DiscreteSystem:
         self._a_ff = full[self.free][:, self.free].tocsr()
         self._a_fd = full[self.free][:, self.fixed].tocsr()
         if self.linear_solver == "direct":
-            self._lu = spla.splu(sp.csc_matrix(self._a_ff))
+            self._lu = factorize(self._a_ff)
+            self._abs_a_ff = abs(self._a_ff)
             self._precond = None
         else:
             self._lu = None
+            self._abs_a_ff = None
             self._precond = BlockPreconditioner(self._a_ff, self.free_u % 2,
                                                 self.n_p)
 
@@ -295,17 +304,28 @@ class DiscreteSystem:
         if self.fixed.size:
             b_f = b_f - self._a_fd @ x_d
         if self._lu is not None:
-            x_f = self._lu.solve(b_f)
             # The coupled blocks span many orders of magnitude (stiffness
-            # versus dt-scaled mobility), so a backward-stable factorization
-            # can leave a large forward error in the weakly scaled pressure
-            # rows; refine on the cached factors to the round-off fixed
-            # point.
-            for _ in range(4):
-                dx = self._lu.solve(b_f - self._a_ff @ x_f)
-                x_f = x_f + dx
-                if np.linalg.norm(dx) <= 1e-13 * np.linalg.norm(x_f):
+            # versus dt-scaled mobility), so the first solve can leave a
+            # large componentwise backward error in the weakly scaled rows.
+            # One refinement sweep on the cached factor always follows
+            # (one sweep in working precision makes the LU solve
+            # componentwise backward stable, Skeel 1980); more run only
+            # while the backward error exceeds REFINE_STOP.
+            x_f = self._lu.solve(b_f)
+            r_f = b_f - self._a_ff @ x_f
+            for _ in range(REFINE_SWEEPS):
+                x_f = x_f + self._lu.solve(r_f)
+                r_f = b_f - self._a_ff @ x_f
+                denom = self._abs_a_ff @ np.abs(x_f) + np.abs(b_f)
+                omega = np.max(np.divide(np.abs(r_f), denom,
+                                         out=np.zeros_like(denom),
+                                         where=denom > 0.0), initial=0.0)
+                if omega <= REFINE_STOP:
                     break
+            if omega > REFINE_FAIL:
+                raise SolverError(
+                    f"iterative refinement stalled at componentwise backward "
+                    f"error {omega:.3e} after {REFINE_SWEEPS} sweeps")
             self.last_report = None
         else:
             x_f, self.last_report = gmres(
@@ -441,8 +461,8 @@ class DiscreteSystem:
 
         if u0 is None:
             if self._uu_lu is None:
-                self._uu_lu = spla.splu(sp.csc_matrix(
-                    self.a_uu[self.free_u][:, self.free_u]))
+                self._uu_lu = factorize(
+                    self.a_uu[self.free_u][:, self.free_u])
             b_u = self.mech_rhs(t0) + self.a_up @ p_cells
             b_f = b_u[self.free_u]
             if self.fixed_u.size:
@@ -454,8 +474,8 @@ class DiscreteSystem:
             u0 = np.asarray(u0, dtype=float)
 
         if self._pipi_lu is None:
-            self._pipi_lu = spla.splu(sp.csc_matrix(
-                self.a_pipi[self.free_pi][:, self.free_pi]))
+            self._pipi_lu = factorize(
+                self.a_pipi[self.free_pi][:, self.free_pi])
         r_pi = self.trace_rhs(t0) - self.a_ppi.T @ p_cells
         b_f = r_pi[self.free_pi]
         if self.fixed_pi.size:

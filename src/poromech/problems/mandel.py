@@ -13,6 +13,8 @@ early-time pressure rise above the undrained value is strongest.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.optimize import brentq
 
@@ -90,18 +92,24 @@ class MandelSolution:
     def displacement(self, x, y, t: float):
         """Displacement components at (x, y) and time t > 0."""
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         force, shear, a = self.force, self.material.shear, self.width
         decay = self._decay(t)
-        s_sc = self._coef_sc @ decay
         u_x = ((force * self.nu / (2.0 * shear * a)
-                - force * self.nu_u / (shear * a) * s_sc) * x
+                - force * self.nu_u / (shear * a) * (self._coef_sc @ decay))
+               * x
                + force / shear
                * (np.sin(np.multiply.outer(x, self.roots) / a)
                   @ (self._coef_c * decay)))
-        u_y = (-force * (1.0 - self.nu) / (2.0 * shear * a)
-               + force * (1.0 - self.nu_u) / (shear * a) * s_sc) * y
-        return u_x, u_y
+        return u_x, self.vertical_displacement(y, t)
+
+    def vertical_displacement(self, y, t: float):
+        """Vertical displacement at height y and time t > 0; it does not
+        depend on x."""
+        force, shear, a = self.force, self.material.shear, self.width
+        s_sc = self._coef_sc @ self._decay(t)
+        return (-force * (1.0 - self.nu) / (2.0 * shear * a)
+                + force * (1.0 - self.nu_u) / (shear * a) * s_sc) \
+            * np.asarray(y, dtype=float)
 
     def undrained_pressure(self) -> float:
         """Uniform pressure right after load application."""
@@ -148,12 +156,16 @@ def setup(mesh: PolyMesh, dt: float, *, force: float = 2.0e2,
     tol = 1e-9 * max(width, height)
     mesh.tag_boundary(pressure=lambda x: x[0] > width - tol)
 
-    def top_displacement(x, t):
+    # Only u_y is prescribed on the top edge, and it is the same at every
+    # top vertex: evaluate the series once per time level.
+    @functools.lru_cache(maxsize=1)
+    def top_u_y(t):
         if t <= 0.0:
-            u_x, u_y = solution.undrained_displacement(x[0], height)
-        else:
-            u_x, u_y = solution.displacement(x[0], height, t)
-        return (u_x, u_y)
+            return float(solution.undrained_displacement(0.0, height)[1])
+        return float(solution.vertical_displacement(height, t))
+
+    def top_displacement(x, t):
+        return (0.0, top_u_y(t))
 
     zero = lambda x, t: (0.0, 0.0)
     bcs = BoundaryConditions(

@@ -1,11 +1,13 @@
-"""Right-preconditioned GMRES and the block upper-triangular preconditioner
-of the condensed displacement-pressure-trace system.
+"""Sparse LU, right-preconditioned GMRES and the block upper-triangular
+preconditioner of the condensed displacement-pressure-trace system.
 
-Entry points: ``gmres`` solves with any matvec and optional right
-preconditioner; ``BlockPreconditioner(matrix, u_components, n_p)`` builds
-the preconditioner from slices of the condensed free-dof matrix that GMRES
-solves, so no block is assembled twice.  The preconditioner is the inverse
-of
+Entry points: ``factorize(matrix)`` is the one sparse LU of the package,
+used for the condensed matrix, the blocks of the initial state and the
+preconditioner's two direct solves; ``gmres`` solves with any matvec and
+optional right preconditioner; ``BlockPreconditioner(matrix, u_components,
+n_p)`` builds the preconditioner from slices of the condensed free-dof
+matrix that GMRES solves, so no block is assembled twice.  The
+preconditioner is the inverse of
 
     [ Auu~   -A_up      0     ]
     [ 0       Bpp~   dt A_ppi ]
@@ -40,7 +42,27 @@ class KrylovReport:
 
 
 class SolverError(RuntimeError):
-    """Raised on Krylov breakdown or preconditioner build failure."""
+    """Raised on a singular factorization, an unconverged refinement,
+    Krylov breakdown or preconditioner build failure."""
+
+
+def factorize(matrix: sp.spmatrix):
+    """Sparse LU factor (a SuperLU object) of a structurally symmetric
+    matrix.
+
+    Every matrix factorized here is structurally symmetric, and its
+    symmetric part is positive (semi)definite up to a row scaling, so an LU
+    without row interchanges exists under any symmetric permutation: the
+    columns are ordered by minimum degree on the pattern of A^T + A and the
+    diagonal is always taken as the pivot.  Partial pivoting would break
+    the symmetric ordering and multiply the fill.
+    """
+    try:
+        return spla.splu(sp.csc_matrix(matrix),
+                         permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverError(f"sparse LU factorization failed: {exc}") from exc
 
 
 # An unconverged Arnoldi step whose new vector is shorter than this fraction
@@ -161,12 +183,7 @@ class BlockPreconditioner:
         a_uu = matrix[su, su]
         self._a_up = matrix[su, sp_]       # -A_up
         self._a_ppi = matrix[sp_, spi]     # dt A_ppi
-        try:
-            self._uu_lu = spla.splu(sp.csc_matrix(
-                separate_components(a_uu, u_components)))
-        except RuntimeError as exc:
-            raise SolverError(f"displacement block factorization failed: "
-                              f"{exc}") from exc
+        self._uu_lu = factorize(separate_components(a_uu, u_components))
 
         # Fixed-stress pressure approximation:
         # Bpp~ = A_pp + diag(A_up^T diag(A_uu)^-1 A_up).
@@ -188,11 +205,7 @@ class BlockPreconditioner:
         # Trace Schur complement through the pressure sweep.
         cpi = matrix[spi, spi] - (
             matrix[spi, sp_] @ sp.diags(1.0 / self._l1_diag) @ self._a_ppi)
-        try:
-            self._pipi_lu = spla.splu(sp.csc_matrix(cpi))
-        except RuntimeError as exc:
-            raise SolverError(f"trace block factorization failed: "
-                              f"{exc}") from exc
+        self._pipi_lu = factorize(cpi)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         su, sp_, spi = self.slices

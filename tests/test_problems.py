@@ -140,6 +140,21 @@ def test_setup_rejects_offset_mesh():
         mandel.setup(mesh, dt=1.0)
 
 
+def test_top_edge_displacement_follows_series():
+    mesh = build_cartesian(5, 5)
+    system, solution, _ = mandel.setup(mesh, dt=0.01 * 899928005.7595392)
+    top = np.flatnonzero(mesh.vertices[:, 1] > 1.0 - 1e-9)
+    rows = np.searchsorted(system.fixed, 2 * top + 1)
+    assert np.array_equal(system.fixed[rows], 2 * top + 1)
+    x = mesh.vertices[top, 0]
+    assert system.dirichlet_values(0.0)[rows] == pytest.approx(
+        solution.undrained_displacement(x, 1.0)[1], rel=1e-15)
+    for frac in (1e-4, 0.01, 0.1, 0.5, 2.0):
+        t = frac * solution.t_char
+        assert system.dirichlet_values(t)[rows] == pytest.approx(
+            solution.displacement(x, 1.0, t)[1], rel=1e-15)
+
+
 def test_profile_cells_pick_midline():
     mesh = build_cartesian(5, 5)
     cells = mandel.profile_cells(mesh, 1.0)

@@ -1,16 +1,21 @@
-"""Krylov solver and block preconditioner, checked against a textbook
-Arnoldi least-squares implementation and dense factor products."""
+"""Sparse LU and refined direct solve, checked against the default-ordering
+partial-pivoting LU with the norm-based refinement loop; Krylov solver and
+block preconditioner, checked against a textbook Arnoldi least-squares
+implementation, dense factor products and the direct solve."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from poromech.assembly import BoundaryConditions, DiscreteSystem, Material
 from poromech.mesh import build_cartesian
-from poromech.solver import (BlockPreconditioner, SolverError, gmres,
-                             separate_components)
+from poromech.problems import cantilever, mandel, manufactured
+from poromech.problems.studies import FAMILIES, family_mesh
+from poromech.solver import (BlockPreconditioner, SolverError, factorize,
+                             gmres, separate_components)
 
 
 def reference_gmres(a, b, rtol, maxiter):
@@ -263,3 +268,100 @@ def test_preconditioner_rejects_nonpositive_displacement_diagonal():
     blocks.a_uu = bad.tocsr()
     with pytest.raises(SolverError, match="diagonal"):
         block_preconditioner(blocks)
+
+
+# ----- sparse LU and refined direct solve -------------------------------------------
+
+class CountingFactor:
+    """Factor stand-in that counts solves and scales each result."""
+
+    def __init__(self, factor, scale=1.0):
+        self.factor, self.scale, self.solves = factor, scale, 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.scale * self.factor.solve(b)
+
+
+def reference_direct_solve(system, b_f):
+    """Default-ordering partial-pivoting LU and up to four refinement
+    sweeps until the correction is below 1e-13 of the solution."""
+    a = system.condensed_matrix()
+    lu = spla.splu(sp.csc_matrix(a))
+    x_f = lu.solve(b_f)
+    for _ in range(4):
+        dx = lu.solve(b_f - a @ x_f)
+        x_f = x_f + dx
+        if np.linalg.norm(dx) <= 1e-13 * np.linalg.norm(x_f):
+            break
+    return x_f
+
+
+def free_rhs(system, state, t):
+    """Free-dof right-hand side of the step from state to time t."""
+    rhs = np.concatenate([system.mech_rhs(t), system.mass_rhs(state, t),
+                          system.trace_rhs(t)])
+    b_f = rhs[system.free]
+    if system.fixed.size:
+        b_f = b_f - system._a_fd @ system.dirichlet_values(t)
+    return b_f
+
+
+DIRECT_CASES = FAMILIES + ("mandel",)
+
+
+def direct_case(case):
+    """Manufactured problem of a mesh family at n = 6, or Mandel 6 x 6 at
+    dt = 1e-4 Tc: (system, initial state)."""
+    if case == "mandel":
+        tc = mandel.MandelSolution(mandel.default_material()).t_char
+        system, _, state = mandel.setup(build_cartesian(6, 6), 1e-4 * tc)
+        return system, state
+    return manufactured.setup(family_mesh(case, 6), 0.05)
+
+
+def test_factorize_singular_matrix_raises():
+    with pytest.raises(SolverError, match="factorization"):
+        factorize(sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]])))
+
+
+@pytest.mark.parametrize("case", DIRECT_CASES)
+def test_direct_step_matches_reference_in_two_solves(case):
+    system, state = direct_case(case)
+    t = state.time + system.dt
+    x_ref = reference_direct_solve(system, free_rhs(system, state, t))
+    counter = CountingFactor(system._lu)
+    system._lu = counter
+    new = system.step(state)
+    assert counter.solves == 2
+    x = np.concatenate([new.u, new.p, new.pi])[system.free]
+    assert np.abs(x - x_ref).max() <= 1e-13 * np.abs(x_ref).max()
+
+
+def test_refinement_that_cannot_converge_raises():
+    system, state = direct_case("cartesian")
+    counter = CountingFactor(system._lu, scale=0.5)
+    system._lu = counter
+    with pytest.raises(SolverError, match="refinement"):
+        system.step(state)
+    assert counter.solves == 5
+
+
+# ----- GMRES against the direct solve -------------------------------------------------
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_gmres_cantilever_matches_direct(family):
+    """Five stabilized cantilever steps with GMRES at rtol 1e-6 stay within
+    1e-4 of the largest entry of each direct-solve field."""
+    states = {}
+    for solver in ("direct", "gmres"):
+        system, state = cantilever.setup(family_mesh(family, 6), 1e-5,
+                                         stabilize=True,
+                                         linear_solver=solver, rtol=1e-6)
+        for _ in range(5):
+            state = system.step(state)
+        states[solver] = state
+    for field in ("u", "p", "pi"):
+        ref = getattr(states["direct"], field)
+        got = getattr(states["gmres"], field)
+        assert np.abs(got - ref).max() <= 1e-4 * np.abs(ref).max(), field
