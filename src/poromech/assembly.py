@@ -13,6 +13,13 @@ Volume source callables (body force, fluid source) are vectorized: they take
 an (n, 2) array of points and a time and return (n, 2) or (n,) values.
 Boundary callables (displacement, traction, pressure, flux) take a single
 point and a time.
+
+Set-up works on the vertex-count groups of the mesh cells
+(PolyMesh.cell_groups): the local operators of a group are stacked into
+arrays, (m, 2 nv, 2 nv) stiffness matrices and (m, nv, nv) inverse inner
+products, and each global block is built by one COO-to-CSR conversion of
+the stacked index and value arrays of all groups.  The cell quadrature and
+the velocity recovery run once per group as well.
 """
 
 from __future__ import annotations
@@ -20,12 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 
 from . import mfd, vem
 from .mesh import FACE_FLUX, FACE_PRESSURE, PolyMesh, kappa_as_tensor
-from .mesh.core import polygon_quadrature
+from .mesh.core import CellGroup, polygon_quadrature
 from .solver import BlockPreconditioner, SolverError, factorize, gmres
 from .stab import (assemble_jump_matrix, beta_coefficient,
                    build_macro_elements)
@@ -84,6 +90,32 @@ class State:
     p: np.ndarray
     pi: np.ndarray
     w: np.ndarray | None = None
+
+
+@dataclass
+class CellOperators:
+    """Local operators of one vertex-count group of m cells with nv
+    vertices each, stacked along the first axis."""
+    group: CellGroup
+    stiffness: np.ndarray      # (m, 2 nv, 2 nv), interleaved vector dofs
+    grad: np.ndarray           # (m, 2, nv), cell-mean gradient rows
+    mean_row: np.ndarray       # (m, nv), cell-mean value rows
+    minv: np.ndarray           # (m, nv, nv), inverse velocity inner products
+
+
+def _block_pairs(index: np.ndarray):
+    """Row and column indices, (m, n^2) each and row-major, of the dense
+    n-by-n local blocks coupling the indices (m, n) of each cell."""
+    n = index.shape[1]
+    return np.repeat(index, n, axis=1), np.tile(index, n)
+
+
+def _csr(parts, shape) -> sp.csr_matrix:
+    """One CSR matrix from (rows, cols, vals) array triples of equal
+    shapes; duplicate entries add up."""
+    rows, cols, vals = (np.concatenate([np.ravel(part[i]) for part in parts])
+                        for i in range(3))
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
 
 
 @dataclass
@@ -154,65 +186,50 @@ class DiscreteSystem:
     def _build_local_operators(self, tpfa: bool) -> None:
         mesh, mat = self.mesh, self.material
         kappa = kappa_as_tensor(mat.kappa)
-        self.vem_cells = [vem.vem_cell(mesh.cell_polygon(k), mat.shear,
-                                       mat.lam)
-                          for k in range(mesh.num_cells)]
-        self.cell_minv = []
-        for k in range(mesh.num_cells):
-            verts = mesh.cell_polygon(k)
-            if tpfa:
-                m_k = mfd.local_inner_product_tpfa(verts, kappa)
-            else:
-                m_k = mfd.local_inner_product(verts, kappa)
-            self.cell_minv.append(la.inv(m_k))
-        sizes = [len(f) for f in mesh.cell_faces]
-        self.velocity_offsets = np.concatenate(
-            [[0], np.cumsum(sizes)]).astype(int)
+        inner = mfd.local_inner_product_tpfa if tpfa \
+            else mfd.local_inner_product
+        self.cell_ops = []
+        for group in mesh.cell_groups:
+            polys = mesh.vertices[group.vertices]
+            cells = [vem.vem_cell(verts, mat.shear, mat.lam)
+                     for verts in polys]
+            m_k = np.stack([inner(verts, kappa) for verts in polys])
+            self.cell_ops.append(CellOperators(
+                group=group,
+                stiffness=np.stack([c.stiffness for c in cells]),
+                grad=np.stack([c.grad for c in cells]),
+                mean_row=np.stack([c.mean_row for c in cells]),
+                minv=np.linalg.inv(m_k)))
+        self.velocity_offsets = mesh.cell_offsets
 
     def _build_blocks(self) -> None:
         mesh, mat = self.mesh, self.material
-        rows_uu, cols_uu, vals_uu = [], [], []
-        rows_up, cols_up, vals_up = [], [], []
-        rows_ppi, cols_ppi, vals_ppi = [], [], []
-        rows_pipi, cols_pipi, vals_pipi = [], [], []
-        self.app_diag = np.zeros(self.n_p)
+        uu, up, ppi, pipi = [], [], [], []
+        self.app_diag = np.empty(self.n_p)
+        for ops in self.cell_ops:
+            group = ops.group
+            m, nv = group.vertices.shape
+            dofs = np.empty((m, 2 * nv), dtype=int)
+            dofs[:, 0::2] = 2 * group.vertices
+            dofs[:, 1::2] = 2 * group.vertices + 1
+            uu.append(_block_pairs(dofs) + (ops.stiffness,))
+            div_rows = ops.grad.transpose(0, 2, 1).reshape(m, 2 * nv)
+            up.append((dofs, np.repeat(group.cells, 2 * nv),
+                       mat.alpha * mesh.cell_area[group.cells, None]
+                       * div_rows))
 
-        for k in range(mesh.num_cells):
-            cell = mesh.cells[k]
-            dofs = np.empty(2 * cell.size, dtype=int)
-            dofs[0::2] = 2 * cell
-            dofs[1::2] = 2 * cell + 1
-            ops = self.vem_cells[k]
-            rows_uu.append(np.repeat(dofs, dofs.size))
-            cols_uu.append(np.tile(dofs, dofs.size))
-            vals_uu.append(ops.stiffness.ravel())
-            rows_up.append(dofs)
-            cols_up.append(np.full(dofs.size, k))
-            vals_up.append(mat.alpha * mesh.cell_area[k] * ops.div_row)
+            fvec = mesh.face_length[group.faces]
+            minv_f = np.matmul(ops.minv, fvec[..., None])[..., 0]
+            self.app_diag[group.cells] = (fvec * minv_f).sum(axis=1)
+            ppi.append((np.repeat(group.cells, nv), group.faces,
+                        -minv_f * fvec))
+            pipi.append(_block_pairs(group.faces)
+                        + (ops.minv * (fvec[:, :, None] * fvec[:, None, :]),))
 
-            faces = mesh.cell_faces[k]
-            fvec = mesh.face_length[faces]
-            minv = self.cell_minv[k]
-            minv_f = minv @ fvec
-            self.app_diag[k] = fvec @ minv_f
-            rows_ppi.append(np.full(faces.size, k))
-            cols_ppi.append(faces)
-            vals_ppi.append(-minv_f * fvec)
-            rows_pipi.append(np.repeat(faces, faces.size))
-            cols_pipi.append(np.tile(faces, faces.size))
-            vals_pipi.append((minv * np.outer(fvec, fvec)).ravel())
-
-        def build(rows, cols, vals, shape):
-            return sp.csr_matrix(
-                (np.concatenate(vals),
-                 (np.concatenate(rows), np.concatenate(cols))), shape=shape)
-
-        self.a_uu = build(rows_uu, cols_uu, vals_uu, (self.n_u, self.n_u))
-        self.a_up = build(rows_up, cols_up, vals_up, (self.n_u, self.n_p))
-        self.a_ppi = build(rows_ppi, cols_ppi, vals_ppi,
-                           (self.n_p, self.n_pi))
-        self.a_pipi = build(rows_pipi, cols_pipi, vals_pipi,
-                            (self.n_pi, self.n_pi))
+        self.a_uu = _csr(uu, (self.n_u, self.n_u))
+        self.a_up = _csr(up, (self.n_u, self.n_p))
+        self.a_ppi = _csr(ppi, (self.n_p, self.n_pi))
+        self.a_pipi = _csr(pipi, (self.n_pi, self.n_pi))
         self.storage_diag = self.material.storage * self.mesh.cell_area
 
     def _build_stabilization(self, stabilize: bool) -> None:
@@ -348,16 +365,20 @@ class DiscreteSystem:
         """Concatenated cell quadrature: (points, weights, owner cells).
 
         Weights of one cell sum to its area; the rule integrates
-        quadratics exactly on each cell.
+        quadratics exactly on each cell.  The points of a cell are
+        contiguous; cells come in the order of mesh.cell_groups.
         """
         if self._quad is None:
+            mesh = self.mesh
             pts, wts, cells = [], [], []
-            for k in range(self.mesh.num_cells):
-                q_pts, q_wts = polygon_quadrature(self.mesh.cell_polygon(k))
-                pts.append(q_pts)
-                wts.append(q_wts)
-                cells.append(np.full(q_wts.size, k))
-            self._quad = (np.vstack(pts), np.concatenate(wts),
+            for group in mesh.cell_groups:
+                q_pts, q_wts = polygon_quadrature(
+                    mesh.vertices[group.vertices],
+                    mesh.cell_centroid[group.cells])
+                pts.append(q_pts.reshape(-1, 2))
+                wts.append(q_wts.ravel())
+                cells.append(np.repeat(group.cells, q_wts.shape[1]))
+            self._quad = (np.concatenate(pts), np.concatenate(wts),
                           np.concatenate(cells))
         return self._quad
 
@@ -366,15 +387,14 @@ class DiscreteSystem:
         2k and 2k + 1 give the x and y means over cell k, through the cell
         mean of the displacement space."""
         if self._mean_op is None:
-            cells = np.concatenate(self.mesh.cells)
-            owner = np.repeat(np.arange(self.n_p),
-                              [c.size for c in self.mesh.cells])
-            rows = np.concatenate([2 * owner, 2 * owner + 1])
-            cols = np.concatenate([2 * cells, 2 * cells + 1])
-            vals = np.concatenate([ops.mean_row for ops in self.vem_cells])
-            self._mean_op = sp.csr_matrix(
-                (np.tile(vals, 2), (rows, cols)),
-                shape=(2 * self.n_p, self.n_u))
+            parts = []
+            for ops in self.cell_ops:
+                owner = np.broadcast_to(ops.group.cells[:, None],
+                                        ops.mean_row.shape)
+                verts = ops.group.vertices
+                parts += [(2 * owner, 2 * verts, ops.mean_row),
+                          (2 * owner + 1, 2 * verts + 1, ops.mean_row)]
+            self._mean_op = _csr(parts, (2 * self.n_p, self.n_u))
         return self._mean_op
 
     def mech_rhs(self, t: float) -> np.ndarray:
@@ -495,14 +515,12 @@ class DiscreteSystem:
         velocities of cell k occupy the slice offsets[k]:offsets[k + 1] in
         the order of mesh.cell_faces[k].
         """
-        mesh = self.mesh
         w = np.empty(self.velocity_offsets[-1])
-        for k in range(mesh.num_cells):
-            faces = mesh.cell_faces[k]
-            fvec = mesh.face_length[faces]
-            rhs = fvec * (state.p[k] - state.pi[faces])
-            w[self.velocity_offsets[k]:self.velocity_offsets[k + 1]] = \
-                self.cell_minv[k] @ rhs
+        for ops in self.cell_ops:
+            group = ops.group
+            fvec = self.mesh.face_length[group.faces]
+            rhs = fvec * (state.p[group.cells, None] - state.pi[group.faces])
+            w[group.edges] = np.matmul(ops.minv, rhs[..., None])[..., 0]
         return w
 
     # ----- inspection ----------------------------------------------------------
@@ -511,29 +529,15 @@ class DiscreteSystem:
         """Uncondensed velocity-explicit blocks for verification."""
         mesh = self.mesh
         n_w = self.velocity_offsets[-1]
-        a_ww = sp.block_diag([la.inv(minv) for minv in self.cell_minv],
-                             format="csr")
-        rows_wp, cols_wp, vals_wp = [], [], []
-        rows_wpi, cols_wpi, vals_wpi = [], [], []
-        for k in range(mesh.num_cells):
-            faces = mesh.cell_faces[k]
-            fvec = mesh.face_length[faces]
-            local = np.arange(self.velocity_offsets[k],
-                              self.velocity_offsets[k + 1])
-            rows_wp.append(local)
-            cols_wp.append(np.full(faces.size, k))
-            vals_wp.append(fvec)
-            rows_wpi.append(local)
-            cols_wpi.append(faces)
-            vals_wpi.append(-fvec)
-        a_wp = sp.csr_matrix(
-            (np.concatenate(vals_wp),
-             (np.concatenate(rows_wp), np.concatenate(cols_wp))),
-            shape=(n_w, self.n_p))
-        a_wpi = sp.csr_matrix(
-            (np.concatenate(vals_wpi),
-             (np.concatenate(rows_wpi), np.concatenate(cols_wpi))),
-            shape=(n_w, self.n_pi))
+        a_ww = _csr([_block_pairs(ops.group.edges)
+                     + (np.linalg.inv(ops.minv),) for ops in self.cell_ops],
+                    (n_w, n_w))
+        edges = np.arange(n_w)
+        fvec = mesh.face_length[mesh.edge_faces]
+        a_wp = sp.csr_matrix((fvec, (edges, mesh.edge_cells)),
+                             shape=(n_w, self.n_p))
+        a_wpi = sp.csr_matrix((-fvec, (edges, mesh.edge_faces)),
+                              shape=(n_w, self.n_pi))
         abar_pp = sp.csr_matrix(sp.diags(self.storage_diag))
         if self.j_mat is not None:
             abar_pp = sp.csr_matrix(abar_pp + self.j_mat)

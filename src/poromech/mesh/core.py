@@ -1,6 +1,17 @@
-"""Conforming polygonal mesh: topology, geometry, and validation."""
+"""Conforming polygonal mesh: topology, geometry, and validation.
+
+The polygon helpers take vertex arrays of shape (..., nv, 2): one polygon
+is the (nv, 2) case, and a leading batch axis holds m polygons with the
+same vertex count, (m, nv, 2).  Results carry the same leading axes, so a
+scalar per polygon comes back with shape (...,) and a point with shape
+(..., 2).  PolyMesh calls each helper once per vertex-count group of its
+cells (see PolyMesh.cell_groups); the same code serves a single polygon.
+"""
 
 from __future__ import annotations
+
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,60 +25,102 @@ TAG_NAMES = {FACE_INTERIOR: "int", FACE_PRESSURE: "p", FACE_FLUX: "q"}
 TAG_CODES = {name: code for code, name in TAG_NAMES.items()}
 
 
+# (t_y, t_x) * _ROTATE = (t_y, -t_x): tangent rotated by -90 degrees
+_ROTATE = np.array([1.0, -1.0])
+
+
 class MeshError(ValueError):
     """Raised for non-conforming topology or degenerate geometry."""
 
 
-def polygon_area_centroid(verts: np.ndarray) -> tuple[float, np.ndarray]:
-    """Signed shoelace area and area centroid of a simple polygon."""
-    x, y = verts[:, 0], verts[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+def _reject(bad, reason: str) -> None:
+    """Raise MeshError(reason) when any polygon of a batch is bad.
+
+    The error's `polygon` attribute is the flat batch index of the first
+    bad polygon (0 for a single polygon), so that a caller can name it.
+    """
+    if bad.any():
+        err = MeshError(reason)
+        err.polygon = int(np.flatnonzero(bad)[0])
+        raise err
+
+
+def _cyclic_next(verts: np.ndarray) -> np.ndarray:
+    """Successor of every vertex along the vertex axis (-2), cyclically."""
+    return np.concatenate([verts[..., 1:, :], verts[..., :1, :]], axis=-2)
+
+
+def polygon_area_centroid(verts: np.ndarray):
+    """Signed shoelace area (...,) and area centroid (..., 2) of simple
+    polygons (..., nv, 2)."""
+    verts = np.asarray(verts, dtype=float)
+    nxt = _cyclic_next(verts)
+    x, y = verts[..., 0], verts[..., 1]
+    xn, yn = nxt[..., 0], nxt[..., 1]
     cross = x * yn - xn * y
-    area = 0.5 * float(np.sum(cross))
-    if area == 0.0:
-        raise MeshError("degenerate polygon with zero area")
-    cx = float(np.sum((x + xn) * cross)) / (6.0 * area)
-    cy = float(np.sum((y + yn) * cross)) / (6.0 * area)
-    return area, np.array([cx, cy])
+    area = 0.5 * cross.sum(axis=-1)
+    _reject(area == 0.0, "degenerate polygon with zero area")
+    # sums along the contiguous vertex axis, which numpy adds pairwise
+    moment = np.empty(area.shape + (2,))
+    moment[..., 0] = ((x + xn) * cross).sum(axis=-1)
+    moment[..., 1] = ((y + yn) * cross).sum(axis=-1)
+    return area, moment / (6.0 * area[..., None])
 
 
-def polygon_diameter(verts: np.ndarray) -> float:
-    """Maximum pairwise vertex distance h_K."""
-    diff = verts[:, None, :] - verts[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+def polygon_diameter(verts: np.ndarray):
+    """Maximum pairwise vertex distance h_K, (...,)."""
+    verts = np.asarray(verts, dtype=float)
+    diff = verts[..., :, None, :] - verts[..., None, :, :]
+    dist2 = (diff ** 2).sum(axis=-1)
+    return np.sqrt(dist2.reshape(dist2.shape[:-2] + (-1,)).max(axis=-1))
 
 
 def polygon_edge_geometry(verts: np.ndarray):
-    """Edge lengths, midpoints and outward unit normals of a CCW polygon."""
-    nxt = np.roll(verts, -1, axis=0)
+    """Edge lengths (..., nv), midpoints and outward unit normals
+    (..., nv, 2) of counterclockwise polygons; edge i runs from vertex i to
+    vertex i + 1."""
+    verts = np.asarray(verts, dtype=float)
+    nxt = _cyclic_next(verts)
     tang = nxt - verts
-    lengths = np.hypot(tang[:, 0], tang[:, 1])
-    if np.any(lengths <= 0.0):
-        raise MeshError("zero-length polygon edge")
+    lengths = np.hypot(tang[..., 0], tang[..., 1])
+    _reject((lengths <= 0.0).any(axis=-1), "zero-length polygon edge")
     # outward normal of a counterclockwise polygon: rotate tangent by -90 deg
-    normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
+    normals = tang[..., ::-1] * _ROTATE / lengths[..., None]
     midpoints = 0.5 * (verts + nxt)
     return lengths, midpoints, normals
 
 
 def polygon_quadrature(verts: np.ndarray, centroid: np.ndarray | None = None):
-    """Quadrature on a polygon: fan triangulation from the centroid with the
-    three-edge-midpoint rule per triangle (exact for quadratics).
+    """Quadrature on polygons (..., nv, 2): fan triangulation from the
+    centroid with the three-edge-midpoint rule per triangle (exact for
+    quadratics).
 
-    Returns (points, weights) with sum(weights) = |K|.
+    Triangle i has the vertices c, v_i, v_(i+1).  Its spoke midpoint
+    (c + v_i)/2 is shared with triangle i - 1, so it is stored once with
+    weight (A_(i-1) + A_i)/3.  Returns (points, weights) of shapes
+    (..., 2 nv, 2) and (..., 2 nv): the nv spoke midpoints, then the nv
+    outer edge midpoints; the weights of a polygon sum to its area.
     """
+    verts = np.asarray(verts, dtype=float)
     if centroid is None:
         _, centroid = polygon_area_centroid(verts)
-    nxt = np.roll(verts, -1, axis=0)
-    pts, wts = [], []
-    for a, b in zip(verts, nxt):
-        tri = np.array([centroid, a, b])
-        da, db = a - centroid, b - centroid
-        area = 0.5 * abs(da[0] * db[1] - da[1] * db[0])
-        mids = 0.5 * (tri + np.roll(tri, -1, axis=0))
-        pts.append(mids)
-        wts.append(np.full(3, area / 3.0))
-    return np.vstack(pts), np.concatenate(wts)
+    center = np.asarray(centroid, dtype=float)[..., None, :]
+    nxt = _cyclic_next(verts)
+    da, db = verts - center, nxt - center
+    third = 0.5 * np.abs(da[..., 0] * db[..., 1]
+                         - da[..., 1] * db[..., 0]) / 3.0
+    prev = np.concatenate([third[..., -1:], third[..., :-1]], axis=-1)
+    points = np.concatenate([0.5 * (center + verts), 0.5 * (verts + nxt)],
+                            axis=-2)
+    return points, np.concatenate([prev + third, third], axis=-1)
+
+
+class CellGroup(NamedTuple):
+    """The m cells of a mesh that have the same vertex count nv."""
+    cells: np.ndarray       # (m,) cell ids, ascending
+    vertices: np.ndarray    # (m, nv) vertex ids, counterclockwise
+    faces: np.ndarray       # (m, nv) face ids, face i on edge i
+    edges: np.ndarray       # (m, nv) positions in the flat edge arrays
 
 
 class PolyMesh:
@@ -76,6 +129,10 @@ class PolyMesh:
     Cells are simple polygons given as counterclockwise vertex index lists.
     Faces are derived from the cell boundaries; each face belongs to one or
     two cells (conformity) and is owned by the lower-indexed adjacent cell.
+
+    The edges of all cells form flat arrays in the order of
+    np.concatenate(cells): edge j of cell k runs from its vertex j to
+    vertex j + 1 and sits at position cell_offsets[k] + j.
 
     Attributes
     ----------
@@ -86,6 +143,16 @@ class PolyMesh:
         boundary)
     cell_faces : list of int arrays, faces of each cell aligned with its edges
     face_tags : (nf,) int array of FACE_* codes
+    cell_offsets : (nt + 1,) int array, start of each cell's edges in the
+        flat edge arrays
+    edge_cells, edge_vertices, edge_next : flat edge arrays, the cell and
+        start vertex of every cell edge and the flat index of the next
+        edge of the same cell
+    edge_faces, edge_lengths, edge_normals : flat edge arrays, the face,
+        length and outward unit normal of every cell edge; cell_faces,
+        cell_face_lengths and cell_normals are their per-cell views, made
+        on first use
+    cell_groups : list of CellGroup, one per vertex count, ascending
     """
 
     def __init__(self, vertices, cells, face_tags=None):
@@ -93,12 +160,24 @@ class PolyMesh:
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
         self.cells = [np.asarray(c, dtype=int) for c in cells]
-        for k, cell in enumerate(self.cells):
-            if len(cell) < 3:
-                raise MeshError(f"cell {k} has fewer than 3 vertices")
-            if len(np.unique(cell)) != len(cell):
-                raise MeshError(f"cell {k} repeats a vertex")
+        sizes = np.fromiter(map(len, self.cells), dtype=int,
+                            count=len(self.cells))
+        small = np.flatnonzero(sizes < 3)
+        if small.size:
+            raise MeshError(f"cell {small[0]} has fewer than 3 vertices")
+        self.cell_offsets = np.concatenate([[0], np.cumsum(sizes)])
+        self.edge_cells = np.repeat(np.arange(len(self.cells)), sizes)
+        self.edge_vertices = np.concatenate(self.cells)
+        self.edge_next = np.arange(1, self.cell_offsets[-1] + 1)
+        self.edge_next[self.cell_offsets[1:] - 1] = self.cell_offsets[:-1]
         self._build_faces()
+        self.cell_groups = []
+        for nv in np.unique(sizes):
+            ids = np.flatnonzero(sizes == nv)
+            edges = self.cell_offsets[ids, None] + np.arange(nv)
+            self.cell_groups.append(CellGroup(
+                ids, self.edge_vertices[edges], self.edge_faces[edges],
+                edges))
         self._compute_geometry()
         if face_tags is None:
             self.face_tags = np.where(self.boundary_mask, FACE_FLUX,
@@ -110,61 +189,96 @@ class PolyMesh:
     # -- topology ---------------------------------------------------------
 
     def _build_faces(self):
-        face_of = {}
-        faces = []
-        face_cells = []
-        cell_faces = []
-        for k, cell in enumerate(self.cells):
-            loc = []
-            for a, b in zip(cell, np.roll(cell, -1)):
-                key = (min(a, b), max(a, b))
-                fi = face_of.get(key)
-                if fi is None:
-                    fi = len(faces)
-                    face_of[key] = fi
-                    faces.append((a, b))
-                    face_cells.append([k, -1])
-                else:
-                    if face_cells[fi][1] != -1:
-                        raise MeshError(
-                            f"face {key} shared by more than two cells")
-                    if faces[fi] != (b, a):
-                        raise MeshError(
-                            f"face {key} traversed twice in the same "
+        """Faces from the flat cell edges, numbered in order of first
+        appearance; the first traversal fixes the orientation."""
+        start, owner = self.edge_vertices, self.edge_cells
+        if start.min() < 0 or start.max() >= self.num_vertices:
+            bad = (start < 0) | (start >= self.num_vertices)
+            raise MeshError(f"cell {owner[bad][0]} references a missing "
+                            "vertex")
+        order = np.lexsort((start, owner))
+        repeat = (np.diff(start[order]) == 0) & (np.diff(owner[order]) == 0)
+        if repeat.any():
+            raise MeshError(f"cell {owner[order][1:][repeat][0]} repeats a "
+                            "vertex")
+        end = start[self.edge_next]
+        lo, hi = np.minimum(start, end), np.maximum(start, end)
+
+        # Edges with the same endpoints are one face.  A stable sort by
+        # the endpoint key lists the traversals of each face in flat
+        # order: occurrence 0 creates the face, occurrence 1 must run the
+        # other way, and a third traversal is an error.
+        key = lo * self.num_vertices + hi
+        order = np.argsort(key, kind="stable")
+        new = np.ones(order.size, dtype=bool)
+        new[1:] = np.diff(key[order]) != 0
+        group = np.cumsum(new) - 1
+        heads = np.flatnonzero(new)
+        occurrence = np.empty_like(order)
+        occurrence[order] = np.arange(order.size) - heads[group]
+        first = np.empty_like(order)
+        first[order] = order[heads][group]
+        bad = (occurrence > 1) | ((occurrence == 1) & (start == start[first]))
+        if bad.any():
+            e = np.flatnonzero(bad)[0]
+            key = (int(lo[e]), int(hi[e]))
+            if occurrence[e] > 1:
+                raise MeshError(f"face {key} shared by more than two cells")
+            raise MeshError(f"face {key} traversed twice in the same "
                             "direction; cells are not conforming CCW")
-                    face_cells[fi][1] = k
-                loc.append(fi)
-            cell_faces.append(np.array(loc, dtype=int))
-        self.faces = np.array(faces, dtype=int)
-        self.face_cells = np.array(face_cells, dtype=int)
-        self.cell_faces = cell_faces
+
+        creates = occurrence == 0
+        self.edge_faces = (np.cumsum(creates) - 1)[first]
+        self.faces = np.column_stack([start[creates], end[creates]])
+        self.face_cells = np.column_stack(
+            [owner[creates], np.full(self.faces.shape[0], -1)])
+        closes = occurrence == 1
+        self.face_cells[self.edge_faces[closes], 1] = owner[closes]
 
     # -- geometry ---------------------------------------------------------
 
     def _compute_geometry(self):
-        nt = len(self.cells)
+        nt, n_edges = self.num_cells, self.cell_offsets[-1]
         self.cell_area = np.empty(nt)
         self.cell_centroid = np.empty((nt, 2))
         self.cell_diam = np.empty(nt)
-        self.cell_normals = []        # outward unit normals, per cell edge
-        self.cell_face_lengths = []
-        for k, cell in enumerate(self.cells):
-            verts = self.vertices[cell]
-            area, centroid = polygon_area_centroid(verts)
-            if area <= 0.0:
-                raise MeshError(f"cell {k} is not counterclockwise")
-            self.cell_area[k] = area
-            self.cell_centroid[k] = centroid
-            self.cell_diam[k] = polygon_diameter(verts)
-            lengths, _, normals = polygon_edge_geometry(verts)
-            self.cell_normals.append(normals)
-            self.cell_face_lengths.append(lengths)
+        self.edge_lengths = np.empty(n_edges)
+        self.edge_normals = np.empty((n_edges, 2))
+        for group in self.cell_groups:
+            verts = self.vertices[group.vertices]
+            try:
+                area, centroid = polygon_area_centroid(verts)
+                _reject(area < 0.0, "polygon is not counterclockwise")
+                lengths, _, normals = polygon_edge_geometry(verts)
+            except MeshError as err:
+                raise MeshError(f"cell {group.cells[err.polygon]}: {err}") \
+                    from None
+            self.cell_area[group.cells] = area
+            self.cell_centroid[group.cells] = centroid
+            self.cell_diam[group.cells] = polygon_diameter(verts)
+            self.edge_lengths[group.edges] = lengths
+            self.edge_normals[group.edges] = normals
         a = self.vertices[self.faces[:, 0]]
         b = self.vertices[self.faces[:, 1]]
         self.face_length = np.hypot(*(b - a).T)
         self.face_midpoint = 0.5 * (a + b)
 
     # -- derived properties -----------------------------------------------
+
+    @cached_property
+    def cell_faces(self) -> list[np.ndarray]:
+        """Faces of each cell aligned with its edges."""
+        return np.split(self.edge_faces, self.cell_offsets[1:-1])
+
+    @cached_property
+    def cell_face_lengths(self) -> list[np.ndarray]:
+        """Edge lengths of each cell."""
+        return np.split(self.edge_lengths, self.cell_offsets[1:-1])
+
+    @cached_property
+    def cell_normals(self) -> list[np.ndarray]:
+        """Outward unit normals of each cell, one per edge."""
+        return np.split(self.edge_normals, self.cell_offsets[1:-1])
 
     @property
     def num_vertices(self) -> int:
@@ -266,14 +380,12 @@ def k_orthogonality_defect(mesh: PolyMesh, kappa) -> float:
     flow inner product is consistent.
     """
     kt = kappa_as_tensor(kappa)
-    worst = 0.0
-    for k in range(mesh.num_cells):
-        kn = mesh.cell_normals[k] @ kt.T
-        c = mesh.cell_face_vectors(k)
-        cross = np.abs(kn[:, 0] * c[:, 1] - kn[:, 1] * c[:, 0])
-        scale = np.hypot(kn[:, 0], kn[:, 1]) * np.hypot(c[:, 0], c[:, 1])
-        worst = max(worst, float((cross / scale).max()))
-    return worst
+    kn = mesh.edge_normals @ kt.T
+    c = mesh.face_midpoint[mesh.edge_faces] \
+        - mesh.cell_centroid[mesh.edge_cells]
+    cross = np.abs(kn[:, 0] * c[:, 1] - kn[:, 1] * c[:, 0])
+    scale = np.hypot(kn[:, 0], kn[:, 1]) * np.hypot(c[:, 0], c[:, 1])
+    return float((cross / scale).max())
 
 
 def is_k_orthogonal(mesh: PolyMesh, kappa, tol: float = 1e-10) -> bool:

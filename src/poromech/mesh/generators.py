@@ -3,6 +3,8 @@ Lloyd-relaxed Voronoi tessellations of the unit square."""
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 from scipy.spatial import Voronoi
 
@@ -21,15 +23,9 @@ def build_cartesian(nx: int, ny: int, width: float = 1.0,
     ys = np.linspace(0.0, height, ny + 1)
     xx, yy = np.meshgrid(xs, ys)               # row-major: vertex j*(nx+1)+i
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            cells.append([vid(i, j), vid(i + 1, j),
-                          vid(i + 1, j + 1), vid(i, j + 1)])
+    # cell j*nx+i has its south-west corner at vertex j*(nx+1)+i
+    sw = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    cells = np.column_stack([sw, sw + 1, sw + nx + 2, sw + nx + 1])
     return PolyMesh(vertices, cells)
 
 
@@ -92,9 +88,7 @@ def build_voronoi(n_cells: int, lloyd_iters: int = 0, seed: int = 0,
         try:
             relaxed = pts
             for _ in range(lloyd_iters):
-                polys = _clipped_cells(relaxed)
-                relaxed = np.array([polygon_area_centroid(p)[1]
-                                    for p in polys])
+                relaxed = _lloyd_step(relaxed)
             return _voronoi_mesh(relaxed)
         except (MeshError, KeyError, IndexError):
             pts = np.clip(pts + 1e-7 * rng.standard_normal(pts.shape),
@@ -117,32 +111,43 @@ def _mirrored(pts: np.ndarray) -> np.ndarray:
     return np.vstack([pts, left, right, down, up])
 
 
-def _ccw_order(poly: np.ndarray) -> np.ndarray:
-    """Counterclockwise ordering of the (convex) polygon's vertices."""
-    center = poly.mean(axis=0)
-    ang = np.arctan2(poly[:, 1] - center[1], poly[:, 0] - center[0])
-    return np.argsort(ang)
+def _region_groups(vor: Voronoi, n: int) -> list:
+    """Regions of the first n generators, one (ids, (m, nv) Voronoi-vertex
+    indices) pair per vertex count, each region ordered counterclockwise
+    around its vertex mean."""
+    regions = [vor.regions[r] for r in vor.point_region[:n]]
+    sizes = np.fromiter(map(len, regions), dtype=int, count=n)
+    flat = np.fromiter(chain.from_iterable(regions), dtype=int,
+                       count=sizes.sum())
+    if sizes.min() < 3 or flat.min() < 0:
+        raise MeshError("unbounded or degenerate Voronoi region")
+    offsets = np.cumsum(sizes) - sizes
+    groups = []
+    for nv in np.unique(sizes):
+        ids = np.flatnonzero(sizes == nv)
+        index = flat[offsets[ids, None] + np.arange(nv)]
+        poly = vor.vertices[index]
+        rel = poly - poly.mean(axis=1, keepdims=True)
+        order = np.argsort(np.arctan2(rel[..., 1], rel[..., 0]), axis=1)
+        groups.append((ids, np.take_along_axis(index, order, axis=1)))
+    return groups
 
 
-def _region_indices(vor: Voronoi, n: int) -> list[np.ndarray]:
-    """Voronoi-vertex indices of the first n regions, ordered CCW."""
-    regions = []
-    for i in range(n):
-        region = np.asarray(vor.regions[vor.point_region[i]], dtype=int)
-        if (region < 0).any() or region.size < 3:
-            raise MeshError("unbounded or degenerate Voronoi region")
-        regions.append(region[_ccw_order(vor.vertices[region])])
-    return regions
-
-
-def _clipped_cells(pts: np.ndarray) -> list[np.ndarray]:
+def _lloyd_step(pts: np.ndarray) -> np.ndarray:
+    """Centroids of the clipped Voronoi cells of the generators."""
     vor = Voronoi(_mirrored(pts))
-    return [vor.vertices[r] for r in _region_indices(vor, len(pts))]
+    centroids = np.empty_like(pts)
+    for ids, index in _region_groups(vor, len(pts)):
+        centroids[ids] = polygon_area_centroid(vor.vertices[index])[1]
+    return centroids
 
 
 def _voronoi_mesh(pts: np.ndarray) -> PolyMesh:
     vor = Voronoi(_mirrored(pts))
-    regions = _region_indices(vor, len(pts))
+    regions = [None] * len(pts)
+    for ids, index in _region_groups(vor, len(pts)):
+        for k, region in zip(ids, index):
+            regions[k] = region
     used = sorted({v for r in regions for v in r})
     coords = vor.vertices[used]
     # snap coincident vertices (qhull can split high-degree Voronoi
@@ -164,8 +169,6 @@ def _voronoi_mesh(pts: np.ndarray) -> PolyMesh:
                 cell.append(nv)
         if len(cell) < 3:
             raise MeshError("Voronoi cell collapsed during vertex merge")
-        poly = vertices[cell]
-        area = 0.5 * np.sum(poly[:, 0] * np.roll(poly[:, 1], -1)
-                            - np.roll(poly[:, 0], -1) * poly[:, 1])
+        area, _ = polygon_area_centroid(vertices[cell])
         cells.append(cell if area > 0 else cell[::-1])
     return PolyMesh(vertices, cells)

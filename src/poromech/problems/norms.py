@@ -11,9 +11,8 @@ time loop by the rectangle rule sqrt(sum_n dt e(t_n)^2).
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-from ..assembly import DiscreteSystem, State
+from ..assembly import DiscreteSystem, State, _csr
 
 
 class ErrorNorms:
@@ -27,20 +26,18 @@ class ErrorNorms:
         self.system = system
         self.pressure = pressure
         self.displacement = displacement
-        mesh = system.mesh
         self._mean_op = system.cell_mean_operator()
         # Cell-mean strain (e_xx, e_yy, 2 e_xy) per cell from the mean
         # gradients of the interleaved vertex displacements.
-        cells = np.concatenate(mesh.cells)
-        owner = 3 * np.repeat(np.arange(system.n_p),
-                              [c.size for c in mesh.cells])
-        dx, dy = np.hstack([ops.grad for ops in system.vem_cells])
-        self._strain_op = sp.csr_matrix(
-            (np.concatenate([dx, dy, dy, dx]),
-             (np.concatenate([owner, owner + 1, owner + 2, owner + 2]),
-              np.concatenate([2 * cells, 2 * cells + 1, 2 * cells,
-                              2 * cells + 1]))),
-            shape=(3 * system.n_p, system.n_u))
+        parts = []
+        for ops in system.cell_ops:
+            owner = 3 * np.broadcast_to(ops.group.cells[:, None],
+                                        ops.mean_row.shape)
+            ux, uy = 2 * ops.group.vertices, 2 * ops.group.vertices + 1
+            dx, dy = ops.grad[:, 0], ops.grad[:, 1]
+            parts += [(owner, ux, dx), (owner + 1, uy, dy),
+                      (owner + 2, ux, dy), (owner + 2, uy, dx)]
+        self._strain_op = _csr(parts, (3 * system.n_p, system.n_u))
         self._acc = np.zeros(3)
         self.steps = 0
 

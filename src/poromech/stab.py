@@ -82,15 +82,6 @@ def build_macro_elements(mesh: PolyMesh) -> MacroPartition:
                                   for m in macros])
 
 
-def _next_in_cell(mesh: PolyMesh) -> np.ndarray:
-    """Flat index of the next cell vertex of each cell-vertex pair, both
-    in the order of np.concatenate(mesh.cells)."""
-    sizes = np.array([c.size for c in mesh.cells])
-    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    local = np.arange(starts.size) - starts
-    return starts + (local + 1) % np.repeat(sizes, sizes)
-
-
 def corner_areas(mesh: PolyMesh) -> np.ndarray:
     """Area m_{K,v} of the quadrilateral spanned by vertex v of cell K, the
     midpoints of the two faces of K meeting at v, and the centroid of K.
@@ -98,16 +89,15 @@ def corner_areas(mesh: PolyMesh) -> np.ndarray:
     One entry per cell-vertex pair, in the order of
     np.concatenate(mesh.cells).
     """
-    nxt = _next_in_cell(mesh)
+    nxt = mesh.edge_next
     prv = np.empty_like(nxt)
     prv[nxt] = np.arange(nxt.size)
-    verts = mesh.vertices[np.concatenate(mesh.cells)]
+    verts = mesh.vertices[mesh.edge_vertices]
     # Shoelace formula relative to v, which avoids cancellation between
     # products of absolute coordinates.
     to_next = 0.5 * (verts[nxt] - verts)
     to_prev = 0.5 * (verts[prv] - verts)
-    to_centroid = np.repeat(mesh.cell_centroid,
-                            [c.size for c in mesh.cells], axis=0) - verts
+    to_centroid = mesh.cell_centroid[mesh.edge_cells] - verts
     return 0.5 * np.abs(_cross(to_next, to_centroid)
                         + _cross(to_centroid, to_prev))
 
@@ -125,8 +115,7 @@ def upsilon_weights(mesh: PolyMesh) -> np.ndarray:
     """
     areas = corner_areas(mesh)
     # Edge i of a cell runs from its vertex i to vertex i + 1.
-    ups = np.bincount(np.concatenate(mesh.cell_faces),
-                      areas + areas[_next_in_cell(mesh)],
+    ups = np.bincount(mesh.edge_faces, areas + areas[mesh.edge_next],
                       minlength=mesh.num_faces)
     ups[mesh.boundary_mask] = 0.0
     return ups
@@ -141,18 +130,15 @@ def assemble_jump_matrix(mesh: PolyMesh, partition: MacroPartition,
                          beta: float) -> sp.csr_matrix:
     """Pressure-jump penalty J, (nt, nt): beta sum over faces internal to a
     macro-element of Upsilon_f [[p]]_f [[chi]]_f."""
-    ups = upsilon_weights(mesh)
-    rows, cols, vals = [], [], []
-    for f in np.flatnonzero(~mesh.boundary_mask):
-        ka, kb = (int(c) for c in mesh.face_cells[f])
-        if partition.cell_macro[ka] != partition.cell_macro[kb]:
-            continue
-        w = beta * ups[f]
-        rows += [ka, ka, kb, kb]
-        cols += [ka, kb, ka, kb]
-        vals += [w, -w, -w, w]
-    return sp.csr_matrix((vals, (rows, cols)),
-                         shape=(mesh.num_cells, mesh.num_cells))
+    interior = np.flatnonzero(~mesh.boundary_mask)
+    ka, kb = mesh.face_cells[interior].T
+    same = partition.cell_macro[ka] == partition.cell_macro[kb]
+    ka, kb = ka[same], kb[same]
+    w = beta * upsilon_weights(mesh)[interior[same]]
+    return sp.csr_matrix(
+        (np.concatenate([w, -w, -w, w]),
+         (np.concatenate([ka, ka, kb, kb]), np.concatenate([ka, kb, ka, kb]))),
+        shape=(mesh.num_cells, mesh.num_cells))
 
 
 def checkerboard_indicator(mesh: PolyMesh, p: np.ndarray) -> float:

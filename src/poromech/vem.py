@@ -62,11 +62,12 @@ def vem_cell(verts: np.ndarray, shear: float, lam: float) -> VemCell:
     # trace: on edge e from vertex a to b, int_e phi_a m ds =
     # |e| (2 m(x_a) + m(x_b)) / 6 for linear m, and int_e phi_a n ds =
     # |e| n_e / 2.  Vertex v ends edge v - 1 and starts edge v.
-    prev = np.roll(lengths, 1)[:, None]
-    b_mono = (lengths[:, None] * (2.0 * mono + np.roll(mono, -1, axis=0))
-              + prev * (2.0 * mono + np.roll(mono, 1, axis=0))) / 6.0
+    prv = np.arange(-1, nv - 1)
+    nxt = np.arange(1, nv + 1) % nv
+    b_mono = (lengths[:, None] * (2.0 * mono + mono[nxt])
+              + lengths[prv, None] * (2.0 * mono + mono[prv])) / 6.0
     edge_flux = 0.5 * lengths[:, None] * normals
-    b_flux = edge_flux + np.roll(edge_flux, 1, axis=0)
+    b_flux = edge_flux + edge_flux[prv]
 
     # Projection: row 0 matches the boundary mean, rows 1-2 the gradient
     # orthogonality conditions, both written as boundary integrals.

@@ -13,7 +13,28 @@ from poromech.mesh import (FACE_FLUX, FACE_INTERIOR, FACE_PRESSURE,
                            polygon_diameter, polygon_edge_geometry,
                            polygon_quadrature, read_mesh, write_mesh)
 
-from helpers import RIGHT_TRIANGLE, UNIT_SQUARE, random_convex_polygon
+from helpers import (RIGHT_TRIANGLE, UNIT_SQUARE, random_convex_polygon,
+                     random_spd_tensor, reference_faces, reference_geometry,
+                     reference_quadrature, reference_voronoi)
+from poromech.problems.studies import FAMILIES, family_mesh
+
+# A conforming mesh of one hexagon (two merged unit squares), two
+# triangles and three quadrilaterals on the 4 x 3 vertex lattice of
+# [0, 3] x [0, 2], with the cell sizes interleaved.
+MIXED_CELLS = [[4, 5, 9, 8], [0, 1, 2, 6, 5, 4], [2, 3, 7], [5, 6, 10, 9],
+               [2, 7, 6], [6, 7, 11, 10]]
+
+
+def mixed_mesh():
+    xx, yy = np.meshgrid(np.arange(4.0), np.arange(3.0))
+    return PolyMesh(np.column_stack([xx.ravel(), yy.ravel()]), MIXED_CELLS)
+
+
+def equivalence_meshes():
+    meshes = {f"{family}-{n}": family_mesh(family, n)
+              for family in FAMILIES for n in (6, 12)}
+    meshes["mixed"] = mixed_mesh()
+    return meshes
 
 
 # ----- counts and geometry ---------------------------------------------------
@@ -68,6 +89,96 @@ def test_quadrature_exact_for_quadratics():
     assert wts @ (pts[:, 0] * pts[:, 1]) == pytest.approx(0.25, abs=1e-14)
 
 
+def test_quadrature_shares_spoke_midpoints():
+    """2 nv points per cell integrate like the 3 nv-point fan rule."""
+    rng = np.random.default_rng(5)
+    for family in FAMILIES:
+        mesh = family_mesh(family, 6)
+        coef = rng.standard_normal(6)
+
+        def quadratic(p):
+            x, y = p[..., 0], p[..., 1]
+            return np.tensordot(coef, [np.ones_like(x), x, y, x * x, x * y,
+                                        y * y], axes=1)
+
+        got = np.empty(mesh.num_cells)
+        for group in mesh.cell_groups:
+            verts = mesh.vertices[group.vertices]
+            pts, wts = polygon_quadrature(verts,
+                                          mesh.cell_centroid[group.cells])
+            assert wts.shape == (group.cells.size, 2 * verts.shape[1])
+            assert wts.sum(axis=1) == pytest.approx(
+                mesh.cell_area[group.cells], rel=1e-14, abs=0.0), family
+            got[group.cells] = (wts * quadratic(pts)).sum(axis=1)
+        ref = np.empty(mesh.num_cells)
+        for k in range(mesh.num_cells):
+            pts, wts = reference_quadrature(mesh.cell_polygon(k),
+                                            mesh.cell_centroid[k])
+            ref[k] = wts @ quadratic(pts)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), family
+
+
+def test_polygon_helpers_batch_matches_single():
+    rng = np.random.default_rng(9)
+    batch = np.array([[random_convex_polygon(rng, 5) for _ in range(3)]
+                      for _ in range(2)])                  # (2, 3, 5, 2)
+    area, centroid = polygon_area_centroid(batch)
+    lengths, mids, normals = polygon_edge_geometry(batch)
+    diam = polygon_diameter(batch)
+    pts, wts = polygon_quadrature(batch)
+    assert area.shape == diam.shape == (2, 3)
+    assert centroid.shape == (2, 3, 2) and normals.shape == (2, 3, 5, 2)
+    assert pts.shape == (2, 3, 10, 2) and wts.shape == (2, 3, 10)
+    for i in range(2):
+        for j in range(3):
+            one = batch[i, j]
+            a, c = polygon_area_centroid(one)
+            assert (a, *c) == (area[i, j], *centroid[i, j])
+            assert polygon_diameter(one) == diam[i, j]
+            for got, want in zip(polygon_edge_geometry(one),
+                                 (lengths[i, j], mids[i, j],
+                                  normals[i, j])):
+                assert np.array_equal(got, want)
+            for got, want in zip(polygon_quadrature(one),
+                                 (pts[i, j], wts[i, j])):
+                assert np.array_equal(got, want)
+
+
+def test_mesh_matches_per_cell_reference():
+    """Array-pass topology and geometry against the dict loop over edges
+    and the per-cell geometry."""
+    for name, mesh in equivalence_meshes().items():
+        faces, face_cells, cell_faces = reference_faces(mesh.cells)
+        assert np.array_equal(mesh.faces, faces), name
+        assert np.array_equal(mesh.face_cells, face_cells), name
+        assert len(mesh.cell_faces) == len(cell_faces), name
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(mesh.cell_faces, cell_faces)), name
+
+        area, centroid, diam, lengths, normals = reference_geometry(
+            mesh.vertices, mesh.cells)
+        for got, want in [(mesh.cell_area, area),
+                          (mesh.cell_centroid, centroid),
+                          (mesh.cell_diam, diam),
+                          (np.concatenate(mesh.cell_face_lengths),
+                           np.concatenate(lengths)),
+                          (np.concatenate(mesh.cell_normals),
+                           np.concatenate(normals))]:
+            assert got.shape == want.shape, name
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), \
+                name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_voronoi_matches_per_cell_lloyd(seed):
+    mesh = build_voronoi(200, lloyd_iters=20, seed=seed)
+    vertices, cells = reference_voronoi(200, 20, seed)
+    assert len(mesh.cells) == len(cells)
+    assert all(np.array_equal(a, b) for a, b in zip(mesh.cells, cells))
+    assert mesh.vertices.shape == vertices.shape
+    assert np.abs(mesh.vertices - vertices).max() <= 1e-14
+
+
 def test_mesh_invariants_all_families(family_meshes_level0):
     for family, mesh in family_meshes_level0.items():
         assert np.all(mesh.cell_area > 0.0), family
@@ -103,6 +214,31 @@ def test_constructor_rejects_bad_cells():
         PolyMesh(verts, [[0, 3, 2, 1]])               # clockwise
     with pytest.raises(MeshError):
         PolyMesh(verts, [[0, 1, 2], [0, 1, 3]])       # same traversal twice
+
+
+# A unit square (cell 0) next to a second cell on vertices 4-7 that share
+# no edge with it.
+BAD_INPUT = {
+    "clockwise cell": ([[2, 0], [3, 1], [3, 0], [9, 9]], [[4, 5, 6]],
+                       "cell 1"),
+    "zero-area cell": ([[2, 0], [2.5, 0.5], [3, 1], [9, 9]], [[4, 5, 6]],
+                       "cell 1"),
+    "zero-length edge": ([[2, 0], [3, 0], [3, 1], [3, 1]], [[4, 5, 6, 7]],
+                         "cell 1"),
+    "face shared by three cells": ([[2, 0], [2, 1], [2, 2], [2, 3]],
+                                   [[1, 0, 4], [0, 1, 5]], r"face \(0, 1\)"),
+    "face traversed twice": ([[2, 0], [2, 1], [2, 2], [2, 3]], [[0, 1, 4]],
+                             r"face \(0, 1\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_input_names_cell_or_face(case):
+    extra, cells, where = BAD_INPUT[case]
+    vertices = np.vstack([UNIT_SQUARE, extra])
+    # floating-point errors raise, so a NaN on the way fails the test
+    with np.errstate(all="raise"), pytest.raises(MeshError, match=where):
+        PolyMesh(vertices, [[0, 1, 2, 3]] + cells)
 
 
 # ----- skew map ---------------------------------------------------------------
@@ -197,6 +333,21 @@ def test_k_orthogonality():
     assert k_orthogonality_defect(cart, 1.0) <= 1e-10
     skew = build_skewed(5, 5)
     assert not is_k_orthogonal(skew, 1.0)
+
+
+def test_k_orthogonality_matches_cell_loop():
+    rng = np.random.default_rng(3)
+    for name, mesh in equivalence_meshes().items():
+        kappa = random_spd_tensor(rng)
+        worst = 0.0
+        for k in range(mesh.num_cells):
+            kn = mesh.cell_normals[k] @ kappa.T
+            c = mesh.cell_face_vectors(k)
+            cross = np.abs(kn[:, 0] * c[:, 1] - kn[:, 1] * c[:, 0])
+            scale = np.hypot(kn[:, 0], kn[:, 1]) * np.hypot(c[:, 0], c[:, 1])
+            worst = max(worst, float((cross / scale).max()))
+        assert k_orthogonality_defect(mesh, kappa) == \
+            pytest.approx(worst, rel=1e-14, abs=1e-15), name
 
 
 # ----- boundary tagging ----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from poromech.mesh import MeshError, build_cartesian
 from poromech.stab import (MacroPartition, assemble_jump_matrix,
@@ -124,13 +125,37 @@ def reference_upsilon(mesh):
     return ups
 
 
+def reference_jump_matrix(mesh, partition, beta):
+    """Face-by-face assembly of the jump penalty over the interior faces
+    whose two cells share a macro-element."""
+    ups = upsilon_weights(mesh)
+    rows, cols, vals = [], [], []
+    for f in np.flatnonzero(~mesh.boundary_mask):
+        ka, kb = (int(c) for c in mesh.face_cells[f])
+        if partition.cell_macro[ka] != partition.cell_macro[kb]:
+            continue
+        w = beta * ups[f]
+        rows += [ka, ka, kb, kb]
+        cols += [ka, kb, ka, kb]
+        vals += [w, -w, -w, w]
+    return sp.csr_matrix((vals, (rows, cols)),
+                         shape=(mesh.num_cells, mesh.num_cells))
+
+
 def test_upsilon_matches_face_loop(family_meshes_level0):
+    """Jump weights and jump matrix against their face loops."""
     for family, mesh in family_meshes_level0.items():
         ref = reference_upsilon(mesh)
         # The reference shoelace sums products of absolute coordinates, so
         # each of its four areas carries a round-off of order eps |x|^2.
         tol = 64.0 * np.finfo(float).eps * np.abs(mesh.vertices).max() ** 2
         assert np.abs(upsilon_weights(mesh) - ref).max() <= tol, family
+
+        partition = build_macro_elements(mesh)
+        beta = beta_coefficient(1.0, 1.0)
+        ref = reference_jump_matrix(mesh, partition, beta)
+        jmat = assemble_jump_matrix(mesh, partition, beta)
+        assert abs(jmat - ref).max() <= 1e-15 * abs(ref).max(), family
 
 
 # ----- stabilization coefficient --------------------------------------------------
