@@ -6,8 +6,7 @@ are coupled fully implicitly with optional macro-element pressure-jump
 stabilization and a block-triangular preconditioned GMRES solver.
 """
 
-from .assembly import (BoundaryConditions, DiscreteSystem, FourFieldBlocks,
-                       Material, State)
+from .assembly import BoundaryConditions, DiscreteSystem, Material, State
 from .mesh import (FACE_FLUX, FACE_INTERIOR, FACE_PRESSURE, MeshError,
                    PolyMesh, build_cartesian, build_hybrid, build_skewed,
                    build_voronoi, read_mesh, write_mesh)
@@ -18,7 +17,7 @@ from .stab import (MacroPartition, beta_coefficient, build_macro_elements,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryConditions", "DiscreteSystem", "FourFieldBlocks", "Material",
+    "BoundaryConditions", "DiscreteSystem", "Material",
     "State", "FACE_FLUX", "FACE_INTERIOR", "FACE_PRESSURE", "MeshError",
     "PolyMesh", "build_cartesian", "build_hybrid", "build_skewed",
     "build_voronoi", "read_mesh", "write_mesh", "BlockPreconditioner",

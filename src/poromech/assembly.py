@@ -118,26 +118,6 @@ def _csr(parts, shape) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=shape)
 
 
-@dataclass
-class FourFieldBlocks:
-    """Uncondensed blocks, mainly for verification and inspection.
-
-    Row order (u, w, p, pi):
-
-        [ A_uu    0         -A_up     0     ] [u ]   [ b_u  ]
-        [ 0       A_ww      -A_wp    -A_wpi ] [w ]   [ 0    ]
-        [ A_up^T  dt A_wp^T  Abar_pp  0     ] [p ] = [ b_p  ]
-        [ 0       A_wpi^T    0        0     ] [pi]   [ b_pi ]
-    """
-    a_uu: sp.csr_matrix
-    a_ww: sp.csr_matrix
-    a_wp: sp.csr_matrix
-    a_wpi: sp.csr_matrix
-    a_up: sp.csr_matrix
-    abar_pp: sp.csr_matrix
-    velocity_offsets: np.ndarray
-
-
 class DiscreteSystem:
     """Coupled poroelastic discretization on a fixed mesh and time step.
 
@@ -524,27 +504,6 @@ class DiscreteSystem:
         return w
 
     # ----- inspection ----------------------------------------------------------
-
-    def four_field_blocks(self) -> FourFieldBlocks:
-        """Uncondensed velocity-explicit blocks for verification."""
-        mesh = self.mesh
-        n_w = self.velocity_offsets[-1]
-        a_ww = _csr([_block_pairs(ops.group.edges)
-                     + (np.linalg.inv(ops.minv),) for ops in self.cell_ops],
-                    (n_w, n_w))
-        edges = np.arange(n_w)
-        fvec = mesh.face_length[mesh.edge_faces]
-        a_wp = sp.csr_matrix((fvec, (edges, mesh.edge_cells)),
-                             shape=(n_w, self.n_p))
-        a_wpi = sp.csr_matrix((-fvec, (edges, mesh.edge_faces)),
-                              shape=(n_w, self.n_pi))
-        abar_pp = sp.csr_matrix(sp.diags(self.storage_diag))
-        if self.j_mat is not None:
-            abar_pp = sp.csr_matrix(abar_pp + self.j_mat)
-        return FourFieldBlocks(a_uu=self.a_uu, a_ww=a_ww, a_wp=a_wp,
-                               a_wpi=a_wpi, a_up=self.a_up,
-                               abar_pp=abar_pp,
-                               velocity_offsets=self.velocity_offsets)
 
     def condensed_matrix(self) -> sp.csr_matrix:
         """Condensed free-dof matrix actually solved each step."""

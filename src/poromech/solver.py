@@ -4,10 +4,12 @@ preconditioner of the condensed displacement-pressure-trace system.
 Entry points: ``factorize(matrix)`` is the one sparse LU of the package,
 used for the condensed matrix, the blocks of the initial state and the
 preconditioner's two direct solves; ``gmres`` solves with any matvec and
-optional right preconditioner; ``BlockPreconditioner(matrix, u_components,
-n_p)`` builds the preconditioner from slices of the condensed free-dof
-matrix that GMRES solves, so no block is assembled twice.  The
-preconditioner is the inverse of
+optional right preconditioner, orthogonalizing by classical Gram-Schmidt
+run twice through BLAS in Krylov storage that grows in chunks;
+``BlockPreconditioner(matrix, u_components, n_p)`` builds the
+preconditioner from slices of the condensed free-dof matrix that GMRES
+solves, so no block is assembled twice.  The preconditioner is the inverse
+of
 
     [ Auu~   -A_up      0     ]
     [ 0       Bpp~   dt A_ppi ]
@@ -21,11 +23,13 @@ complement built from that sweep, factorized directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 
 @dataclass
@@ -69,82 +73,97 @@ def factorize(matrix: sp.spmatrix):
 # of the preconditioned operator's output is a breakdown.
 BREAKDOWN_TOL = 1e-14
 
+# Krylov vectors the storage holds at first; it doubles whenever the basis
+# fills it, up to min(maxiter, n) vectors.
+KRYLOV_CHUNK = 32
+
 
 def gmres(matvec, b: np.ndarray, rtol: float = 1e-6, maxiter: int = 500,
           precond=None):
     """Non-restarted GMRES with right preconditioning and a zero initial
     guess.
 
-    Arnoldi uses modified Gram-Schmidt with one reorthogonalization pass.
-    The recurrence residuals equal the true residuals of the original system
-    because preconditioning acts from the right. Returns (x, KrylovReport).
+    Arnoldi orthogonalizes by classical Gram-Schmidt run twice (CGS2): each
+    pass is two matrix-vector products with the row-major basis, and two
+    passes keep the basis orthogonal to working precision, like modified
+    Gram-Schmidt with reorthogonalization (Giraud, Langou and Rozloznik
+    2005).  The basis, the preconditioned vectors and the Hessenberg matrix
+    start at KRYLOV_CHUNK rows and double whenever the basis fills them.
+    The recurrence residuals equal the true residuals of the original
+    system because preconditioning acts from the right. Returns
+    (x, KrylovReport).
     """
     b = np.asarray(b, dtype=float)
     n = b.size
-    norm_b = float(np.linalg.norm(b))
+    norm_b = math.sqrt(b @ b)
     if norm_b == 0.0:
         return np.zeros(n), KrylovReport(True, 0, np.zeros(1))
 
     maxiter = min(maxiter, n)
-    basis = np.zeros((maxiter + 1, n))
-    precon = np.zeros((maxiter, n))       # preconditioned basis vectors
-    hess = np.zeros((maxiter + 1, maxiter))
-    givens = np.zeros((maxiter, 2))
-    g = np.zeros(maxiter + 1)
+    cap = min(KRYLOV_CHUNK, maxiter)
+    basis = np.empty((cap + 1, n))
+    precon = np.empty((cap, n))
+    hess = np.zeros((cap + 1, cap))       # rotated to upper triangular
+    givens = []                           # (c, s) of each rotation
+    g = [norm_b]                          # rotated right-hand side
 
     basis[0] = b / norm_b
-    g[0] = norm_b
     residuals = [norm_b]
     k = 0
     converged = False
     for j in range(maxiter):
+        if j == cap:
+            grow = min(cap, maxiter - cap)
+            cap += grow
+            basis = np.concatenate((basis, np.empty((grow, n))))
+            precon = np.concatenate((precon, np.empty((grow, n))))
+            hess = np.pad(hess, ((0, grow), (0, grow)))
         z = precond(basis[j]) if precond is not None else basis[j]
         precon[j] = z
-        w = np.asarray(matvec(z), dtype=float)
-        scale = max(float(np.linalg.norm(w)), 1.0)
-        for _ in range(2):                # MGS plus one reorthogonalization
-            for i in range(j + 1):
-                hij = float(basis[i] @ w)
-                hess[i, j] += hij
-                w -= hij * basis[i]
-        h_next = float(np.linalg.norm(w))
-        hess[j + 1, j] = h_next
+        # The new vector is orthogonalized in place in the next basis row.
+        w = basis[j + 1]
+        w[:] = matvec(z)
+        scale = max(math.sqrt(w @ w), 1.0)
+        known = basis[:j + 1]
+        h = known @ w
+        w -= h @ known
+        again = known @ w                 # second CGS pass
+        w -= again @ known
+        h += again
+        h_next = math.sqrt(w @ w)
 
         # Givens update of column j and of the residual recurrence.
-        for i in range(j):
-            c, s = givens[i]
-            hi, hi1 = hess[i, j], hess[i + 1, j]
-            hess[i, j] = c * hi + s * hi1
-            hess[i + 1, j] = -s * hi + c * hi1
-        denom = np.hypot(hess[j, j], hess[j + 1, j])
+        col = h.tolist() + [h_next]
+        for i, (c, s) in enumerate(givens):
+            hi, hi1 = col[i], col[i + 1]
+            col[i] = c * hi + s * hi1
+            col[i + 1] = -s * hi + c * hi1
+        denom = math.hypot(col[j], col[j + 1])
         if denom == 0.0:
             # Zero column in the triangular factor: the Krylov space is
             # A-invariant but the projected system is singular.
             raise SolverError(f"GMRES breakdown at iteration {j + 1} with "
                               f"a singular projected system")
-        c, s = hess[j, j] / denom, hess[j + 1, j] / denom
-        givens[j] = (c, s)
-        hess[j, j] = denom
-        hess[j + 1, j] = 0.0
-        g[j + 1] = -s * g[j]
-        g[j] = c * g[j]
+        c, s = col[j] / denom, col[j + 1] / denom
+        givens.append((c, s))
+        col[j], col[j + 1] = denom, 0.0
+        hess[:j + 2, j] = col
+        g.append(-s * g[j])
+        g[j] *= c
 
         k = j + 1
-        residuals.append(abs(float(g[j + 1])))
+        residuals.append(abs(g[j + 1]))
         if residuals[-1] <= rtol * norm_b:
             converged = True
             break
         if h_next <= BREAKDOWN_TOL * scale:
             raise SolverError(f"GMRES breakdown at iteration {k} with "
                               f"relative residual {residuals[-1] / norm_b:.3e}")
-        basis[j + 1] = w / h_next
+        w /= h_next
 
-    y = np.zeros(k)
-    for i in range(k - 1, -1, -1):
-        y[i] = (g[i] - hess[i, i + 1:k] @ y[i + 1:k]) / hess[i, i]
-    x = precon[:k].T @ y
-    return x, KrylovReport(converged, k,
-                           np.asarray(residuals))
+    y = solve_triangular(hess[:k, :k], g[:k], check_finite=False)
+    x = y @ precon[:k]
+    return x, KrylovReport(converged, k, np.asarray(residuals))
 
 
 def separate_components(a_uu: sp.spmatrix, components: np.ndarray):
@@ -209,7 +228,10 @@ class BlockPreconditioner:
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         su, sp_, spi = self.slices
-        pi = self._pipi_lu.solve(y[spi])
-        p = (y[sp_] - self._a_ppi @ pi) / self._l1_diag
-        u = self._uu_lu.solve(y[su] - self._a_up @ p)
-        return np.concatenate([u, p, pi])
+        x = np.empty(y.size)
+        pi, p = x[spi], x[sp_]
+        pi[:] = self._pipi_lu.solve(y[spi])
+        np.subtract(y[sp_], self._a_ppi @ pi, out=p)
+        p /= self._l1_diag
+        x[su] = self._uu_lu.solve(y[su] - self._a_up @ p)
+        return x

@@ -1,6 +1,12 @@
-"""Reference polygons and random polygon/tensor generators for the tests."""
+"""Reference polygons, random polygon/tensor generators and verification
+oracles for the tests."""
+
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+
+from poromech.solver import BREAKDOWN_TOL, KrylovReport, SolverError
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 RIGHT_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -148,3 +154,120 @@ def reference_voronoi(n_cells, lloyd_iters, seed):
         area = reference_area_centroid(vertices[cell])[0]
         cells.append(cell if area > 0 else cell[::-1])
     return vertices, cells
+
+
+# ----- uncondensed four-field blocks -----------------------------------------
+
+@dataclass
+class FourFieldBlocks:
+    """Uncondensed blocks of a DiscreteSystem, row order (u, w, p, pi):
+
+        [ A_uu    0         -A_up     0     ] [u ]   [ b_u  ]
+        [ 0       A_ww      -A_wp    -A_wpi ] [w ]   [ 0    ]
+        [ A_up^T  dt A_wp^T  Abar_pp  0     ] [p ] = [ b_p  ]
+        [ 0       A_wpi^T    0        0     ] [pi]   [ b_pi ]
+    """
+    a_uu: sp.csr_matrix
+    a_ww: sp.csr_matrix
+    a_wp: sp.csr_matrix
+    a_wpi: sp.csr_matrix
+    a_up: sp.csr_matrix
+    abar_pp: sp.csr_matrix
+    velocity_offsets: np.ndarray
+
+
+def four_field_blocks(system) -> FourFieldBlocks:
+    """Velocity-explicit blocks of a system, the oracle of its condensed
+    matrix: eliminating w from them gives the solved system."""
+    mesh = system.mesh
+    n_w = system.velocity_offsets[-1]
+    rows, cols, vals = [], [], []
+    for ops in system.cell_ops:
+        for edges, minv in zip(ops.group.edges, ops.minv):
+            for i, row in enumerate(np.linalg.inv(minv)):
+                rows += [edges[i]] * edges.size
+                cols += list(edges)
+                vals += list(row)
+    a_ww = sp.csr_matrix((vals, (rows, cols)), shape=(n_w, n_w))
+    edges = np.arange(n_w)
+    fvec = mesh.face_length[mesh.edge_faces]
+    a_wp = sp.csr_matrix((fvec, (edges, mesh.edge_cells)),
+                         shape=(n_w, system.n_p))
+    a_wpi = sp.csr_matrix((-fvec, (edges, mesh.edge_faces)),
+                          shape=(n_w, system.n_pi))
+    abar_pp = sp.csr_matrix(sp.diags(system.storage_diag))
+    if system.j_mat is not None:
+        abar_pp = sp.csr_matrix(abar_pp + system.j_mat)
+    return FourFieldBlocks(a_uu=system.a_uu, a_ww=a_ww, a_wp=a_wp,
+                           a_wpi=a_wpi, a_up=system.a_up, abar_pp=abar_pp,
+                           velocity_offsets=system.velocity_offsets)
+
+
+# ----- modified Gram-Schmidt GMRES -------------------------------------------
+
+def mgs_gmres(matvec, b, rtol=1e-6, maxiter=500, precond=None):
+    """The GMRES loop that the CGS2 one replaced, the oracle it is compared
+    with: modified Gram-Schmidt with one reorthogonalization pass, one
+    vector at a time, and Krylov storage for maxiter vectors."""
+    b = np.asarray(b, dtype=float)
+    n = b.size
+    norm_b = float(np.linalg.norm(b))
+    if norm_b == 0.0:
+        return np.zeros(n), KrylovReport(True, 0, np.zeros(1))
+
+    maxiter = min(maxiter, n)
+    basis = np.zeros((maxiter + 1, n))
+    precon = np.zeros((maxiter, n))
+    hess = np.zeros((maxiter + 1, maxiter))
+    givens = np.zeros((maxiter, 2))
+    g = np.zeros(maxiter + 1)
+
+    basis[0] = b / norm_b
+    g[0] = norm_b
+    residuals = [norm_b]
+    k = 0
+    converged = False
+    for j in range(maxiter):
+        z = precond(basis[j]) if precond is not None else basis[j]
+        precon[j] = z
+        w = np.asarray(matvec(z), dtype=float)
+        scale = max(float(np.linalg.norm(w)), 1.0)
+        for _ in range(2):
+            for i in range(j + 1):
+                hij = float(basis[i] @ w)
+                hess[i, j] += hij
+                w -= hij * basis[i]
+        h_next = float(np.linalg.norm(w))
+        hess[j + 1, j] = h_next
+
+        for i in range(j):
+            c, s = givens[i]
+            hi, hi1 = hess[i, j], hess[i + 1, j]
+            hess[i, j] = c * hi + s * hi1
+            hess[i + 1, j] = -s * hi + c * hi1
+        denom = np.hypot(hess[j, j], hess[j + 1, j])
+        if denom == 0.0:
+            raise SolverError(f"GMRES breakdown at iteration {j + 1} with "
+                              f"a singular projected system")
+        c, s = hess[j, j] / denom, hess[j + 1, j] / denom
+        givens[j] = (c, s)
+        hess[j, j] = denom
+        hess[j + 1, j] = 0.0
+        g[j + 1] = -s * g[j]
+        g[j] = c * g[j]
+
+        k = j + 1
+        residuals.append(abs(float(g[j + 1])))
+        if residuals[-1] <= rtol * norm_b:
+            converged = True
+            break
+        if h_next <= BREAKDOWN_TOL * scale:
+            raise SolverError(f"GMRES breakdown at iteration {k} with "
+                              f"relative residual {residuals[-1] / norm_b:.3e}")
+        basis[j + 1] = w / h_next
+
+    y = np.zeros(k)
+    for i in range(k - 1, -1, -1):
+        y[i] = (g[i] - hess[i, i + 1:k] @ y[i + 1:k]) / hess[i, i]
+    x = precon[:k].T @ y
+    return x, KrylovReport(converged, k, np.asarray(residuals))

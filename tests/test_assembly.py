@@ -9,6 +9,8 @@ from poromech.assembly import (BoundaryConditions, DiscreteSystem, Material,
                                State)
 from poromech.mesh import build_cartesian, build_voronoi
 
+from helpers import four_field_blocks
+
 
 def mixed_problem(n, dt, stabilize=False):
     """Small driven problem exercising every assembly path: mixed
@@ -48,7 +50,7 @@ def mixed_problem(n, dt, stabilize=False):
 def dense_four_field_solve(system, state, t_new):
     """Dense solve of the uncondensed (u, w, p, pi) block system with the
     same Dirichlet elimination; the condensation oracle."""
-    blocks = system.four_field_blocks()
+    blocks = four_field_blocks(system)
     n_u, n_p, n_pi = system.n_u, system.n_p, system.n_pi
     n_w = blocks.velocity_offsets[-1]
     o_w, o_p, o_pi = n_u, n_u + n_w, n_u + n_w + n_p
@@ -125,13 +127,13 @@ def one_cell_system(storage=1.0):
 
 
 def test_storage_block_single_cell():
-    blocks = one_cell_system().four_field_blocks()
+    blocks = four_field_blocks(one_cell_system())
     assert blocks.abar_pp.toarray() == pytest.approx(np.array([[1.0]]))
 
 
 def test_velocity_trace_block_nonzeros():
     system, _ = mixed_problem(2, dt=0.1)
-    a_wpi = system.four_field_blocks().a_wpi.tocsc()
+    a_wpi = four_field_blocks(system).a_wpi.tocsc()
     mesh = system.mesh
     counts = np.diff(a_wpi.indptr)
     interior = mesh.face_cells[:, 1] >= 0
@@ -158,7 +160,7 @@ def test_coupling_block_kills_translations():
 
 def test_condensation_addition_is_diagonal():
     system, _ = mixed_problem(3, dt=0.1, stabilize=True)
-    added = (system.a_pp - system.four_field_blocks().abar_pp).toarray()
+    added = (system.a_pp - four_field_blocks(system).abar_pp).toarray()
     assert added == pytest.approx(np.diag(np.diag(added)))
     assert np.all(np.diag(added) > 0.0)
 
@@ -222,7 +224,7 @@ def test_per_cell_mass_balance_sealed_incompressible():
                   p=np.zeros(system.n_p), pi=np.zeros(system.n_pi))
     new = system.step(state)
     w = system.recover_velocity(new)
-    blocks = system.four_field_blocks()
+    blocks = four_field_blocks(system)
     residual = (system.a_up.T @ (new.u - state.u)
                 + system.dt * (blocks.a_wp.T @ w))
     scale = np.abs(system.a_up.T @ new.u).max()
@@ -304,5 +306,5 @@ def test_tpfa_variant_yields_diagonal_velocity_block():
         displacement=[(lambda x: True, (True, True),
                        lambda x, t: (0.0, 0.0))])
     system = DiscreteSystem(mesh, material, bcs, dt=1.0, tpfa=True)
-    a_ww = system.four_field_blocks().a_ww.toarray()
+    a_ww = four_field_blocks(system).a_ww.toarray()
     assert a_ww == pytest.approx(np.diag(np.diag(a_ww)))

@@ -1,7 +1,8 @@
 """Sparse LU and refined direct solve, checked against the default-ordering
 partial-pivoting LU with the norm-based refinement loop; Krylov solver and
 block preconditioner, checked against a textbook Arnoldi least-squares
-implementation, dense factor products and the direct solve."""
+implementation, the modified Gram-Schmidt GMRES it replaced, dense factor
+products and the direct solve."""
 
 from types import SimpleNamespace
 
@@ -10,12 +11,15 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import poromech.assembly
 from poromech.assembly import BoundaryConditions, DiscreteSystem, Material
 from poromech.mesh import build_cartesian
 from poromech.problems import cantilever, mandel, manufactured
 from poromech.problems.studies import FAMILIES, family_mesh
-from poromech.solver import (BlockPreconditioner, SolverError, factorize,
-                             gmres, separate_components)
+from poromech.solver import (KRYLOV_CHUNK, BlockPreconditioner, SolverError,
+                             factorize, gmres, separate_components)
+
+from helpers import mgs_gmres
 
 
 def reference_gmres(a, b, rtol, maxiter):
@@ -69,6 +73,32 @@ def test_matches_textbook_arnoldi_least_squares():
     x_ref, iters_ref = reference_gmres(a, b, rtol=1e-8, maxiter=40)
     assert abs(report.iterations - iters_ref) <= 1
     assert x == pytest.approx(x_ref, abs=1e-6 * np.linalg.norm(x_ref))
+
+
+def nonnormal_system(seed=0):
+    """Upper bidiagonal matrix of order 300: 200 eigenvalues spread over
+    [1, 10], 100 outliers up to 1e6 and a superdiagonal of 0.5.  As the
+    outliers converge the new Arnoldi vectors lie almost in the span of the
+    basis, where one Gram-Schmidt pass loses orthogonality."""
+    d = np.concatenate([np.linspace(1.0, 10.0, 200),
+                        np.logspace(1.5, 6.0, 100)])
+    a = np.diag(d) + np.diag(np.full(d.size - 1, 0.5), 1)
+    return a, np.random.default_rng(seed).standard_normal(d.size)
+
+
+def test_long_nonnormal_solve_matches_textbook_and_stays_orthogonal():
+    """About 150 iterations grow the Krylov storage three times past its
+    first chunk.  The answer matches the textbook formulation and the last
+    recurrence residual equals the true residual; with a single
+    Gram-Schmidt pass the same solve stagnates short of rtol."""
+    a, b = nonnormal_system()
+    x, report = gmres(lambda v: a @ v, b, rtol=1e-10, maxiter=300)
+    x_ref, iters_ref = reference_gmres(a, b, rtol=1e-10, maxiter=300)
+    assert report.converged and report.iterations > 100 > 2 * KRYLOV_CHUNK
+    assert abs(report.iterations - iters_ref) <= 1
+    assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
+    assert report.residuals[-1] == pytest.approx(
+        np.linalg.norm(b - a @ x), abs=1e-8 * np.linalg.norm(b))
 
 
 def test_residual_history_is_monotone_and_true():
@@ -365,3 +395,26 @@ def test_gmres_cantilever_matches_direct(family):
         ref = getattr(states["direct"], field)
         got = getattr(states["gmres"], field)
         assert np.abs(got - ref).max() <= 1e-4 * np.abs(ref).max(), field
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_gmres_cantilever_matches_modified_gram_schmidt(family, monkeypatch):
+    """Ten stabilized cantilever steps at n = 10 take the same iterations
+    with the CGS2 loop as with the modified Gram-Schmidt loop it replaced,
+    and the states agree to 1e-10 of the largest entry of each field."""
+    runs = {}
+    for name, krylov in (("mgs", mgs_gmres), ("cgs2", gmres)):
+        monkeypatch.setattr(poromech.assembly, "gmres", krylov)
+        system, state = cantilever.setup(family_mesh(family, 10), 1e-5,
+                                         stabilize=True,
+                                         linear_solver="gmres")
+        iterations = []
+        for _ in range(10):
+            state = system.step(state)
+            iterations.append(system.last_report.iterations)
+        runs[name] = (iterations, state)
+    assert runs["cgs2"][0] == runs["mgs"][0]
+    for field in ("u", "p", "pi"):
+        ref = getattr(runs["mgs"][1], field)
+        got = getattr(runs["cgs2"][1], field)
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max(), field
