@@ -111,12 +111,29 @@ def reference_geometry(vertices, cells):
             normals)
 
 
-def reference_voronoi(n_cells, lloyd_iters, seed):
+def four_edge_mirror(pts):
+    """Generators plus their reflections across all four box edges: the
+    construction that reflecting only the boundary generators replaced, the
+    oracle it is compared with."""
+    left = np.column_stack([-pts[:, 0], pts[:, 1]])
+    right = np.column_stack([2.0 - pts[:, 0], pts[:, 1]])
+    down = np.column_stack([pts[:, 0], -pts[:, 1]])
+    up = np.column_stack([pts[:, 0], 2.0 - pts[:, 1]])
+    return np.vstack([pts, left, right, down, up])
+
+
+def reference_voronoi(n_cells, lloyd_iters, seed, points=None, reflect=None):
     """(vertices, cells) of the Lloyd-relaxed Voronoi mesh, with the CCW
-    ordering and every Lloyd centroid computed one cell at a time."""
+    ordering and every Lloyd centroid computed one cell at a time.
+
+    The generators are drawn as `build_voronoi` draws them, or given as
+    `points`; `reflect` adds the mirror generators (default: the library's
+    boundary-generator reflection)."""
     from scipy.spatial import Voronoi
 
-    from poromech.mesh.generators import _mirrored
+    from poromech.mesh.generators import _reflected
+
+    reflect = _reflected if reflect is None else reflect
 
     def regions_of(vor, n):
         out = []
@@ -129,12 +146,13 @@ def reference_voronoi(n_cells, lloyd_iters, seed):
             out.append(region[np.argsort(ang)])
         return out
 
-    pts = np.random.default_rng(seed).random((n_cells, 2))
+    pts = np.random.default_rng(seed).random((n_cells, 2)) \
+        if points is None else np.asarray(points, dtype=float)
     for _ in range(lloyd_iters):
-        vor = Voronoi(_mirrored(pts))
+        vor = Voronoi(reflect(pts))
         pts = np.array([reference_area_centroid(vor.vertices[r])[1]
                         for r in regions_of(vor, len(pts))])
-    vor = Voronoi(_mirrored(pts))
+    vor = Voronoi(reflect(pts))
     regions = regions_of(vor, len(pts))
     used = sorted({v for r in regions for v in r})
     coords = vor.vertices[used]

@@ -4,17 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import QhullError
 
 from poromech.mesh import (FACE_FLUX, FACE_INTERIOR, FACE_PRESSURE,
                            MeshError, MeshFormatError, PolyMesh, apply_skew,
                            build_cartesian, build_hybrid, build_skewed,
                            build_voronoi, is_k_orthogonal,
-                           k_orthogonality_defect, polygon_area_centroid,
+                           k_orthogonality_defect, kappa_as_tensor,
+                           polygon_area_centroid,
                            polygon_diameter, polygon_edge_geometry,
                            polygon_quadrature, read_mesh, write_mesh)
+from poromech import mfd
+from poromech.mesh import generators
 
-from helpers import (RIGHT_TRIANGLE, UNIT_SQUARE, random_convex_polygon,
-                     random_spd_tensor, reference_faces, reference_geometry,
+from helpers import (RIGHT_TRIANGLE, UNIT_SQUARE, four_edge_mirror,
+                     random_convex_polygon, random_spd_tensor,
+                     reference_faces, reference_geometry,
                      reference_quadrature, reference_voronoi)
 from poromech.problems.studies import FAMILIES, family_mesh
 
@@ -324,6 +329,68 @@ def test_voronoi_too_few_generators():
         build_voronoi(1)
 
 
+# Largest vertex shift against the four-edge mirror measured at 200
+# generators after 20 Lloyd steps (seeds 0-2): 1.9e-13.
+FOUR_EDGE_VERTEX_SHIFT = 5e-13
+
+
+def assert_same_voronoi(mesh, vertices, cells, vertex_tol):
+    assert len(mesh.cells) == len(cells)
+    assert all(np.array_equal(a, b) for a, b in zip(mesh.cells, cells))
+    assert mesh.vertices.shape == vertices.shape
+    assert np.abs(mesh.vertices - vertices).max() <= vertex_tol
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_voronoi_matches_four_edge_mirror(seed):
+    mesh = build_voronoi(200, lloyd_iters=20, seed=seed)
+    vertices, cells = reference_voronoi(200, 20, seed,
+                                        reflect=four_edge_mirror)
+    assert_same_voronoi(mesh, vertices, cells, FOUR_EDGE_VERTEX_SHIFT)
+
+
+def test_voronoi_quadrant_matches_four_edge_mirror():
+    pts = [[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]]
+    mesh = build_voronoi(4, 0, points=pts)
+    vertices, cells = reference_voronoi(4, 0, 0, points=pts,
+                                        reflect=four_edge_mirror)
+    assert_same_voronoi(mesh, vertices, cells, FOUR_EDGE_VERTEX_SHIFT)
+
+
+DEGENERATE_GENERATORS = {
+    "two": [[0.3, 0.4], [0.7, 0.6]],
+    "collinear": [[x, 0.5] for x in (0.1, 0.3, 0.5, 0.7, 0.9)],
+    "coincident": [[0.2, 0.3], [0.2, 0.3], [0.8, 0.7]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_GENERATORS))
+def test_voronoi_degenerate_generators(name, monkeypatch):
+    """Generators that qhull cannot triangulate on their own still give a
+    mesh, the four-edge mirror's: each of them is reflected."""
+    pts = DEGENERATE_GENERATORS[name]
+    mesh = build_voronoi(len(pts), 0, points=pts)
+    assert mesh.num_cells == len(pts)
+    assert abs(mesh.cell_area.sum() - 1.0) <= 1e-14
+    assert np.isfinite(mesh.vertices).all()
+    monkeypatch.setattr(generators, "_reflected", four_edge_mirror)
+    oracle = build_voronoi(len(pts), 0, points=pts)
+    assert_same_voronoi(mesh, oracle.vertices, oracle.cells, 0.0)
+
+
+def test_voronoi_give_up_raises_mesh_error(monkeypatch):
+    calls = []
+
+    def failing_voronoi(points):
+        calls.append(len(points))
+        raise QhullError("forced failure")
+
+    monkeypatch.setattr(generators, "Voronoi", failing_voronoi)
+    with pytest.raises(MeshError, match="too degenerate"):
+        build_voronoi(50, 2, seed=0)
+    assert len(calls) == 10     # five attempts, two qhull calls each
+
+
 # ----- k-orthogonality ----------------------------------------------------------
 
 def test_k_orthogonality():
@@ -348,6 +415,35 @@ def test_k_orthogonality_matches_cell_loop():
             worst = max(worst, float((cross / scale).max()))
         assert k_orthogonality_defect(mesh, kappa) == \
             pytest.approx(worst, rel=1e-14, abs=1e-15), name
+
+
+# ----- permeability tensor ------------------------------------------------------
+
+def test_kappa_as_tensor_accepts_spd():
+    rng = np.random.default_rng(5)
+    assert np.array_equal(kappa_as_tensor(2.0), 2.0 * np.eye(2))
+    assert np.array_equal(kappa_as_tensor([1.0, 3.0]), np.diag([1.0, 3.0]))
+    for _ in range(100):
+        kappa = random_spd_tensor(rng)
+        assert np.array_equal(kappa_as_tensor(kappa), kappa)
+
+
+@pytest.mark.parametrize("kappa, reason", [
+    (0.0, "positive definite"),
+    (-1.0, "positive definite"),
+    ([1.0, 0.0], "positive definite"),
+    ([-2.0, 1.0], "positive definite"),
+    ([[1.0, 0.5], [0.2, 1.0]], "symmetric"),
+    ([[1.0, 2.0], [2.0, 1.0]], "positive definite"),
+    ([[-1.0, 0.0], [0.0, -1.0]], "positive definite"),
+    ([[1.0, np.nan], [np.nan, 1.0]], "finite"),
+    (np.inf, "finite"),
+])
+def test_kappa_as_tensor_rejects_non_spd(kappa, reason):
+    with pytest.raises(ValueError, match=reason):
+        kappa_as_tensor(kappa)
+    with pytest.raises(ValueError, match=reason):
+        mfd.local_inner_product(UNIT_SQUARE, kappa)
 
 
 # ----- boundary tagging ----------------------------------------------------------
