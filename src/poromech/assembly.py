@@ -15,7 +15,8 @@ Boundary callables (displacement, traction, pressure, flux) take a single
 point and a time.
 
 Set-up works on the vertex-count groups of the mesh cells
-(PolyMesh.cell_groups): the local operators of a group are stacked into
+(PolyMesh.cell_groups): the local operators of a group are computed cell by
+cell from the rows of the group's stored CellGeometry and stacked into
 arrays, (m, 2 nv, 2 nv) stiffness matrices and (m, nv, nv) inverse inner
 products, and each global block is built by one COO-to-CSR conversion of
 the stacked index and value arrays of all groups.  The cell quadrature and
@@ -31,7 +32,7 @@ import scipy.sparse as sp
 
 from . import mfd, vem
 from .mesh import FACE_FLUX, FACE_PRESSURE, PolyMesh, kappa_as_tensor
-from .mesh.core import CellGroup, polygon_quadrature
+from .mesh.core import CellGeometry, CellGroup, polygon_quadrature
 from .solver import BlockPreconditioner, SolverError, factorize, gmres
 from .stab import (assemble_jump_matrix, beta_coefficient,
                    build_macro_elements)
@@ -170,10 +171,17 @@ class DiscreteSystem:
             else mfd.local_inner_product
         self.cell_ops = []
         for group in mesh.cell_groups:
-            polys = mesh.vertices[group.vertices]
-            cells = [vem.vem_cell(verts, mat.shear, mat.lam)
-                     for verts in polys]
-            m_k = np.stack([inner(verts, kappa) for verts in polys])
+            m, nv = group.vertices.shape
+            cells, m_k = [], np.empty((m, nv, nv))
+            # one CellGeometry per cell: the rows of the group's arrays
+            for i, geo in enumerate(map(CellGeometry._make,
+                                        zip(*group.geometry))):
+                cells.append(vem.vem_cell(geo, mat.shear, mat.lam))
+                try:
+                    m_k[i] = inner(geo, kappa)
+                except ValueError as err:
+                    raise ValueError(f"cell {group.cells[i]}: {err}") \
+                        from None
             self.cell_ops.append(CellOperators(
                 group=group,
                 stiffness=np.stack([c.stiffness for c in cells]),
@@ -349,12 +357,10 @@ class DiscreteSystem:
         contiguous; cells come in the order of mesh.cell_groups.
         """
         if self._quad is None:
-            mesh = self.mesh
             pts, wts, cells = [], [], []
-            for group in mesh.cell_groups:
-                q_pts, q_wts = polygon_quadrature(
-                    mesh.vertices[group.vertices],
-                    mesh.cell_centroid[group.cells])
+            for group in self.mesh.cell_groups:
+                q_pts, q_wts = polygon_quadrature(group.geometry.verts,
+                                                  group.geometry.centroid)
                 pts.append(q_pts.reshape(-1, 2))
                 wts.append(q_wts.ravel())
                 cells.append(np.repeat(group.cells, q_wts.shape[1]))

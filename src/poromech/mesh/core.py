@@ -4,8 +4,10 @@ The polygon helpers take vertex arrays of shape (..., nv, 2): one polygon
 is the (nv, 2) case, and a leading batch axis holds m polygons with the
 same vertex count, (m, nv, 2).  Results carry the same leading axes, so a
 scalar per polygon comes back with shape (...,) and a point with shape
-(..., 2).  PolyMesh calls each helper once per vertex-count group of its
-cells (see PolyMesh.cell_groups); the same code serves a single polygon.
+(..., 2).  polygon_geometry gathers them into the CellGeometry record that
+the local operators read.  PolyMesh calls it once per vertex-count group of
+its cells (see PolyMesh.cell_groups) and keeps the record on the group; the
+same code serves a single polygon.
 """
 
 from __future__ import annotations
@@ -119,12 +121,40 @@ def polygon_quadrature(verts: np.ndarray, centroid: np.ndarray | None = None):
     return points, np.concatenate([prev + third, third], axis=-1)
 
 
+class CellGeometry(NamedTuple):
+    """Geometry of counterclockwise polygons (..., nv, 2): one cell, or a
+    batch with leading axes.  Edge i runs from vertex i to vertex i + 1."""
+    verts: np.ndarray         # (..., nv, 2) vertex coordinates
+    area: np.ndarray          # (...,) area |K| > 0
+    centroid: np.ndarray      # (..., 2) area centroid x_K
+    diam: np.ndarray          # (...,) diameter h_K
+    lengths: np.ndarray       # (..., nv) edge lengths |f|
+    normals: np.ndarray       # (..., nv, 2) outward unit normals n_{K,f}
+    face_vectors: np.ndarray  # (..., nv, 2) c_{K,f}, centroid to midpoint
+
+
+def polygon_geometry(verts: np.ndarray) -> CellGeometry:
+    """CellGeometry of counterclockwise polygons (..., nv, 2).
+
+    Raises MeshError for a polygon with zero area, clockwise vertices or a
+    zero-length edge; for a batch, its `polygon` attribute is the flat
+    index of the first bad polygon.
+    """
+    verts = np.asarray(verts, dtype=float)
+    area, centroid = polygon_area_centroid(verts)
+    _reject(area < 0.0, "polygon is not counterclockwise")
+    lengths, midpoints, normals = polygon_edge_geometry(verts)
+    return CellGeometry(verts, area, centroid, polygon_diameter(verts),
+                        lengths, normals, midpoints - centroid[..., None, :])
+
+
 class CellGroup(NamedTuple):
     """The m cells of a mesh that have the same vertex count nv."""
     cells: np.ndarray       # (m,) cell ids, ascending
     vertices: np.ndarray    # (m, nv) vertex ids, counterclockwise
     faces: np.ndarray       # (m, nv) face ids, face i on edge i
     edges: np.ndarray       # (m, nv) positions in the flat edge arrays
+    geometry: CellGeometry  # batched (m, ...) geometry of the cells
 
 
 class PolyMesh:
@@ -156,7 +186,8 @@ class PolyMesh:
         length and outward unit normal of every cell edge; cell_faces,
         cell_face_lengths and cell_normals are their per-cell views, made
         on first use
-    cell_groups : list of CellGroup, one per vertex count, ascending
+    cell_groups : list of CellGroup, one per vertex count, ascending, each
+        with the batched CellGeometry of its cells
     """
 
     def __init__(self, vertices, cells, face_tags=None):
@@ -175,13 +206,8 @@ class PolyMesh:
         self.edge_next = np.arange(1, self.cell_offsets[-1] + 1)
         self.edge_next[self.cell_offsets[1:] - 1] = self.cell_offsets[:-1]
         self._build_faces()
-        self.cell_groups = []
-        for nv in np.unique(sizes):
-            ids = np.flatnonzero(sizes == nv)
-            edges = self.cell_offsets[ids, None] + np.arange(nv)
-            self.cell_groups.append(CellGroup(
-                ids, self.edge_vertices[edges], self.edge_faces[edges],
-                edges))
+        self.cell_groups = [self._cell_group(np.flatnonzero(sizes == nv), nv)
+                            for nv in np.unique(sizes)]
         self._compute_geometry()
         if face_tags is None:
             self.face_tags = np.where(self.boundary_mask, FACE_FLUX,
@@ -241,7 +267,19 @@ class PolyMesh:
 
     # -- geometry ---------------------------------------------------------
 
+    def _cell_group(self, ids: np.ndarray, nv: int) -> CellGroup:
+        """The group of the cells ids, which have nv vertices each."""
+        edges = self.cell_offsets[ids, None] + np.arange(nv)
+        vertices = self.edge_vertices[edges]
+        try:
+            geometry = polygon_geometry(self.vertices[vertices])
+        except MeshError as err:
+            raise MeshError(f"cell {ids[err.polygon]}: {err}") from None
+        return CellGroup(ids, vertices, self.edge_faces[edges], edges,
+                         geometry)
+
     def _compute_geometry(self):
+        """Flat per-cell and per-edge arrays from the group geometry."""
         nt, n_edges = self.num_cells, self.cell_offsets[-1]
         self.cell_area = np.empty(nt)
         self.cell_centroid = np.empty((nt, 2))
@@ -249,19 +287,12 @@ class PolyMesh:
         self.edge_lengths = np.empty(n_edges)
         self.edge_normals = np.empty((n_edges, 2))
         for group in self.cell_groups:
-            verts = self.vertices[group.vertices]
-            try:
-                area, centroid = polygon_area_centroid(verts)
-                _reject(area < 0.0, "polygon is not counterclockwise")
-                lengths, _, normals = polygon_edge_geometry(verts)
-            except MeshError as err:
-                raise MeshError(f"cell {group.cells[err.polygon]}: {err}") \
-                    from None
-            self.cell_area[group.cells] = area
-            self.cell_centroid[group.cells] = centroid
-            self.cell_diam[group.cells] = polygon_diameter(verts)
-            self.edge_lengths[group.edges] = lengths
-            self.edge_normals[group.edges] = normals
+            geo = group.geometry
+            self.cell_area[group.cells] = geo.area
+            self.cell_centroid[group.cells] = geo.centroid
+            self.cell_diam[group.cells] = geo.diam
+            self.edge_lengths[group.edges] = geo.lengths
+            self.edge_normals[group.edges] = geo.normals
         a = self.vertices[self.faces[:, 0]]
         b = self.vertices[self.faces[:, 1]]
         self.face_length = np.hypot(*(b - a).T)

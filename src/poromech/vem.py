@@ -1,13 +1,15 @@
 """Lowest-order virtual element operators for plane-strain elasticity.
 
-``vem_cell(verts, shear, lam)`` is the single entry point: it returns the
-VemCell record of one polygonal cell, with its energy projector, vertex
-monomials, cell-mean gradient, mean-value and divergence rows, and elastic
-stiffness.  All operators act on the vertex values of the cell.  The
-discrete space is accessed only through its degrees of freedom: integrals
-of a virtual function over the cell boundary are exact because its trace
-is piecewise linear, and its cell mean equals the mean of the energy
-projection onto linear polynomials.  Vector degrees of freedom are
+``vem_cell(cell, shear, lam)`` is the single entry point: it reads the
+CellGeometry record of one polygonal cell (mesh.polygon_geometry, or a row
+of the geometry PolyMesh stores per cell group) and returns its VemCell
+record, with its energy projector, vertex monomials, cell-mean gradient,
+mean-value and divergence rows, and elastic stiffness.  All operators act
+on the vertex values of the cell.  The discrete space is accessed only
+through its degrees of freedom: integrals of a virtual function over the
+cell boundary are exact because its trace is piecewise linear, and its
+cell mean equals the mean of the energy projection onto linear
+polynomials.  Vector degrees of freedom are
 interleaved, (u_x, u_y) per vertex.
 """
 
@@ -17,8 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh.core import (polygon_area_centroid, polygon_diameter,
-                        polygon_edge_geometry)
+from .mesh.core import CellGeometry
+
+# Strain (e_xx, e_yy, 2 e_xy) of a unit x and of a unit y displacement at a
+# vertex, as a linear map of the vertex's cell-mean gradient (g_x, g_y):
+# the rows of the (2 nv, 3) strain matrix on interleaved dofs.
+_STRAIN_OF_GRAD = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+                            [0.0, 0.0, 1.0, 0.0, 1.0, 0.0]])
 
 
 @dataclass
@@ -42,8 +49,9 @@ class VemCell:
         return self.grad.T.ravel()
 
 
-def vem_cell(verts: np.ndarray, shear: float, lam: float) -> VemCell:
-    """All VEM operators of one counterclockwise polygon.
+def vem_cell(cell: CellGeometry, shear: float, lam: float) -> VemCell:
+    """All VEM operators of one counterclockwise polygon, from its
+    geometry.
 
     The projection is onto the scaled monomials {1, (x-x_K)/h_K,
     (y-y_K)/h_K}.  The stiffness is the consistency part
@@ -51,46 +59,41 @@ def vem_cell(verts: np.ndarray, shear: float, lam: float) -> VemCell:
     part 2 G times the vertex-value inner product of the projection
     residual, applied per displacement component.
     """
-    verts = np.asarray(verts, dtype=float)
-    area, centroid = polygon_area_centroid(verts)
-    diam = polygon_diameter(verts)
-    lengths, _, normals = polygon_edge_geometry(verts)
-    nv = len(verts)
-    mono = np.column_stack([np.ones(nv), (verts - centroid) / diam])
+    area, diam, lengths = cell.area, cell.diam, cell.lengths
+    nv = len(lengths)
+    mono = np.ones((nv, 3))
+    mono[:, 1:] = (cell.verts - cell.centroid) / diam
 
     # Boundary integrals of the vertex basis, exact for its edgewise-linear
-    # trace: on edge e from vertex a to b, int_e phi_a m ds =
-    # |e| (2 m(x_a) + m(x_b)) / 6 for linear m, and int_e phi_a n ds =
-    # |e| n_e / 2.  Vertex v ends edge v - 1 and starts edge v.
+    # trace: int_dK phi_v ds = (|e_(v-1)| + |e_v|) / 2 and int_dK phi_v n ds
+    # = (|e_(v-1)| n_(v-1) + |e_v| n_v) / 2, where vertex v ends edge v - 1
+    # and starts edge v.
     prv = np.arange(-1, nv - 1)
-    nxt = np.arange(1, nv + 1) % nv
-    b_mono = (lengths[:, None] * (2.0 * mono + mono[nxt])
-              + lengths[prv, None] * (2.0 * mono + mono[prv])) / 6.0
-    edge_flux = 0.5 * lengths[:, None] * normals
+    b_one = 0.5 * (lengths + lengths[prv])
+    edge_flux = 0.5 * lengths[:, None] * cell.normals
     b_flux = edge_flux + edge_flux[prv]
-
-    # Projection: row 0 matches the boundary mean, rows 1-2 the gradient
-    # orthogonality conditions, both written as boundary integrals.
-    perimeter = lengths.sum()
-    lhs = np.zeros((3, 3))
-    lhs[0, :] = b_mono.sum(axis=0) / perimeter
-    lhs[1, 1] = lhs[2, 2] = area / diam ** 2
-    rhs = np.vstack([b_mono[:, 0] / perimeter, b_flux.T / diam])
-    proj = np.linalg.solve(lhs, rhs)
     # Divergence-theorem value of the cell-mean gradient.
     grad = b_flux.T / area
 
-    strain = np.zeros((3, 2 * nv))           # (e_xx, e_yy, 2 e_xy)
-    strain[0, 0::2] = grad[0]
-    strain[1, 1::2] = grad[1]
-    strain[2, 0::2] = grad[1]
-    strain[2, 1::2] = grad[0]
-    dmat = np.array([[2.0 * shear + lam, lam, 0.0],
-                     [lam, 2.0 * shear + lam, 0.0],
-                     [0.0, 0.0, shear]])
+    # Projection: row 0 matches the boundary mean, rows 1-2 the gradient
+    # orthogonality conditions, both written as boundary integrals.  With
+    # the boundary-mean row w = b_one / |dK| (int_dK m ds = b_one . m for
+    # linear m) the system is upper triangular,
+    #     [[1, w . m_1, w . m_2], [0, d, 0], [0, 0, d]] proj
+    #         = [w; b_flux^T / h_K],    d = |K| / h_K^2,
+    # and back-substitution gives rows 1-2 = h_K grad, then row 0.
+    w = b_one / lengths.sum()
+    proj = np.empty((3, nv))
+    proj[1:] = diam * grad
+    proj[0] = w - (w @ mono[:, 1:]) @ proj[1:]
+
+    strain = (grad.T @ _STRAIN_OF_GRAD).reshape(2 * nv, 3)
+    dmat = area * np.array([[2.0 * shear + lam, lam, 0.0],
+                            [lam, 2.0 * shear + lam, 0.0],
+                            [0.0, 0.0, shear]])
     resid = np.eye(nv) - mono @ proj
     k_stab = 2.0 * shear * (resid.T @ resid)
-    stiffness = area * strain.T @ dmat @ strain
+    stiffness = strain @ dmat @ strain.T
     stiffness[0::2, 0::2] += k_stab
     stiffness[1::2, 1::2] += k_stab
     return VemCell(proj=proj, mono=mono, grad=grad, stiffness=stiffness)

@@ -6,7 +6,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from poromech.mesh.core import (kappa_as_tensor, polygon_area_centroid,
+                                polygon_diameter, polygon_edge_geometry)
 from poromech.solver import BREAKDOWN_TOL, KrylovReport, SolverError
+from poromech.vem import VemCell
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 RIGHT_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -172,6 +175,84 @@ def reference_voronoi(n_cells, lloyd_iters, seed, points=None, reflect=None):
         area = reference_area_centroid(vertices[cell])[0]
         cells.append(cell if area > 0 else cell[::-1])
     return vertices, cells
+
+
+# ----- vertices-in local operators -------------------------------------------
+#
+# The per-cell VEM and mimetic kernels as they were when they computed the
+# cell geometry from the vertices themselves: the oracles of the kernels
+# that read a CellGeometry record.
+
+def reference_vem_cell(verts: np.ndarray, shear: float,
+                       lam: float) -> VemCell:
+    """All VEM operators of one counterclockwise polygon."""
+    verts = np.asarray(verts, dtype=float)
+    area, centroid = polygon_area_centroid(verts)
+    diam = polygon_diameter(verts)
+    lengths, _, normals = polygon_edge_geometry(verts)
+    nv = len(verts)
+    mono = np.column_stack([np.ones(nv), (verts - centroid) / diam])
+
+    prv = np.arange(-1, nv - 1)
+    nxt = np.arange(1, nv + 1) % nv
+    b_mono = (lengths[:, None] * (2.0 * mono + mono[nxt])
+              + lengths[prv, None] * (2.0 * mono + mono[prv])) / 6.0
+    edge_flux = 0.5 * lengths[:, None] * normals
+    b_flux = edge_flux + edge_flux[prv]
+
+    perimeter = lengths.sum()
+    lhs = np.zeros((3, 3))
+    lhs[0, :] = b_mono.sum(axis=0) / perimeter
+    lhs[1, 1] = lhs[2, 2] = area / diam ** 2
+    rhs = np.vstack([b_mono[:, 0] / perimeter, b_flux.T / diam])
+    proj = np.linalg.solve(lhs, rhs)
+    grad = b_flux.T / area
+
+    strain = np.zeros((3, 2 * nv))           # (e_xx, e_yy, 2 e_xy)
+    strain[0, 0::2] = grad[0]
+    strain[1, 1::2] = grad[1]
+    strain[2, 0::2] = grad[1]
+    strain[2, 1::2] = grad[0]
+    dmat = np.array([[2.0 * shear + lam, lam, 0.0],
+                     [lam, 2.0 * shear + lam, 0.0],
+                     [0.0, 0.0, shear]])
+    resid = np.eye(nv) - mono @ proj
+    k_stab = 2.0 * shear * (resid.T @ resid)
+    stiffness = area * strain.T @ dmat @ strain
+    stiffness[0::2, 0::2] += k_stab
+    stiffness[1::2, 1::2] += k_stab
+    return VemCell(proj=proj, mono=mono, grad=grad, stiffness=stiffness)
+
+
+def _reference_face_geometry(verts: np.ndarray):
+    verts = np.asarray(verts, dtype=float)
+    area, centroid = polygon_area_centroid(verts)
+    lengths, midpoints, normals = polygon_edge_geometry(verts)
+    cvec = midpoints - centroid
+    return area, lengths, normals, cvec
+
+
+def reference_inner_product(verts: np.ndarray, kappa) -> np.ndarray:
+    """Mimetic velocity inner product M_K (m, m)."""
+    kt = kappa_as_tensor(kappa)
+    area, lengths, normals, cvec = _reference_face_geometry(verts)
+    nmat = normals @ kt
+    rmat = lengths[:, None] * cvec
+    core = rmat @ np.linalg.solve(kt, rmat.T)
+    gamma = np.trace(core) / (len(lengths) * area)
+    proj = nmat @ np.linalg.solve(nmat.T @ nmat, nmat.T)
+    return core / area + gamma * (np.eye(len(lengths)) - proj)
+
+
+def reference_inner_product_tpfa(verts: np.ndarray, kappa) -> np.ndarray:
+    """Diagonal two-point variant, entries |f| ||c||^2 / (n . kappa c)."""
+    kt = kappa_as_tensor(kappa)
+    _, lengths, normals, cvec = _reference_face_geometry(verts)
+    denom = np.einsum("fi,ij,fj->f", normals, kt, cvec)
+    if np.any(denom <= 0.0):
+        raise ValueError("two-point inner product needs n . kappa c > 0 "
+                         "(cell not star-shaped around its centroid?)")
+    return np.diag(lengths * (cvec ** 2).sum(axis=1) / denom)
 
 
 # ----- uncondensed four-field blocks -----------------------------------------

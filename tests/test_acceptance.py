@@ -12,12 +12,13 @@ then asserts the stated tolerances.
 import time
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from poromech import mfd, vem
 from poromech.assembly import BoundaryConditions, DiscreteSystem, Material
-from poromech.mesh import build_cartesian, build_voronoi
+from poromech.mesh import build_cartesian, build_voronoi, polygon_geometry
 from poromech.problems import mandel
 from poromech.problems.studies import (convergence_study, family_mesh,
                                        observed_rates, solver_study,
@@ -64,7 +65,7 @@ def vem_patch_error(mesh, grad, shift, shear, lam):
     acc = sp.lil_matrix((n_dof, n_dof))
     for k in range(mesh.num_cells):
         ids = mesh.cells[k]
-        cell = vem.vem_cell(mesh.vertices[ids], shear, lam)
+        cell = vem.vem_cell(polygon_geometry(mesh.vertices[ids]), shear, lam)
         dofs = np.column_stack([2 * ids, 2 * ids + 1]).ravel()
         acc[np.ix_(dofs, dofs)] += cell.stiffness
     u_exact = (mesh.vertices @ grad.T + shift).ravel()
@@ -126,14 +127,15 @@ def test_criterion_3_local_operators():
         n = int(rng.integers(3, 9))
         verts = random_convex_polygon(rng, n) + rng.uniform(-1.0, 1.0, 2)
         kappa = random_spd_tensor(rng)
-        n_mat, r_mat = mfd.consistency_matrices(verts, kappa)
-        m = mfd.local_inner_product(verts, kappa)
+        geo = polygon_geometry(verts)
+        n_mat, r_mat = mfd.consistency_matrices(geo, kappa)
+        m = mfd.local_inner_product(geo, kappa)
         worst_cons = max(worst_cons,
                          np.linalg.norm(m @ n_mat - r_mat)
                          / np.linalg.norm(r_mat))
         eigs = np.linalg.eigvalsh(m)
         min_m_eig = min(min_m_eig, eigs[0] / eigs[-1])
-        k_a = vem.vem_cell(verts, float(rng.uniform(0.1, 10.0)),
+        k_a = vem.vem_cell(geo, float(rng.uniform(0.1, 10.0)),
                            float(rng.uniform(0.1, 10.0))).stiffness
         spec = np.linalg.eigvalsh(k_a)
         worst_kernel = max(worst_kernel, abs(spec[0]) / spec[-1],
@@ -171,6 +173,7 @@ def test_criterion_4_condensation_oracle():
 
 # ----- 5: manufactured-solution convergence -------------------------------------
 
+@pytest.mark.slow
 def test_criterion_5_convergence():
     t0 = time.perf_counter()
     cart = observed_rates(convergence_study("cartesian", 5, base=5,
@@ -205,6 +208,7 @@ def test_criterion_5_convergence():
 
 # ----- 6: Mandel benchmark ------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_6_mandel():
     t0 = time.perf_counter()
     mesh = build_cartesian(20, 20)

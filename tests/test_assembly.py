@@ -7,7 +7,7 @@ import pytest
 
 from poromech.assembly import (BoundaryConditions, DiscreteSystem, Material,
                                State)
-from poromech.mesh import build_cartesian, build_voronoi
+from poromech.mesh import PolyMesh, build_cartesian, build_voronoi
 
 from helpers import four_field_blocks
 
@@ -308,3 +308,24 @@ def test_tpfa_variant_yields_diagonal_velocity_block():
     system = DiscreteSystem(mesh, material, bcs, dt=1.0, tpfa=True)
     a_ww = four_field_blocks(system).a_ww.toarray()
     assert a_ww == pytest.approx(np.diag(np.diag(a_ww)))
+
+
+def test_tpfa_rejects_cell_not_star_shaped_by_id():
+    # a unit square (cell 0) and a notched pentagon (cell 1) on its right;
+    # the notch edge faces away from the pentagon's centroid
+    vertices = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [3.0, 0.0],
+                [1.2, 0.5], [3.0, 1.0]]
+    mesh = PolyMesh(vertices, [[0, 1, 2, 3], [1, 4, 5, 6, 2]])
+    behind = (mesh.cell_normals[1] * mesh.cell_face_vectors(1)).sum(axis=1)
+    assert behind.min() < 0.0 < mesh.cell_area[1]
+    material = Material(shear=1.0, lam=1.0)
+    bcs = BoundaryConditions(
+        displacement=[(lambda x: True, (True, True),
+                       lambda x, t: (0.0, 0.0))])
+    # no division by a non-positive denominator runs before the error
+    with np.errstate(all="raise"), \
+            pytest.raises(ValueError, match="cell 1: two-point"):
+        DiscreteSystem(mesh, material, bcs, dt=1.0, tpfa=True)
+    # the full mimetic inner product serves the same mesh, NaN-free
+    system = DiscreteSystem(mesh, material, bcs, dt=1.0)
+    assert np.isfinite(system.condensed_matrix().data).all()

@@ -14,7 +14,7 @@ from poromech.mesh import (FACE_FLUX, FACE_INTERIOR, FACE_PRESSURE,
                            polygon_area_centroid,
                            polygon_diameter, polygon_edge_geometry,
                            polygon_quadrature, read_mesh, write_mesh)
-from poromech import mfd
+from poromech.assembly import BoundaryConditions, DiscreteSystem, Material
 from poromech.mesh import generators
 
 from helpers import (RIGHT_TRIANGLE, UNIT_SQUARE, four_edge_mirror,
@@ -443,7 +443,9 @@ def test_kappa_as_tensor_rejects_non_spd(kappa, reason):
     with pytest.raises(ValueError, match=reason):
         kappa_as_tensor(kappa)
     with pytest.raises(ValueError, match=reason):
-        mfd.local_inner_product(UNIT_SQUARE, kappa)
+        DiscreteSystem(build_cartesian(1, 1),
+                       Material(shear=1.0, lam=1.0, kappa=kappa),
+                       BoundaryConditions(), dt=1.0)
 
 
 # ----- boundary tagging ----------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from poromech import vem
 from poromech.mesh import build_cartesian
 from poromech.mesh.core import polygon_area_centroid, polygon_diameter, \
-    polygon_edge_geometry
+    polygon_edge_geometry, polygon_geometry
 
 from helpers import RIGHT_TRIANGLE, UNIT_SQUARE, random_convex_polygon
 
@@ -15,7 +15,7 @@ RNG = np.random.default_rng(20240817)
 
 
 def cell(verts, shear=1.0, lam=1.0):
-    return vem.vem_cell(verts, shear, lam)
+    return vem.vem_cell(polygon_geometry(verts), shear, lam)
 
 
 def reference_projector(verts):
@@ -248,7 +248,8 @@ def test_patch_reproduces_linear_displacement():
         dofs[0::2] = 2 * cell
         dofs[1::2] = 2 * cell + 1
         k_glob[np.ix_(dofs, dofs)] += vem.vem_cell(
-            mesh.cell_polygon(k), shear=1.0, lam=10.0).stiffness
+            polygon_geometry(mesh.cell_polygon(k)), shear=1.0,
+            lam=10.0).stiffness
     amat = np.array([[0.3, -0.8], [1.1, 0.5]])
     exact = linear_dofs(mesh.vertices, amat, (0.1, -0.2))
     on_boundary = mesh.boundary_vertex_mask
