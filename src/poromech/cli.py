@@ -1,9 +1,13 @@
 """Command-line driver: mesh generation, simulation runs, refinement
 studies, stabilization and solver comparisons.
 
-Every subcommand accepts --config pointing to a JSON file whose keys match
-the command's option names (dashes become underscores); explicit flags win
-over config values.  Outputs are deterministic for fixed inputs and seed.
+build_parser declares every option once, with its default, and
+`poromech <command> --help` lists the defaults.  Every subcommand accepts
+--config pointing to a JSON object whose keys are the command's option
+names (dashes become underscores).  An option takes its command-line
+value if given, else its config value, else its default; config strings
+are converted by the option's type like command-line text.  Outputs are
+deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -24,27 +28,29 @@ from .solver import SolverError
 BoolFlag = argparse.BooleanOptionalAction
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                  defaults: dict) -> argparse.Namespace:
-    """Flags override config values override defaults."""
-    cfg = {}
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.is_file():
-            parser.error(f"config file not found: {path}")
-        try:
-            cfg = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            parser.error(f"config file {path}: {exc}")
-        unknown = set(cfg) - set(defaults)
-        if unknown:
-            raise ValueError(f"unknown config keys {sorted(unknown)}; "
-                             f"expected a subset of {sorted(defaults)}")
-    merged = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        merged[key] = flag if flag is not None else cfg.get(key, default)
-    return argparse.Namespace(**merged)
+def _apply_config(sub: argparse.ArgumentParser, path: str) -> None:
+    """Make the JSON object in the file path the defaults of sub."""
+    path = Path(path)
+    if not path.is_file():
+        sub.error(f"config file not found: {path}")
+    try:
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        sub.error(f"config file {path}: {exc}")
+    if not isinstance(cfg, dict):
+        sub.error(f"config file {path}: expected a JSON object")
+    defaults = vars(sub.parse_args([]))
+    options = set(defaults) - {"func", "config"}
+    unknown = set(cfg) - options
+    if unknown:
+        raise ValueError(f"unknown config keys {sorted(unknown)}; "
+                         f"expected a subset of {sorted(options)}")
+    # a switch has no type to convert a string such as "false"
+    switches = [k for k, v in cfg.items()
+                if isinstance(defaults[k], bool) and not isinstance(v, bool)]
+    if switches:
+        raise ValueError(f"config keys {sorted(switches)} take true or false")
+    sub.set_defaults(**cfg)
 
 
 def _resolve_mesh(ns, parser):
@@ -73,26 +79,18 @@ def _parse_list(text, cast):
     return [cast(v) for v in str(text).split(",") if v]
 
 
-def _add_mesh_options(sub, with_file=True):
-    sub.add_argument("--family", choices=studies.FAMILIES)
-    sub.add_argument("--n", type=int, help="subdivisions per side "
-                     "(Voronoi: side count, n^2 cells)")
-    sub.add_argument("--level", type=int,
-                     help="refinement level, n = 10 * 2^level")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--lloyd-iters", type=int, dest="lloyd_iters")
-    if with_file:
-        sub.add_argument("--mesh-file", dest="mesh_file",
-                         help="read the mesh from a text file instead")
+def _write_snapshot(vtk_path, partition_path, system, state) -> None:
+    """VTK snapshot of a stepped state: cell pressures and displacements,
+    plus the macro-element ids and their CSV when the system has them."""
+    cell_data = {"pressure": state.p}
+    if system.partition is not None:
+        cell_data["macro"] = system.partition.cell_macro.astype(float)
+        write_partition_csv(partition_path, system.partition)
+    write_vtk(vtk_path, system.mesh, cell_data=cell_data,
+              point_data={"displacement": state.u.reshape(-1, 2)})
 
 
-MESH_DEFAULTS = {"family": "cartesian", "n": None, "level": 0, "seed": 0,
-                 "lloyd_iters": 20, "out": "mesh.txt", "vtk": None}
-
-
-def cmd_mesh(args, parser) -> int:
-    ns = _merge_config(args, parser, MESH_DEFAULTS)
-    ns.mesh_file = None
+def cmd_mesh(ns, parser) -> int:
     mesh = _resolve_mesh(ns, parser)
     write_mesh(ns.out, mesh)
     if ns.vtk:
@@ -103,15 +101,7 @@ def cmd_mesh(args, parser) -> int:
     return 0
 
 
-RUN_DEFAULTS = {"problem": "cantilever", "family": "cartesian", "n": None,
-                "level": 0, "seed": 0, "lloyd_iters": 20, "mesh_file": None,
-                "dt": 1.0e-5, "steps": None, "t_end": None,
-                "stabilize": False, "solver": "direct", "rtol": 1e-6,
-                "maxit": 500, "outdir": "out"}
-
-
-def cmd_run(args, parser) -> int:
-    ns = _merge_config(args, parser, RUN_DEFAULTS)
+def cmd_run(ns, parser) -> int:
     mesh = _resolve_mesh(ns, parser)
     if ns.steps is None and ns.t_end is None:
         ns.steps = 1
@@ -142,25 +132,14 @@ def cmd_run(args, parser) -> int:
                            None if rep is None else rep.reduction})
     write_csv(out / "report.csv",
               ["step", "time", "iterations", "residual_reduction"], report)
-    cell_data = {"pressure": state.p}
-    if system.partition is not None:
-        cell_data["macro"] = system.partition.cell_macro.astype(float)
-        write_partition_csv(out / "partition.csv", system.partition)
-    write_vtk(out / "state_final.vtk", mesh, cell_data=cell_data,
-              point_data={"displacement": state.u.reshape(-1, 2)})
+    _write_snapshot(out / "state_final.vtk", out / "partition.csv",
+                    system, state)
     print(f"ran {ns.problem} on {mesh.num_cells} cells for {ns.steps} "
           f"steps to t = {state.time:g}; outputs in {out}")
     return 0
 
 
-CONVERGE_DEFAULTS = {"family": "cartesian", "levels": 5, "base": 5,
-                     "dt0": 0.1, "t_end": 1.0, "seed": 0, "lloyd_iters": 20,
-                     "stabilize": False, "workers": None, "outdir": "out",
-                     "time_refinement": False, "n_fixed": 40}
-
-
-def cmd_converge(args, parser) -> int:
-    ns = _merge_config(args, parser, CONVERGE_DEFAULTS)
+def cmd_converge(ns, parser) -> int:
     out = _outdir(ns)
     if ns.time_refinement:
         rows = studies.time_refinement_study(
@@ -195,13 +174,7 @@ def cmd_converge(args, parser) -> int:
     return 0
 
 
-MANDEL_DEFAULTS = {"n": 20, "dt_frac": 1.0e-4, "times": "0.01,0.05,0.1,0.5",
-                   "n_terms": 200, "outdir": "out", "family": "cartesian",
-                   "seed": 0, "lloyd_iters": 20}
-
-
-def cmd_mandel(args, parser) -> int:
-    ns = _merge_config(args, parser, MANDEL_DEFAULTS)
+def cmd_mandel(ns, parser) -> int:
     mesh = studies.family_mesh(ns.family, ns.n, seed=ns.seed,
                                lloyd_iters=ns.lloyd_iters)
     fractions = _parse_list(ns.times, float)
@@ -231,16 +204,9 @@ def cmd_mandel(args, parser) -> int:
     return 0
 
 
-CANTILEVER_DEFAULTS = {"families": "cartesian,skewed,hybrid,voronoi",
-                       "n": 10, "dt": 1.0e-5, "seed": 0, "lloyd_iters": 20,
-                       "outdir": "out", "vtk": False}
-
-
-def cmd_cantilever(args, parser) -> int:
-    ns = _merge_config(args, parser, CANTILEVER_DEFAULTS)
-    families = _parse_list(ns.families, str)
-    rows = studies.stabilization_study(families, n=ns.n, dt=ns.dt,
-                                       seed=ns.seed,
+def cmd_cantilever(ns, parser) -> int:
+    rows = studies.stabilization_study(_parse_list(ns.families, str),
+                                       n=ns.n, dt=ns.dt, seed=ns.seed,
                                        lloyd_iters=ns.lloyd_iters)
     for row in rows:
         row["ratio"] = (row["stabilized"] / row["unstabilized"]
@@ -253,34 +219,17 @@ def cmd_cantilever(args, parser) -> int:
         print(f"{row['family']:<10s} cells={row['cells']:<5d} "
               f"indicator unstabilized={row['unstabilized']:.3e} "
               f"stabilized={row['stabilized']:.3e}")
-    if ns.vtk:
-        for family in families:
-            mesh = studies.family_mesh(family, ns.n, seed=ns.seed,
-                                       lloyd_iters=ns.lloyd_iters)
-            for label, flag in (("unstab", False), ("stab", True)):
-                system, state = cantilever.setup(mesh, ns.dt,
-                                                 stabilize=flag)
-                state = system.step(state)
-                cell_data = {"pressure": state.p}
-                if system.partition is not None:
-                    cell_data["macro"] = \
-                        system.partition.cell_macro.astype(float)
-                    write_partition_csv(
-                        out / f"partition_{family}.csv", system.partition)
-                write_vtk(out / f"cantilever_{family}_{label}.vtk", mesh,
-                          cell_data=cell_data,
-                          point_data={"displacement":
-                                      state.u.reshape(-1, 2)})
+        if ns.vtk:
+            family = row["family"]
+            for label, key in (("unstab", "unstabilized"),
+                               ("stab", "stabilized")):
+                _write_snapshot(out / f"cantilever_{family}_{label}.vtk",
+                                out / f"partition_{family}.csv",
+                                *row["runs"][key])
     return 0
 
 
-BENCH_DEFAULTS = {"levels": "0,1,2", "family": "cartesian", "base": 10,
-                  "dt": 1.0e-5, "stabilize": True, "rtol": 1e-6, "seed": 0,
-                  "lloyd_iters": 20, "outdir": "out"}
-
-
-def cmd_solver_bench(args, parser) -> int:
-    ns = _merge_config(args, parser, BENCH_DEFAULTS)
+def cmd_solver_bench(ns, parser) -> int:
     rows = studies.solver_study(
         _parse_list(ns.levels, int), family=ns.family, base=ns.base,
         dt=ns.dt, stabilize=ns.stabilize, rtol=ns.rtol, seed=ns.seed,
@@ -295,87 +244,110 @@ def cmd_solver_bench(args, parser) -> int:
     return 0
 
 
+def _subcommand(subs, name, func, help, *, family=True, outdir=True):
+    """Subparser of name with the options that the subcommands share."""
+    sub = subs.add_parser(
+        name, help=help, description=help,
+        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    sub.set_defaults(func=func)
+    if family:
+        sub.add_argument("--family", choices=studies.FAMILIES,
+                         default="cartesian", help="mesh family")
+    sub.add_argument("--seed", type=int, default=0, help="Voronoi seed")
+    sub.add_argument("--lloyd-iters", type=int, default=20,
+                     help="Lloyd passes of a Voronoi mesh")
+    if outdir:
+        sub.add_argument("--outdir", default="out", help="output directory")
+    return sub
+
+
+def _add_mesh_options(sub, with_file=True):
+    sub.add_argument("--n", type=int, help="subdivisions per side "
+                     "(Voronoi: side count, n^2 cells)")
+    sub.add_argument("--level", type=int, default=0,
+                     help="refinement level, n = 10 * 2^level, if no --n")
+    if with_file:
+        sub.add_argument("--mesh-file",
+                         help="read the mesh from a text file instead")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The poromech parser; its `commands` attribute maps each
+    subcommand's name to its subparser."""
     parser = argparse.ArgumentParser(
         prog="poromech",
         description="Coupled poroelasticity on polygonal meshes: "
                     "mimetic flow, virtual-element mechanics.")
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices
+    stabilize = "add the pressure-jump stabilization"
 
-    sub = subs.add_parser("mesh", help="generate a mesh file")
+    sub = _subcommand(subs, "mesh", cmd_mesh, "generate a mesh file",
+                      outdir=False)
     _add_mesh_options(sub, with_file=False)
-    sub.add_argument("--out")
-    sub.add_argument("--vtk")
-    sub.set_defaults(func=cmd_mesh)
+    sub.add_argument("--out", default="mesh.txt", help="mesh file")
+    sub.add_argument("--vtk", help="also write the mesh to this VTK file")
 
-    sub = subs.add_parser("run", help="run one simulation")
-    sub.add_argument("--problem",
+    sub = _subcommand(subs, "run", cmd_run, "run one simulation")
+    sub.add_argument("--problem", default="cantilever", help="problem",
                      choices=("mandel", "manufactured", "cantilever"))
     _add_mesh_options(sub)
-    sub.add_argument("--dt", type=float)
-    sub.add_argument("--steps", type=int)
-    sub.add_argument("--t-end", type=float, dest="t_end")
-    sub.add_argument("--stabilize", action=BoolFlag)
-    sub.add_argument("--solver", choices=("direct", "gmres"))
-    sub.add_argument("--rtol", type=float)
-    sub.add_argument("--maxit", type=int)
-    sub.add_argument("--outdir")
-    sub.set_defaults(func=cmd_run)
+    sub.add_argument("--dt", type=float, default=1.0e-5, help="time step")
+    sub.add_argument("--steps", type=int,
+                     help="time steps; if unset, t_end / dt, or 1")
+    sub.add_argument("--t-end", type=float, help="final time")
+    sub.add_argument("--stabilize", action=BoolFlag, default=False,
+                     help=stabilize)
+    sub.add_argument("--solver", choices=("direct", "gmres"),
+                     default="direct", help="linear solver")
+    sub.add_argument("--rtol", type=float, default=1e-6, help="GMRES rtol")
+    sub.add_argument("--maxit", type=int, default=500, help="GMRES maxit")
 
-    sub = subs.add_parser("converge", help="refinement ladder study")
-    sub.add_argument("--family", choices=studies.FAMILIES)
-    sub.add_argument("--levels", type=int)
-    sub.add_argument("--base", type=int)
-    sub.add_argument("--dt0", type=float)
-    sub.add_argument("--t-end", type=float, dest="t_end")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--lloyd-iters", type=int, dest="lloyd_iters")
-    sub.add_argument("--stabilize", action=BoolFlag)
-    sub.add_argument("--workers", type=int)
-    sub.add_argument("--time-refinement", action=BoolFlag,
-                     dest="time_refinement",
+    sub = _subcommand(subs, "converge", cmd_converge,
+                      "refinement ladder study")
+    sub.add_argument("--levels", type=int, default=5, help="level count")
+    sub.add_argument("--base", type=int, default=5, help="n at level 0")
+    sub.add_argument("--dt0", type=float, default=0.1, help="dt at level 0")
+    sub.add_argument("--t-end", type=float, default=1.0, help="final time")
+    sub.add_argument("--stabilize", action=BoolFlag, default=False,
+                     help=stabilize)
+    sub.add_argument("--workers", type=int,
+                     help="worker processes; if unset, the CPU count")
+    sub.add_argument("--time-refinement", action=BoolFlag, default=False,
                      help="halve dt on one fixed mesh instead")
-    sub.add_argument("--n-fixed", type=int, dest="n_fixed")
-    sub.add_argument("--outdir")
-    sub.set_defaults(func=cmd_converge)
+    sub.add_argument("--n-fixed", type=int, default=40,
+                     help="n of the fixed mesh")
 
-    sub = subs.add_parser("mandel", help="consolidation benchmark profiles")
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--family", choices=studies.FAMILIES)
-    sub.add_argument("--dt-frac", type=float, dest="dt_frac",
+    sub = _subcommand(subs, "mandel", cmd_mandel,
+                      "consolidation benchmark profiles")
+    sub.add_argument("--n", type=int, default=20, help="subdivisions")
+    sub.add_argument("--dt-frac", type=float, default=1.0e-4,
                      help="time step as a fraction of the "
                           "characteristic time")
-    sub.add_argument("--times", help="comma-separated sample times as "
-                                     "fractions of the characteristic time")
-    sub.add_argument("--n-terms", type=int, dest="n_terms")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--lloyd-iters", type=int, dest="lloyd_iters")
-    sub.add_argument("--outdir")
-    sub.set_defaults(func=cmd_mandel)
+    sub.add_argument("--times", default="0.01,0.05,0.1,0.5",
+                     help="comma-separated sample times as fractions of "
+                          "the characteristic time")
+    sub.add_argument("--n-terms", type=int, default=200,
+                     help="terms of the analytical series")
 
-    sub = subs.add_parser("cantilever",
-                          help="stabilization indicator study")
-    sub.add_argument("--families")
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--dt", type=float)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--lloyd-iters", type=int, dest="lloyd_iters")
-    sub.add_argument("--vtk", action=BoolFlag)
-    sub.add_argument("--outdir")
-    sub.set_defaults(func=cmd_cantilever)
+    sub = _subcommand(subs, "cantilever", cmd_cantilever,
+                      "stabilization indicator study", family=False)
+    sub.add_argument("--families", default="cartesian,skewed,hybrid,voronoi",
+                     help="comma-separated mesh families")
+    sub.add_argument("--n", type=int, default=10, help="subdivisions")
+    sub.add_argument("--dt", type=float, default=1.0e-5, help="time step")
+    sub.add_argument("--vtk", action=BoolFlag, default=False,
+                     help="write a VTK snapshot of every case")
 
-    sub = subs.add_parser("solver-bench",
-                          help="GMRES iteration scaling study")
-    sub.add_argument("--levels")
-    sub.add_argument("--family", choices=studies.FAMILIES)
-    sub.add_argument("--base", type=int)
-    sub.add_argument("--dt", type=float)
-    sub.add_argument("--stabilize", action=BoolFlag)
-    sub.add_argument("--rtol", type=float)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--lloyd-iters", type=int, dest="lloyd_iters")
-    sub.add_argument("--outdir")
-    sub.set_defaults(func=cmd_solver_bench)
+    sub = _subcommand(subs, "solver-bench", cmd_solver_bench,
+                      "GMRES iteration scaling study")
+    sub.add_argument("--levels", default="0,1,2",
+                     help="comma-separated refinement levels")
+    sub.add_argument("--base", type=int, default=10, help="n at level 0")
+    sub.add_argument("--dt", type=float, default=1.0e-5, help="time step")
+    sub.add_argument("--stabilize", action=BoolFlag, default=True,
+                     help=stabilize)
+    sub.add_argument("--rtol", type=float, default=1e-6, help="GMRES rtol")
 
     for sub_parser in subs.choices.values():
         sub_parser.add_argument("--config",
@@ -387,6 +359,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            _apply_config(parser.commands[args.command], args.config)
+            args = parser.parse_args(argv)
         return args.func(args, parser)
     except (ValueError, MeshError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -391,10 +391,6 @@ class PolyMesh:
     def cell_polygon(self, k: int) -> np.ndarray:
         return self.vertices[self.cells[k]]
 
-    def cell_face_vectors(self, k: int) -> np.ndarray:
-        """Vectors c_{K,f} from the cell centroid to its face midpoints."""
-        return self.face_midpoint[self.cell_faces[k]] - self.cell_centroid[k]
-
 
 def kappa_as_tensor(kappa) -> np.ndarray:
     """Normalize a permeability-mobility spec to a 2x2 SPD tensor.
@@ -431,9 +427,9 @@ def k_orthogonality_defect(mesh: PolyMesh, kappa) -> float:
     flow inner product is consistent.
     """
     kt = kappa_as_tensor(kappa)
-    kn = mesh.edge_normals @ kt.T
-    c = mesh.face_midpoint[mesh.edge_faces] \
-        - mesh.cell_centroid[mesh.edge_cells]
+    geo = [group.geometry for group in mesh.cell_groups]
+    kn = np.concatenate([g.normals.reshape(-1, 2) for g in geo]) @ kt.T
+    c = np.concatenate([g.face_vectors.reshape(-1, 2) for g in geo])
     cross = np.abs(kn[:, 0] * c[:, 1] - kn[:, 1] * c[:, 0])
     scale = np.hypot(kn[:, 0], kn[:, 1]) * np.hypot(c[:, 0], c[:, 1])
     return float((cross / scale).max())

@@ -34,8 +34,7 @@ def local_inner_product(cell: CellGeometry, kappa: np.ndarray) -> np.ndarray:
     gamma_K = trace(R kappa^(-1) R^T) / (m |K|).
     """
     m = len(cell.lengths)
-    nmat = cell.normals @ kappa
-    rmat = cell.lengths[:, None] * cell.face_vectors
+    nmat, rmat = consistency_matrices(cell, kappa)
     core = rmat @ np.linalg.solve(kappa, rmat.T)
     gamma = np.trace(core) / (m * cell.area)
     proj = nmat @ np.linalg.solve(nmat.T @ nmat, nmat.T)

@@ -136,15 +136,21 @@ def stabilization_study(families=STABILIZED_FAMILIES + ("voronoi",),
                         *, n: int = 10, dt: float = 1.0e-5, seed: int = 0,
                         lloyd_iters: int = 20) -> list[dict]:
     """Single undrained-limit cantilever step with and without the
-    pressure-jump terms; reports the checkerboard indicator of both."""
+    pressure-jump terms; reports the checkerboard indicator of both.
+
+    Each row keeps the stepped (system, state) pairs under "runs", keyed
+    "unstabilized" and "stabilized" like the indicators, for snapshots.
+    """
     rows = []
     for family in families:
         mesh = family_mesh(family, n, seed=seed, lloyd_iters=lloyd_iters)
-        row = {"family": family, "cells": mesh.num_cells, "dt": dt}
+        row = {"family": family, "cells": mesh.num_cells, "dt": dt,
+               "runs": {}}
         for label, flag in (("unstabilized", False), ("stabilized", True)):
             system, state = cantilever.setup(mesh, dt, stabilize=flag)
             state = system.step(state)
             row[label] = system.jump_indicator(state)
+            row["runs"][label] = system, state
         rows.append(row)
     return rows
 

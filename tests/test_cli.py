@@ -1,10 +1,17 @@
 """Command-line driver: subcommand smoke runs, config merging, exit codes
 and deterministic outputs."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
-from poromech.cli import main
+from poromech.cli import build_parser, main
 from poromech.mesh import read_mesh
+from poromech.problems import cantilever
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 REPORT_HEADER = "step,time,iterations,residual_reduction"
 CONVERGENCE_HEADER = ("level,cells,unknowns,h,dt,steps,"
@@ -137,6 +144,51 @@ def test_flags_override_config_values(tmp_path):
     assert read_mesh(out).num_cells == 9
 
 
+def test_config_boolean_overridden_by_negated_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"stabilize": true}')
+    for extra, partition in (([], True), (["--no-stabilize"], False)):
+        outdir = tmp_path / str(len(extra))
+        assert main(["run", "--n", "2", "--config", str(cfg),
+                     "--outdir", str(outdir)] + extra) == 0
+        # only a stabilized run has macro elements to write
+        assert (outdir / "partition.csv").is_file() == partition
+
+
+def test_config_not_an_object_exits_with_usage_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("3")
+    with pytest.raises(SystemExit) as err:
+        main(["mesh", "--config", str(cfg)])
+    assert err.value.code == 2
+
+
+def test_config_switch_rejects_non_boolean(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"stabilize": "false"}')
+    assert main(["run", "--n", "2", "--config", str(cfg),
+                 "--outdir", str(tmp_path)]) == 1
+    assert "take true or false" in capsys.readouterr().err
+
+
+def test_config_strings_converted_by_option_type(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n": "3"}')
+    out = tmp_path / "m.txt"
+    assert main(["mesh", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read_mesh(out).num_cells == 9
+
+
+def test_readme_examples_parse():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    examples = re.findall(r"`(poromech [^`]*)`", section)
+    assert len(examples) >= 6
+    parser = build_parser()
+    for example in examples:
+        parser.parse_args(shlex.split(example)[1:])
+
+
 # ----- studies ---------------------------------------------------------------------
 
 def test_converge_command_writes_rate_table(tmp_path, monkeypatch):
@@ -200,3 +252,18 @@ def test_solver_bench_command(tmp_path):
     assert len(rows) == 1
     assert int(rows[0]["iterations"]) >= 1
     assert rows[0]["stabilized"] == "true"
+
+
+def test_cantilever_vtk_reuses_study_runs(tmp_path, monkeypatch):
+    calls = []
+    setup = cantilever.setup
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("stabilize"))
+        return setup(*args, **kwargs)
+
+    monkeypatch.setattr(cantilever, "setup", counted)
+    assert main(["cantilever", "--families", "cartesian", "--n", "4",
+                 "--vtk", "--outdir", str(tmp_path)]) == 0
+    assert calls == [False, True]
+    assert (tmp_path / "cantilever_cartesian_unstab.vtk").is_file()

@@ -87,7 +87,8 @@ def test_stored_geometry_is_polygon_geometry(family):
                 mesh.cell_polygon(k), mesh.cell_area[k],
                 mesh.cell_centroid[k], mesh.cell_diam[k],
                 mesh.edge_lengths[edges], mesh.edge_normals[edges],
-                mesh.cell_face_vectors(k))
+                mesh.face_midpoint[mesh.cell_faces[k]]
+                - mesh.cell_centroid[k])
             for name, a, b, c in zip(CellGeometry._fields, alone, row,
                                      stored):
                 assert same_bits(a, b) and same_bits(a, c), name
