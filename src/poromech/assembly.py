@@ -167,8 +167,11 @@ class DiscreteSystem:
     def _build_local_operators(self, tpfa: bool) -> None:
         mesh, mat = self.mesh, self.material
         kappa = kappa_as_tensor(mat.kappa)
-        inner = mfd.local_inner_product_tpfa if tpfa \
-            else mfd.local_inner_product
+        if tpfa:
+            inner, tensors = mfd.local_inner_product_tpfa, (kappa,)
+        else:
+            inner = mfd.local_inner_product
+            tensors = (kappa, np.linalg.inv(kappa))
         self.cell_ops = []
         for group in mesh.cell_groups:
             m, nv = group.vertices.shape
@@ -178,7 +181,7 @@ class DiscreteSystem:
                                         zip(*group.geometry))):
                 cells.append(vem.vem_cell(geo, mat.shear, mat.lam))
                 try:
-                    m_k[i] = inner(geo, kappa)
+                    m_k[i] = inner(geo, *tensors)
                 except ValueError as err:
                     raise ValueError(f"cell {group.cells[i]}: {err}") \
                         from None
@@ -254,7 +257,16 @@ class DiscreteSystem:
         self._u_specs = [(dof,) + specs[dof] for dof in sorted(specs)]
         self.fixed_u = np.array(sorted(specs), dtype=int)
         self.free_u = np.setdiff1d(np.arange(self.n_u), self.fixed_u)
-        if self.fixed_u.size < 3:
+        # the fixed components must pin both translations and every
+        # rotation; a rotation about (x0, y0) moves no fixed component
+        # when each fixed u_x sits on the line y = y0 and each fixed u_y
+        # on the line x = x0
+        vert, comp = np.divmod(self.fixed_u, 2)
+        y_of_ux = mesh.vertices[vert[comp == 0], 1]
+        x_of_uy = mesh.vertices[vert[comp == 1], 0]
+        tol = 1e-12 * np.ptp(mesh.vertices)
+        if (y_of_ux.size == 0 or x_of_uy.size == 0
+                or (np.ptp(y_of_ux) <= tol and np.ptp(x_of_uy) <= tol)):
             raise ValueError(
                 "displacement boundary conditions leave rigid body modes "
                 f"unconstrained ({self.fixed_u.size} fixed components)")

@@ -3,19 +3,21 @@ Lloyd-relaxed Voronoi tessellations of the unit square.
 
 Voronoi cells are clipped to the box by reflecting generators across its
 edges (bounded CVT; Du, Faber and Gunzburger, SIAM Review 1999).  Only the
-boundary generators, whose cells in the diagram of the bare generators are
-unbounded or reach the box, are reflected.  The clipped cells stay exact,
-because a reflection is never closer than its source to a point inside the
-box.  At n = 1,600 each Voronoi pass gives qhull about 2,200 points, not
-5n = 8,000, after one extra call on the 1,600 bare generators.
+generators whose cells reach the box are reflected, and each pass is one
+Delaunay triangulation whose circumcentres are the Voronoi vertices.  The
+pass checks itself: a cell that reaches the box without its generator being
+reflected sends that generator to the reflected set and the pass is
+repeated.  The first Lloyd step starts from no reflections, so its first
+pass is the bare diagram; each later step reflects the generators whose
+cell reached the box, and those within one mean spacing of it, and rarely
+needs a second pass.  At n = 1,600 each pass gives qhull about 2,200
+points, not 5n = 8,000.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
-from scipy.spatial import QhullError, Voronoi
+from scipy.spatial import Delaunay, QhullError
 
 from .core import MeshError, PolyMesh, polygon_area_centroid
 
@@ -25,6 +27,8 @@ SKEW_FREQUENCY = 4.0 * np.pi
 # reaching it, so that qhull's round-off cannot hide a cell that touches
 # the box; reflecting a generator that needs no reflection is harmless
 BOX_MARGIN = 1e-9
+# Voronoi vertices closer than this are one vertex of the mesh
+VERTEX_MERGE = 1e-9
 
 
 def build_cartesian(nx: int, ny: int, width: float = 1.0,
@@ -100,117 +104,156 @@ def build_voronoi(n_cells: int, lloyd_iters: int = 0, seed: int = 0,
         else np.asarray(points, dtype=float).copy()
     for _attempt in range(5):
         try:
-            relaxed = pts
+            relaxed, candidates = pts, np.zeros(len(pts), dtype=bool)
             for _ in range(lloyd_iters):
-                relaxed = _lloyd_step(relaxed)
-            return _voronoi_mesh(relaxed)
-        except (MeshError, QhullError, KeyError, IndexError):
+                relaxed, candidates = _lloyd_step(relaxed, candidates)
+            return _voronoi_mesh(relaxed, candidates)
+        except (MeshError, QhullError):
             pts = np.clip(pts + 1e-7 * rng.standard_normal(pts.shape),
                           1e-6, 1.0 - 1e-6)
     raise MeshError("could not build a valid Voronoi mesh; generators are "
                     "too degenerate")
 
 
-def _flat_regions(vor: Voronoi, n: int):
-    """Vertex counts and concatenated Voronoi-vertex indices (-1 marks an
-    unbounded region) of the regions of the first n generators."""
-    regions = [vor.regions[r] for r in vor.point_region[:n]]
-    sizes = np.fromiter(map(len, regions), dtype=int, count=n)
-    flat = np.fromiter(chain.from_iterable(regions), dtype=int,
-                       count=sizes.sum())
-    return sizes, flat
+def _circumcentres(tri: np.ndarray) -> np.ndarray:
+    """Circumcentres (m, 2) of the triangles (m, 3, 2); not finite for a
+    flat triangle."""
+    a = tri[:, 0]
+    b, c = tri[:, 1] - a, tri[:, 2] - a
+    det = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    bb, cc = (b ** 2).sum(axis=1), (c ** 2).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return a + np.column_stack([c[:, 1] * bb - b[:, 1] * cc,
+                                    b[:, 0] * cc - c[:, 0] * bb]) \
+            / det[:, None]
 
 
-def _reflected(pts: np.ndarray) -> np.ndarray:
-    """Generators followed by the reflections, across the four box edges, of
-    the boundary generators: those whose cell in the Voronoi diagram of the
-    bare generators is unbounded or has a vertex outside the box or within
-    BOX_MARGIN of its boundary.
+def _clipped_cells(pts: np.ndarray, candidates: np.ndarray):
+    """Clipped Voronoi cells of the generators from one Delaunay pass.
 
-    The clipped cells come out exact.  A reflection across a box edge is
-    never closer than its source generator to a point inside the box, so
-    inside the box every cell is the cell of the bare diagram.  The
-    bisector of a generator and its reflection is the box edge itself, so
-    a boundary generator's four reflections cut its cell off at the box;
-    every other cell already lies inside the box.  When the bare generators
-    cannot be triangulated (fewer than three, collinear or coincident),
-    every generator counts as a boundary one.
+    The candidate generators are reflected across the four box edges and
+    the whole set is triangulated; the triangle circumcentres are the
+    Voronoi vertices.  A reflection across a box edge is never closer than
+    its source generator to a point inside the box, so inside the box every
+    cell is the cell of the bare generators, and the bisector of a candidate
+    and its reflection is the box edge itself.  The pass is therefore exact
+    when every other generator's cell is bounded (the generator is not on
+    the hull) and lies inside the box, away from its boundary by
+    BOX_MARGIN; otherwise those generators join the candidates and the set
+    is triangulated again.  When qhull cannot triangulate the set (fewer
+    than three, collinear or coincident generators), every generator is
+    reflected.
+
+    Returns the Voronoi vertices (nt, 2), the cells as one (ids, (m, nv)
+    vertex indices) pair per vertex count, each cell ordered
+    counterclockwise around its vertex mean, and the mask of the cells
+    that reach the box.
     """
     n = len(pts)
-    try:
-        vor = Voronoi(pts)
-    except QhullError:
-        boundary = np.ones(n, dtype=bool)
-    else:
-        sizes, flat = _flat_regions(vor, n)
-        v = vor.vertices
-        # index -1 (a vertex at infinity) picks the appended True
-        outside = np.append(((v < BOX_MARGIN) | (v > 1.0 - BOX_MARGIN))
-                            .any(axis=1), True)
-        boundary = np.bincount(np.repeat(np.arange(n), sizes),
-                               weights=outside[flat], minlength=n) > 0
-    x, y = pts[boundary, 0], pts[boundary, 1]
-    return np.vstack([pts, np.column_stack([-x, y]),
-                      np.column_stack([2.0 - x, y]),
-                      np.column_stack([x, -y]),
-                      np.column_stack([x, 2.0 - y])])
-
-
-def _region_groups(vor: Voronoi, n: int) -> list:
-    """Regions of the first n generators, one (ids, (m, nv) Voronoi-vertex
-    indices) pair per vertex count, each region ordered counterclockwise
-    around its vertex mean."""
-    sizes, flat = _flat_regions(vor, n)
-    if sizes.min() < 3 or flat.min() < 0:
-        raise MeshError("unbounded or degenerate Voronoi region")
+    while True:
+        x, y = pts[candidates, 0], pts[candidates, 1]
+        points = np.vstack([pts, np.column_stack([-x, y]),
+                            np.column_stack([2.0 - x, y]),
+                            np.column_stack([x, -y]),
+                            np.column_stack([x, 2.0 - y])])
+        try:
+            tri = Delaunay(points)
+        except QhullError:
+            if candidates.all():
+                raise
+            candidates = np.ones(n, dtype=bool)
+            continue
+        simplices = tri.simplices[(tri.simplices < n).any(axis=1)]
+        centres = _circumcentres(points[simplices])
+        # a flat triangle (collinear points on the hull) counts as outside
+        inside = ((centres > BOX_MARGIN) & (centres < 1.0 - BOX_MARGIN)) \
+            .all(axis=1)
+        # (generator, triangle) incidences of the first n points
+        owner = simplices.ravel()
+        mine = owner < n
+        owner = owner[mine]
+        corner = np.repeat(np.arange(len(centres)), 3)[mine]
+        reaches = np.bincount(owner, weights=~inside[corner],
+                              minlength=n) > 0
+        unbounded = np.zeros(len(points), dtype=bool)
+        unbounded[tri.convex_hull] = True
+        missed = ~candidates & (reaches | unbounded[:n])
+        if not missed.any():
+            break
+        candidates = candidates | missed
+    sizes = np.bincount(owner, minlength=n)
+    if sizes.min() < 3 or not np.isfinite(centres).all():
+        raise MeshError("degenerate Voronoi cell")
+    corner = corner[np.argsort(owner, kind="stable")]
     offsets = np.cumsum(sizes) - sizes
     groups = []
     for nv in np.unique(sizes):
         ids = np.flatnonzero(sizes == nv)
-        index = flat[offsets[ids, None] + np.arange(nv)]
-        poly = vor.vertices[index]
-        rel = poly - poly.mean(axis=1, keepdims=True)
-        order = np.argsort(np.arctan2(rel[..., 1], rel[..., 0]), axis=1)
-        groups.append((ids, np.take_along_axis(index, order, axis=1)))
-    return groups
+        index = corner[offsets[ids, None] + np.arange(nv)]
+        index = _ccw(index, centres, centres[index].mean(axis=1))
+        # cocircular generators give one circumcentre per triangle: order
+        # around the mean of the distinct vertices, as their Voronoi
+        # diagram has them
+        poly = centres[index]
+        distinct = (np.abs(poly - np.roll(poly, 1, axis=1))
+                    > VERTEX_MERGE).any(axis=2)
+        if not distinct.all():
+            distinct |= ~distinct.any(axis=1, keepdims=True)
+            mean = (poly * distinct[..., None]).sum(axis=1) \
+                / distinct.sum(axis=1, keepdims=True)
+            index = _ccw(index, centres, mean)
+        groups.append((ids, index))
+    return centres, groups, reaches
 
 
-def _lloyd_step(pts: np.ndarray) -> np.ndarray:
-    """Centroids of the clipped Voronoi cells of the generators."""
-    vor = Voronoi(_reflected(pts))
+def _ccw(index: np.ndarray, centres: np.ndarray,
+         mean: np.ndarray) -> np.ndarray:
+    """Rows of vertex indices (m, nv) ordered counterclockwise around the
+    points mean (m, 2)."""
+    rel = centres[index] - mean[:, None]
+    order = np.argsort(np.arctan2(rel[..., 1], rel[..., 0]), axis=1)
+    return np.take_along_axis(index, order, axis=1)
+
+
+def _lloyd_step(pts: np.ndarray, candidates: np.ndarray):
+    """Centroids of the clipped Voronoi cells of the generators, and the
+    candidates for the next step: the generators whose cell reaches the
+    box, and those within one mean spacing 1/sqrt(n) of it."""
+    centres, groups, reaches = _clipped_cells(pts, candidates)
     centroids = np.empty_like(pts)
-    for ids, index in _region_groups(vor, len(pts)):
-        centroids[ids] = polygon_area_centroid(vor.vertices[index])[1]
-    return centroids
+    for ids, index in groups:
+        centroids[ids] = polygon_area_centroid(centres[index])[1]
+    near = np.minimum(centroids, 1.0 - centroids).min(axis=1) \
+        < 1.0 / np.sqrt(len(pts))
+    return centroids, reaches | near
 
 
-def _voronoi_mesh(pts: np.ndarray) -> PolyMesh:
-    vor = Voronoi(_reflected(pts))
-    regions = [None] * len(pts)
-    for ids, index in _region_groups(vor, len(pts)):
-        for k, region in zip(ids, index):
-            regions[k] = region
-    used = sorted({v for r in regions for v in r})
-    coords = vor.vertices[used]
-    # snap coincident vertices (qhull can split high-degree Voronoi
-    # vertices) and clamp onto the box
-    coords = np.where(np.abs(coords) < 1e-9, 0.0, coords)
-    coords = np.where(np.abs(coords - 1.0) < 1e-9, 1.0, coords)
-    keys = np.round(coords, 9)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                  return_inverse=True)
-    remap = {old: int(inverse[i]) for i, old in enumerate(used)}
+def _voronoi_mesh(pts: np.ndarray, candidates: np.ndarray) -> PolyMesh:
+    centres, groups, _ = _clipped_cells(pts, candidates)
+    used, slot = np.unique(np.concatenate([index.ravel()
+                                           for _, index in groups]),
+                           return_inverse=True)
+    coords = centres[used]
+    # snap coincident vertices (cocircular generators give one Voronoi
+    # vertex per Delaunay triangle) and clamp onto the box
+    coords = np.where(np.abs(coords) < VERTEX_MERGE, 0.0, coords)
+    coords = np.where(np.abs(coords - 1.0) < VERTEX_MERGE, 1.0, coords)
+    _, first, inverse = np.unique(np.round(coords, 9), axis=0,
+                                  return_index=True, return_inverse=True)
     vertices = coords[first]
+    remap = inverse.ravel()[slot]
 
-    cells = []
-    for region in regions:
-        cell = []
-        for v in region:
-            nv = remap[v]
-            if not cell or (nv != cell[-1] and nv != cell[0]):
-                cell.append(nv)
-        if len(cell) < 3:
+    cells = [None] * len(pts)
+    start = 0
+    for ids, index in groups:
+        cell = remap[start:start + index.size].reshape(index.shape)
+        start += index.size
+        # drop repeats of the previous or the first vertex
+        keep = np.ones(cell.shape, dtype=bool)
+        keep[:, 1:] = (cell[:, 1:] != cell[:, :-1]) \
+            & (cell[:, 1:] != cell[:, :1])
+        if keep.sum(axis=1).min() < 3:
             raise MeshError("Voronoi cell collapsed during vertex merge")
-        area, _ = polygon_area_centroid(vertices[cell])
-        cells.append(cell if area > 0 else cell[::-1])
+        for k, row, mask in zip(ids, cell, keep):
+            cells[k] = row[mask]
     return PolyMesh(vertices, cells)

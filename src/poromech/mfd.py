@@ -9,7 +9,8 @@ vector c_{K,f}.
 
 Every function takes the CellGeometry record of one cell (face i on edge i)
 and a 2x2 permeability tensor that the caller has already checked with
-mesh.kappa_as_tensor.
+mesh.kappa_as_tensor; local_inner_product also takes its inverse, which the
+caller computes once for all cells.
 """
 
 from __future__ import annotations
@@ -27,15 +28,17 @@ def consistency_matrices(cell: CellGeometry, kappa: np.ndarray):
     return cell.normals @ kappa, cell.lengths[:, None] * cell.face_vectors
 
 
-def local_inner_product(cell: CellGeometry, kappa: np.ndarray) -> np.ndarray:
+def local_inner_product(cell: CellGeometry, kappa: np.ndarray,
+                        kappa_inv: np.ndarray) -> np.ndarray:
     """Mimetic velocity inner product M_K (m, m).
 
     M_K = R kappa^(-1) R^T / |K| + gamma_K (I - N (N^T N)^(-1) N^T) with
-    gamma_K = trace(R kappa^(-1) R^T) / (m |K|).
+    gamma_K = trace(R kappa^(-1) R^T) / (m |K|), where kappa_inv is
+    kappa^(-1).
     """
     m = len(cell.lengths)
     nmat, rmat = consistency_matrices(cell, kappa)
-    core = rmat @ np.linalg.solve(kappa, rmat.T)
+    core = rmat @ kappa_inv @ rmat.T
     gamma = np.trace(core) / (m * cell.area)
     proj = nmat @ np.linalg.solve(nmat.T @ nmat, nmat.T)
     return core / cell.area + gamma * (np.eye(m) - proj)

@@ -34,18 +34,21 @@ def pressure(points, t: float):
 
 def displacement(points, t: float):
     x, y = np.asarray(points, dtype=float).reshape(-1, 2).T
-    return np.sin(PI * t) * np.stack(
-        [-np.cos(PI * x) * np.cos(PI * y),
-         np.sin(PI * x) * np.sin(PI * y)], axis=-1)
+    u = np.empty((x.size, 2))
+    u[:, 0] = -np.cos(PI * x) * np.cos(PI * y)
+    u[:, 1] = np.sin(PI * x) * np.sin(PI * y)
+    u *= np.sin(PI * t)
+    return u
 
 
 def body_force(points, t: float):
     x, y = np.asarray(points, dtype=float).reshape(-1, 2).T
-    b_x = -PI * (6.0 * PI * np.sin(PI * t) * np.cos(PI * y)
-                 + np.sin(PI * y) * np.cos(PI * t)) * np.cos(PI * x)
-    b_y = PI * (6.0 * PI * np.sin(PI * t) * np.sin(PI * y)
-                - np.cos(PI * t) * np.cos(PI * y)) * np.sin(PI * x)
-    return np.stack([b_x, b_y], axis=-1)
+    b = np.empty((x.size, 2))
+    b[:, 0] = -PI * (6.0 * PI * np.sin(PI * t) * np.cos(PI * y)
+                     + np.sin(PI * y) * np.cos(PI * t)) * np.cos(PI * x)
+    b[:, 1] = PI * (6.0 * PI * np.sin(PI * t) * np.sin(PI * y)
+                    - np.cos(PI * t) * np.cos(PI * y)) * np.sin(PI * x)
+    return b
 
 
 def mass_source(points, t: float):

@@ -125,40 +125,117 @@ def four_edge_mirror(pts):
     return np.vstack([pts, left, right, down, up])
 
 
-def reference_voronoi(n_cells, lloyd_iters, seed, points=None, reflect=None):
-    """(vertices, cells) of the Lloyd-relaxed Voronoi mesh, with the CCW
-    ordering and every Lloyd centroid computed one cell at a time.
+def ccw_around_mean(region, coords):
+    """Vertex indices of one region ordered counterclockwise around the mean
+    of its distinct vertices: sorted by angle around the mean of all of
+    them, a vertex within VERTEX_MERGE of its predecessor is a repeat."""
+    from poromech.mesh.generators import VERTEX_MERGE
 
-    The generators are drawn as `build_voronoi` draws them, or given as
-    `points`; `reflect` adds the mirror generators (default: the library's
-    boundary-generator reflection)."""
+    def around(region, mean):
+        rel = coords[region] - mean
+        return region[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]))]
+
+    region = around(region, coords[region].mean(axis=0))
+    poly = coords[region]
+    distinct = [np.abs(poly[j] - poly[j - 1]).max() > VERTEX_MERGE
+                for j in range(len(poly))]
+    if all(distinct) or not any(distinct):
+        return region
+    return around(region, poly[distinct].mean(axis=0))
+
+
+def scipy_voronoi_cells(reflect):
+    """Cells from the regions of scipy's Voronoi diagram of reflect(pts);
+    the interface of `clipped_cells_by_generator`, with no candidates,
+    since reflect picks the mirrors itself."""
     from scipy.spatial import Voronoi
 
-    from poromech.mesh.generators import _reflected
-
-    reflect = _reflected if reflect is None else reflect
-
-    def regions_of(vor, n):
-        out = []
-        for i in range(n):
+    def cells(pts, candidates):
+        vor = Voronoi(reflect(pts))
+        regions = []
+        for i in range(len(pts)):
             region = np.asarray(vor.regions[vor.point_region[i]], dtype=int)
             assert region.min() >= 0 and region.size >= 3
-            poly = vor.vertices[region]
-            center = poly.mean(axis=0)
-            ang = np.arctan2(poly[:, 1] - center[1], poly[:, 0] - center[0])
-            out.append(region[np.argsort(ang)])
-        return out
+            regions.append(ccw_around_mean(region, vor.vertices))
+        return vor.vertices, regions, np.zeros(len(pts), dtype=bool)
+    return cells
 
+
+def clipped_cells_by_generator(pts, candidates):
+    """The library's checked Delaunay pass, one triangle and one generator at
+    a time: (Voronoi vertices, CCW regions, next step's candidates)."""
+    from scipy.spatial import Delaunay, QhullError
+
+    from poromech.mesh.generators import BOX_MARGIN
+
+    n = len(pts)
+    while True:
+        x, y = pts[candidates, 0], pts[candidates, 1]
+        points = np.vstack([pts, np.column_stack([-x, y]),
+                            np.column_stack([2.0 - x, y]),
+                            np.column_stack([x, -y]),
+                            np.column_stack([x, 2.0 - y])])
+        try:
+            tri = Delaunay(points)
+        except QhullError:
+            assert not candidates.all()
+            candidates = np.ones(n, dtype=bool)
+            continue
+        centres, incident = [], [[] for _ in range(n)]
+        for simplex in tri.simplices:
+            if simplex.min() >= n:
+                continue
+            a, b, c = points[simplex]
+            b, c = b - a, c - a
+            det = 2.0 * (b[0] * c[1] - b[1] * c[0])
+            bb, cc = b[0] * b[0] + b[1] * b[1], c[0] * c[0] + c[1] * c[1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                centres.append(a + np.array([c[1] * bb - b[1] * cc,
+                                             b[0] * cc - c[0] * bb]) / det)
+            for v in simplex[simplex < n]:
+                incident[v].append(len(centres) - 1)
+        centres = np.array(centres)
+        hull = set(tri.convex_hull.ravel().tolist())
+        reaches = np.array([any(not np.all((centres[t] > BOX_MARGIN)
+                                           & (centres[t] < 1.0 - BOX_MARGIN))
+                                for t in incident[i])
+                            for i in range(n)])
+        missed = [i for i in range(n) if not candidates[i]
+                  and (reaches[i] or i in hull)]
+        if not missed:
+            break
+        candidates = candidates.copy()
+        candidates[missed] = True
+    regions = [ccw_around_mean(np.array(incident[i]), centres)
+               for i in range(n)]
+    return centres, regions, reaches
+
+
+def reference_voronoi(n_cells, lloyd_iters, seed, points=None, reflect=None):
+    """(vertices, cells) of the Lloyd-relaxed Voronoi mesh, with the CCW
+    ordering, every Lloyd centroid and the vertex merge computed one cell at
+    a time.
+
+    The generators are drawn as `build_voronoi` draws them, or given as
+    `points`.  With `reflect` (a function adding mirror generators) the
+    cells are the regions of scipy's Voronoi diagram of the mirrored set;
+    without it, they come from the library's construction redone generator
+    by generator."""
+    cells_of = clipped_cells_by_generator if reflect is None \
+        else scipy_voronoi_cells(reflect)
     pts = np.random.default_rng(seed).random((n_cells, 2)) \
         if points is None else np.asarray(points, dtype=float)
+    candidates = np.zeros(len(pts), dtype=bool)
     for _ in range(lloyd_iters):
-        vor = Voronoi(reflect(pts))
-        pts = np.array([reference_area_centroid(vor.vertices[r])[1]
-                        for r in regions_of(vor, len(pts))])
-    vor = Voronoi(reflect(pts))
-    regions = regions_of(vor, len(pts))
+        coords, regions, reaches = cells_of(pts, candidates)
+        pts = np.array([reference_area_centroid(coords[r])[1]
+                        for r in regions])
+        near = [min(p.min(), 1.0 - p.max()) < 1.0 / np.sqrt(len(pts))
+                for p in pts]
+        candidates = reaches | np.array(near)
+    coords, regions, _ = cells_of(pts, candidates)
     used = sorted({v for r in regions for v in r})
-    coords = vor.vertices[used]
+    coords = coords[used]
     coords = np.where(np.abs(coords) < 1e-9, 0.0, coords)
     coords = np.where(np.abs(coords - 1.0) < 1e-9, 1.0, coords)
     _, first, inverse = np.unique(np.round(coords, 9), axis=0,

@@ -129,7 +129,7 @@ def test_criterion_3_local_operators():
         kappa = random_spd_tensor(rng)
         geo = polygon_geometry(verts)
         n_mat, r_mat = mfd.consistency_matrices(geo, kappa)
-        m = mfd.local_inner_product(geo, kappa)
+        m = mfd.local_inner_product(geo, kappa, np.linalg.inv(kappa))
         worst_cons = max(worst_cons,
                          np.linalg.norm(m @ n_mat - r_mat)
                          / np.linalg.norm(r_mat))

@@ -259,12 +259,25 @@ def test_initial_state_balances_momentum():
 
 
 def test_all_neumann_mechanics_raises():
-    mesh = build_cartesian(2, 2)
+    """Displacement data that leave a rigid mode free are rejected: none at
+    all, u_x on the left edge only (y-translation free), u_y on the bottom
+    edge only (x-translation free), and u_x on the bottom edge with u_y on
+    the left edge (rotation about their corner free)."""
+    mesh = build_cartesian(4, 4)
     material = Material(shear=1.0, lam=1.0)
-    bcs = BoundaryConditions(
-        traction=[(lambda x: True, lambda x, t: (0.0, 0.0))])
-    with pytest.raises(ValueError, match="rigid"):
-        DiscreteSystem(mesh, material, bcs, dt=1.0)
+    zero = lambda x, t: (0.0, 0.0)
+    left = lambda x: x[0] <= 0.0
+    bottom = lambda x: x[1] <= 0.0
+    for displacement in ([],
+                         [(left, (True, False), zero)],
+                         [(bottom, (False, True), zero)],
+                         [(bottom, (True, False), zero),
+                          (left, (False, True), zero)]):
+        bcs = BoundaryConditions(
+            displacement=displacement,
+            traction=[(lambda x: True, zero)])
+        with pytest.raises(ValueError, match="rigid body modes"):
+            DiscreteSystem(mesh, material, bcs, dt=1.0)
 
 
 # ----- validation --------------------------------------------------------------------

@@ -21,8 +21,11 @@ re-pin only what the change is meant to move.
 Its two Voronoi entries (manufactured and cantilever) were regenerated, and
 the other six copied unchanged, when the Voronoi generator began to reflect
 only its boundary generators: the n = 6 mesh kept its cells and its vertices
-moved by 9.2e-15.  CHANGES.md records the evidence (the new code on the old
-mesh reproduces the old entries within MATRIX_TOL and STATE_TOL).
+moved by 9.2e-15.  They were regenerated again, the same way, when each
+Voronoi pass became one checked Delaunay triangulation: the cells were kept
+and the vertices moved by 4.1e-15.  CHANGES.md records the evidence each
+time (the new code on the old mesh reproduces the old entries within
+MATRIX_TOL and STATE_TOL).
 """
 
 import sys

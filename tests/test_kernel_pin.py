@@ -40,7 +40,8 @@ def check_kernels(cell: CellGeometry, verts, shear, lam, kappa):
     want = reference_vem_cell(verts, shear, lam)
     for name in ("stiffness", "proj", "grad", "mean_row", "mono"):
         assert_pinned(getattr(got, name), getattr(want, name))
-    assert_pinned(mfd.local_inner_product(cell, kappa),
+    assert_pinned(mfd.local_inner_product(cell, kappa,
+                                          np.linalg.inv(kappa)),
                   reference_inner_product(verts, kappa))
     try:
         m_tpfa = reference_inner_product_tpfa(verts, kappa)

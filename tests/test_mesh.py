@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import QhullError
+from scipy.spatial import Delaunay, QhullError
 
 from poromech.mesh import (FACE_FLUX, FACE_INTERIOR, FACE_PRESSURE,
                            MeshError, MeshFormatError, PolyMesh, apply_skew,
@@ -330,8 +330,12 @@ def test_voronoi_too_few_generators():
 
 
 # Largest vertex shift against the four-edge mirror measured at 200
-# generators after 20 Lloyd steps (seeds 0-2): 1.9e-13.
+# generators after 20 Lloyd steps (seeds 0-2): 1.9e-13 when the reflected
+# set came from the bare diagram, 1.1e-13 with the checked Delaunay pass.
 FOUR_EDGE_VERTEX_SHIFT = 5e-13
+# The same at 1,600 generators, seeds 0-9: 7.9e-12 (seed 6) with the
+# checked Delaunay pass.
+FOUR_EDGE_VERTEX_SHIFT_1600 = 2e-11
 
 
 def assert_same_voronoi(mesh, vertices, cells, vertex_tol):
@@ -344,6 +348,35 @@ def assert_same_voronoi(mesh, vertices, cells, vertex_tol):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_voronoi_matches_four_edge_mirror(seed):
     mesh = build_voronoi(200, lloyd_iters=20, seed=seed)
+    vertices, cells = reference_voronoi(200, 20, seed,
+                                        reflect=four_edge_mirror)
+    assert_same_voronoi(mesh, vertices, cells, FOUR_EDGE_VERTEX_SHIFT)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 1])
+def test_voronoi_matches_four_edge_mirror_1600(seed):
+    mesh = build_voronoi(1600, lloyd_iters=20, seed=seed)
+    vertices, cells = reference_voronoi(1600, 20, seed,
+                                        reflect=four_edge_mirror)
+    assert_same_voronoi(mesh, vertices, cells, FOUR_EDGE_VERTEX_SHIFT_1600)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_voronoi_retriangulates_until_exact(seed, monkeypatch):
+    """Every Lloyd step and the final mesh start from no reflected
+    generators, so every pass must find the boundary generators itself and
+    triangulate again; the cells still are the four-edge mirror's."""
+    clipped_cells = generators._clipped_cells
+    monkeypatch.setattr(
+        generators, "_clipped_cells",
+        lambda pts, candidates: clipped_cells(pts, np.zeros_like(candidates)))
+    calls = []
+    monkeypatch.setattr(generators, "Delaunay",
+                        lambda points: calls.append(len(points))
+                        or Delaunay(points))
+    mesh = build_voronoi(200, lloyd_iters=20, seed=seed)
+    assert len(calls) >= 2 * 21 and min(calls) == 200
     vertices, cells = reference_voronoi(200, 20, seed,
                                         reflect=four_edge_mirror)
     assert_same_voronoi(mesh, vertices, cells, FOUR_EDGE_VERTEX_SHIFT)
@@ -367,28 +400,44 @@ DEGENERATE_GENERATORS = {
 @pytest.mark.parametrize("name", sorted(DEGENERATE_GENERATORS))
 def test_voronoi_degenerate_generators(name, monkeypatch):
     """Generators that qhull cannot triangulate on their own still give a
-    mesh, the four-edge mirror's: each of them is reflected."""
+    mesh, the one of reflecting every generator."""
     pts = DEGENERATE_GENERATORS[name]
     mesh = build_voronoi(len(pts), 0, points=pts)
     assert mesh.num_cells == len(pts)
     assert abs(mesh.cell_area.sum() - 1.0) <= 1e-14
     assert np.isfinite(mesh.vertices).all()
-    monkeypatch.setattr(generators, "_reflected", four_edge_mirror)
+    clipped_cells = generators._clipped_cells
+    monkeypatch.setattr(
+        generators, "_clipped_cells",
+        lambda pts, candidates: clipped_cells(pts, np.ones_like(candidates)))
     oracle = build_voronoi(len(pts), 0, points=pts)
     assert_same_voronoi(mesh, oracle.vertices, oracle.cells, 0.0)
+
+
+def test_voronoi_grid_generators_stay_a_grid():
+    """Cocircular generators give flat hull triangles and repeated
+    circumcentres; the square cells stay a fixed point of Lloyd's step."""
+    ticks = (np.arange(10) + 0.5) / 10
+    pts = np.column_stack([np.tile(ticks, 10), np.repeat(ticks, 10)])
+    mesh = build_voronoi(100, 20, points=pts)
+    assert mesh.num_vertices == 121 and mesh.num_faces == 220
+    assert all(len(cell) == 4 for cell in mesh.cells)
+    assert np.abs(mesh.cell_area - 0.01).max() <= 1e-14
 
 
 def test_voronoi_give_up_raises_mesh_error(monkeypatch):
     calls = []
 
-    def failing_voronoi(points):
+    def failing_delaunay(points):
         calls.append(len(points))
         raise QhullError("forced failure")
 
-    monkeypatch.setattr(generators, "Voronoi", failing_voronoi)
+    monkeypatch.setattr(generators, "Delaunay", failing_delaunay)
     with pytest.raises(MeshError, match="too degenerate"):
         build_voronoi(50, 2, seed=0)
-    assert len(calls) == 10     # five attempts, two qhull calls each
+    # five attempts, two passes each: the bare generators, then every
+    # generator reflected
+    assert calls == [50, 250] * 5
 
 
 # ----- k-orthogonality ----------------------------------------------------------

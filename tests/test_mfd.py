@@ -46,13 +46,13 @@ def test_divergence_theorem_identity_on_triangle():
 
 
 def test_inner_product_frozen_unit_square():
-    assert mfd.local_inner_product(SQUARE, I2) == \
+    assert mfd.local_inner_product(SQUARE, I2, I2) == \
         pytest.approx(M_UNIT_SQUARE, abs=1e-14)
 
 
 def test_inner_product_kappa_homogeneity():
-    m_1 = mfd.local_inner_product(SQUARE, I2)
-    m_4 = mfd.local_inner_product(SQUARE, 4.0 * I2)
+    m_1 = mfd.local_inner_product(SQUARE, I2, I2)
+    m_4 = mfd.local_inner_product(SQUARE, 4.0 * I2, 0.25 * I2)
     assert m_4 == pytest.approx(0.25 * m_1, abs=1e-14)
 
 
@@ -87,7 +87,7 @@ def test_mimetic_invariants_random_cells(seed, n_verts):
     nmat, rmat = mfd.consistency_matrices(cell, kappa)
     assert rmat.T @ nmat == pytest.approx(area * kappa, rel=1e-12)
 
-    m_k = mfd.local_inner_product(cell, kappa)
+    m_k = mfd.local_inner_product(cell, kappa, np.linalg.inv(kappa))
     assert m_k == pytest.approx(m_k.T, abs=1e-12 * np.abs(m_k).max())
     assert m_k @ nmat == pytest.approx(
         rmat, abs=1e-12 * np.abs(rmat).max())
