@@ -12,7 +12,11 @@ couples displacements, pressures and traces:
 Volume source callables (body force, fluid source) are vectorized: they take
 an (n, 2) array of points and a time and return (n, 2) or (n,) values.
 Boundary callables (displacement, traction, pressure, flux) take a single
-point and a time.
+point, a (2,) array, and a time.  They run once per step for each item
+they prescribe: displacement once per fixed dof (twice at a vertex with both
+components fixed), pressure once per fixed face, traction and flux once per
+matching face.  They should therefore be cheap to call on one point; the
+`where` selectors run only at set-up.
 
 Set-up works on the vertex-count groups of the mesh cells
 (PolyMesh.cell_groups): the local operators of a group are computed cell by
@@ -254,7 +258,7 @@ class DiscreteSystem:
                         if mask[comp]:
                             specs[2 * v + comp] = (comp, mesh.vertices[v],
                                                    value)
-        self._u_specs = [(dof,) + specs[dof] for dof in sorted(specs)]
+        self._u_specs = [specs[dof] for dof in sorted(specs)]
         self.fixed_u = np.array(sorted(specs), dtype=int)
         self.free_u = np.setdiff1d(np.arange(self.n_u), self.fixed_u)
         # the fixed components must pin both translations and every
@@ -271,7 +275,16 @@ class DiscreteSystem:
                 "displacement boundary conditions leave rigid body modes "
                 f"unconstrained ({self.fixed_u.size} fixed components)")
 
+        # traction faces in boundary-face order, each with its matching
+        # values in the order of bcs.traction
+        self._traction_specs = [
+            (0.5 * mesh.face_length[f], mesh.face_midpoint[f],
+             mesh.faces[f].tolist(), value)
+            for f in boundary for where, value in bcs.traction
+            if where(mesh.face_midpoint[f])]
+
         self.fixed_pi = np.flatnonzero(mesh.face_tags == FACE_PRESSURE)
+        self._pi_points = list(mesh.face_midpoint[self.fixed_pi])
         self.free_pi = np.setdiff1d(np.arange(self.n_pi), self.fixed_pi)
         if self.fixed_pi.size and bcs.pressure is None:
             raise ValueError("mesh has pressure boundary faces but no "
@@ -288,13 +301,9 @@ class DiscreteSystem:
     def dirichlet_values(self, t: float) -> np.ndarray:
         """Prescribed values of the fixed dofs at time t, in self.fixed
         order."""
-        vals = np.empty(self.fixed.size)
-        for i, (dof, comp, x, value) in enumerate(self._u_specs):
-            vals[i] = np.asarray(value(x, t), dtype=float)[comp]
-        for i, f in enumerate(self.fixed_pi):
-            vals[self.fixed_u.size + i] = self.bcs.pressure(
-                self.mesh.face_midpoint[f], t)
-        return vals
+        vals = [value(x, t)[comp] for comp, x, value in self._u_specs]
+        vals += [self.bcs.pressure(x, t) for x in self._pi_points]
+        return np.array(vals, dtype=float)
 
     # ----- global system ----------------------------------------------------
 
@@ -409,18 +418,11 @@ class DiscreteSystem:
             loads[1::2] = np.bincount(cells, wts * load[:, 1],
                                       minlength=self.n_p)
             b_u += self.cell_mean_operator().T @ loads
-        if self.bcs.traction:
-            mesh = self.mesh
-            for f in np.flatnonzero(mesh.boundary_mask):
-                x_f = mesh.face_midpoint[f]
-                for where, value in self.bcs.traction:
-                    if not where(x_f):
-                        continue
-                    half = 0.5 * mesh.face_length[f] * np.asarray(
-                        value(x_f, t), dtype=float)
-                    for v in mesh.faces[f]:
-                        b_u[2 * v] += half[0]
-                        b_u[2 * v + 1] += half[1]
+        for half_length, x_f, verts, value in self._traction_specs:
+            half = half_length * np.asarray(value(x_f, t), dtype=float)
+            for v in verts:
+                b_u[2 * v] += half[0]
+                b_u[2 * v + 1] += half[1]
         return b_u
 
     def mass_rhs(self, state: State, t: float) -> np.ndarray:

@@ -101,11 +101,15 @@ def polygon_quadrature(verts: np.ndarray, centroid: np.ndarray | None = None):
     centroid with the three-edge-midpoint rule per triangle (exact for
     quadratics).
 
-    Triangle i has the vertices c, v_i, v_(i+1).  Its spoke midpoint
-    (c + v_i)/2 is shared with triangle i - 1, so it is stored once with
-    weight (A_(i-1) + A_i)/3.  Returns (points, weights) of shapes
-    (..., 2 nv, 2) and (..., 2 nv): the nv spoke midpoints, then the nv
-    outer edge midpoints; the weights of a polygon sum to its area.
+    Triangle i has the vertices c, v_i, v_(i+1) and the signed area A_i of
+    a counterclockwise polygon.  Its spoke midpoint (c + v_i)/2 is shared
+    with triangle i - 1, so it is stored once with weight (A_(i-1) + A_i)/3.
+    Returns (points, weights) of shapes (..., 2 nv, 2) and (..., 2 nv): the
+    nv spoke midpoints, then the nv outer edge midpoints.  The signed areas
+    make the rule exact for quadratics on any simple polygon, and the
+    weights of a polygon sum to its area; a polygon that is not star-shaped
+    around its centroid has clockwise fan triangles, and so can have
+    negative weights.
     """
     verts = np.asarray(verts, dtype=float)
     if centroid is None:
@@ -113,8 +117,7 @@ def polygon_quadrature(verts: np.ndarray, centroid: np.ndarray | None = None):
     center = np.asarray(centroid, dtype=float)[..., None, :]
     nxt = _cyclic_next(verts)
     da, db = verts - center, nxt - center
-    third = 0.5 * np.abs(da[..., 0] * db[..., 1]
-                         - da[..., 1] * db[..., 0]) / 3.0
+    third = 0.5 * (da[..., 0] * db[..., 1] - da[..., 1] * db[..., 0]) / 3.0
     prev = np.concatenate([third[..., -1:], third[..., :-1]], axis=-1)
     points = np.concatenate([0.5 * (center + verts), 0.5 * (verts + nxt)],
                             axis=-2)

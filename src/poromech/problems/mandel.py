@@ -16,10 +16,14 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..assembly import BoundaryConditions, DiscreteSystem, Material, State
 from ..mesh import PolyMesh
+
+
+# Newton steps converge in a handful of iterations; bisection alone takes
+# about 55 to shrink a bracket of width pi/2 to machine precision
+_ROOT_ITERATIONS = 100
 
 
 def default_material() -> Material:
@@ -32,18 +36,39 @@ def series_roots(ratio: float, count: int) -> np.ndarray:
     """First roots of tan(x) = ratio * x for ratio > 1.
 
     The n-th root lies in (n pi, (n + 1/2) pi), n = 0, 1, ...; the bracket
-    endpoints are clipped inward to avoid the tangent poles.
+    endpoints are clipped inward to avoid the tangent poles.  All brackets
+    are solved at once by Newton's method on g(x) = sin x - ratio x cos x,
+    which has no poles, safeguarded by bisection (Press et al., rtsafe): a
+    Newton step that leaves the bracket or fails to halve the previous step
+    is replaced by the bracket midpoint.
     """
     if ratio <= 1.0:
         raise ValueError(f"root equation needs ratio > 1, got {ratio}")
     eps = 1e-9
-    roots = np.empty(count)
-    for k in range(count):
-        lo = k * np.pi + eps
-        hi = (k + 0.5) * np.pi - eps
-        roots[k] = brentq(lambda x: np.tan(x) - ratio * x, lo, hi,
-                          xtol=1e-15, rtol=1e-15)
-    return roots
+    k = np.arange(count)
+    lo = k * np.pi + eps
+    hi = (k + 0.5) * np.pi - eps
+    # g goes from the sign -(-1)^k at lo to (-1)^k at hi, so (-1)^k g
+    # changes from negative to positive in every bracket
+    sign = (-1.0) ** k
+    # start from the large-root asymptote (k + 1/2) pi - 1/(ratio x)
+    x = hi - 1.0 / (ratio * hi)
+    x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
+    last = hi - lo
+    for _ in range(_ROOT_ITERATIONS):
+        sin, cos = np.sin(x), np.cos(x)
+        g = sin - ratio * x * cos
+        lo = np.where(sign * g < 0.0, x, lo)
+        hi = np.where(sign * g > 0.0, x, hi)
+        newton = x - g / ((1.0 - ratio) * cos + ratio * x * sin)
+        take = ((newton >= lo) & (newton <= hi)
+                & (np.abs(newton - x) <= 0.5 * np.abs(last)))
+        new = np.where(take, newton, 0.5 * (lo + hi))
+        last = new - x
+        x = new
+        if np.all(np.abs(last) <= 2.0 * np.finfo(float).eps * x):
+            return x
+    raise RuntimeError("series root iteration did not converge")
 
 
 class MandelSolution:

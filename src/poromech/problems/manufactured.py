@@ -15,6 +15,8 @@ tests.  Displacements and pressure are prescribed on the whole boundary.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..assembly import BoundaryConditions, DiscreteSystem, Material, State
@@ -27,27 +29,47 @@ def default_material() -> Material:
     return Material(shear=1.0, lam=1.0, alpha=1.0, storage=0.0, kappa=1.0)
 
 
+# The exact fields are written once, for a module of elementwise functions:
+# numpy on arrays of points, or math on the Python floats of one boundary
+# point, which builds no array per call.
+def _pressure(lib, x, y, t):
+    return -lib.cos(PI * t) * lib.sin(PI * x) * lib.sin(PI * y)
+
+
+def _displacement(lib, x, y, t):
+    s_t = lib.sin(PI * t)
+    return (-lib.cos(PI * x) * lib.cos(PI * y) * s_t,
+            lib.sin(PI * x) * lib.sin(PI * y) * s_t)
+
+
 def pressure(points, t: float):
     x, y = np.asarray(points, dtype=float).reshape(-1, 2).T
-    return -np.cos(PI * t) * np.sin(PI * x) * np.sin(PI * y)
+    return _pressure(np, x, y, t)
 
 
 def displacement(points, t: float):
     x, y = np.asarray(points, dtype=float).reshape(-1, 2).T
-    u = np.empty((x.size, 2))
-    u[:, 0] = -np.cos(PI * x) * np.cos(PI * y)
-    u[:, 1] = np.sin(PI * x) * np.sin(PI * y)
-    u *= np.sin(PI * t)
-    return u
+    return np.column_stack(_displacement(np, x, y, t))
+
+
+def boundary_pressure(point, t: float) -> float:
+    """Exact pressure at one point, a (2,) array."""
+    return _pressure(math, *point.tolist(), t)
+
+
+def boundary_displacement(point, t: float) -> tuple[float, float]:
+    """Exact displacement at one point, a (2,) array."""
+    return _displacement(math, *point.tolist(), t)
 
 
 def body_force(points, t: float):
     x, y = np.asarray(points, dtype=float).reshape(-1, 2).T
+    sin_x, cos_x = np.sin(PI * x), np.cos(PI * x)
+    sin_y, cos_y = np.sin(PI * y), np.cos(PI * y)
+    sin_t, cos_t = np.sin(PI * t), np.cos(PI * t)
     b = np.empty((x.size, 2))
-    b[:, 0] = -PI * (6.0 * PI * np.sin(PI * t) * np.cos(PI * y)
-                     + np.sin(PI * y) * np.cos(PI * t)) * np.cos(PI * x)
-    b[:, 1] = PI * (6.0 * PI * np.sin(PI * t) * np.sin(PI * y)
-                    - np.cos(PI * t) * np.cos(PI * y)) * np.sin(PI * x)
+    b[:, 0] = -PI * (6.0 * PI * sin_t * cos_y + sin_y * cos_t) * cos_x
+    b[:, 1] = PI * (6.0 * PI * sin_t * sin_y - cos_t * cos_y) * sin_x
     return b
 
 
@@ -67,9 +89,8 @@ def setup(mesh: PolyMesh, dt: float, *, stabilize: bool = False,
     material = default_material()
     mesh.tag_boundary(pressure=lambda x: True)
     bcs = BoundaryConditions(
-        displacement=[(lambda x: True, (True, True),
-                       lambda x, t: displacement(x[None, :], t)[0])],
-        pressure=lambda x, t: float(pressure(x[None, :], t)[0]))
+        displacement=[(lambda x: True, (True, True), boundary_displacement)],
+        pressure=boundary_pressure)
     system = DiscreteSystem(mesh, material, bcs, dt,
                             stabilize=stabilize,
                             linear_solver=linear_solver,

@@ -15,14 +15,20 @@ UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 RIGHT_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-def random_convex_polygon(rng, n_verts, radius=1.0):
-    """Strictly convex CCW polygon: points on a random ellipse, sorted by
-    parameter angle (gap bounds avoid slivers and duplicate vertices)."""
+def _polygon_angles(rng, n_verts):
+    """Sorted random angles; gap bounds avoid slivers and duplicate
+    vertices."""
     while True:
         t = np.sort(rng.uniform(0.0, 2.0 * np.pi, n_verts))
         gaps = np.diff(np.append(t, t[0] + 2.0 * np.pi))
         if gaps.min() > 0.05 and gaps.max() < 2.5:
-            break
+            return t
+
+
+def random_convex_polygon(rng, n_verts, radius=1.0):
+    """Strictly convex CCW polygon: points on a random ellipse, sorted by
+    parameter angle."""
+    t = _polygon_angles(rng, n_verts)
     phi = rng.uniform(0.0, np.pi)
     axes = rng.uniform(0.3, 1.0, 2) * radius
     rot = np.array([[np.cos(phi), -np.sin(phi)],
@@ -30,6 +36,47 @@ def random_convex_polygon(rng, n_verts, radius=1.0):
     circle = np.column_stack([np.cos(t), np.sin(t)])
     center = rng.uniform(-1.0, 1.0, 2)
     return center + circle @ np.diag(axes) @ rot.T
+
+
+def random_star_polygon(rng, n_verts):
+    """Simple CCW polygon, star-shaped around a random center: sorted
+    angles with random radii in (0.15, 1), mostly non-convex; its centroid
+    can lie outside its kernel."""
+    t = _polygon_angles(rng, n_verts)
+    radii = rng.uniform(0.15, 1.0, n_verts)
+    center = rng.uniform(-1.0, 1.0, 2)
+    return center + radii[:, None] * np.column_stack([np.cos(t), np.sin(t)])
+
+
+def random_u_polygon(rng):
+    """CCW U-shaped octagon under a random rotation, scaling and shift:
+    a deep notch from the top puts its centroid outside the polygon, so
+    some fan triangles from the centroid are clockwise."""
+    width, height = rng.uniform(0.5, 2.0, 2)
+    left, right = rng.uniform(0.08, 0.2, 2) * width
+    floor = rng.uniform(0.05, 0.15) * height
+    verts = np.array([[0.0, 0.0], [width, 0.0], [width, height],
+                      [width - right, height], [width - right, floor],
+                      [left, floor], [left, height], [0.0, height]])
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    rot = np.array([[np.cos(phi), -np.sin(phi)],
+                    [np.sin(phi), np.cos(phi)]])
+    return rng.uniform(-1.0, 1.0, 2) + verts @ rot.T
+
+
+def polygon_moments(verts):
+    """Exact integrals of 1, x, y, x^2, x y, y^2 over a simple CCW polygon
+    by Green's theorem, summed edge by edge."""
+    x, y = verts[:, 0], verts[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    return np.array([cross.sum() / 2.0,
+                     ((x + xn) * cross).sum() / 6.0,
+                     ((y + yn) * cross).sum() / 6.0,
+                     ((x * x + x * xn + xn * xn) * cross).sum() / 12.0,
+                     ((x * yn + 2.0 * x * y + 2.0 * xn * yn + xn * y)
+                      * cross).sum() / 24.0,
+                     ((y * y + y * yn + yn * yn) * cross).sum() / 12.0])
 
 
 def random_spd_tensor(rng, cond_max=100.0):

@@ -241,6 +241,45 @@ def test_dirichlet_values_held_exactly():
             system.bcs.pressure(system.mesh.face_midpoint[f], new.time))
 
 
+def test_boundary_callables_run_once_per_item():
+    """Per step: displacement data once per fixed dof, pressure once per
+    fixed face, traction and flux once per matching face; the `where`
+    selectors run only at set-up."""
+    mesh = build_cartesian(4, 4)
+    mesh.tag_boundary(pressure=lambda x: x[0] > 1.0 - 1e-9)
+    calls = {}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapped
+
+    top = lambda x: x[1] > 1.0 - 1e-9
+    bcs = BoundaryConditions(
+        displacement=[(counted("where_u", lambda x: x[0] < 1e-9),
+                       (True, True),
+                       counted("u", lambda x, t: (0.0, t)))],
+        traction=[(counted("where_t", top),
+                   counted("t", lambda x, t: (x[0], -1.0))),
+                  (counted("where_t", lambda x: x[1] > 0.5),
+                   counted("t", lambda x, t: (0.0, t)))],
+        pressure=counted("p", lambda x, t: t),
+        flux=counted("q", lambda x, t: 0.1 * t))
+    system = DiscreteSystem(mesh, Material(shear=1.0, lam=1.0), bcs, dt=0.1)
+    n_boundary = int(mesh.boundary_mask.sum())
+    assert calls == {"where_u": n_boundary, "where_t": 2 * n_boundary}
+    calls.clear()
+    state = State(time=0.0, u=np.zeros(system.n_u), p=np.zeros(system.n_p),
+                  pi=np.zeros(system.n_pi))
+    system.step(state)
+    # the four top faces match both tractions, two faces each of the left
+    # and right edges the second one; the 12 faces off the right edge are
+    # flux faces
+    assert calls == {"u": system.fixed_u.size, "p": 4, "t": 4 + 4 + 2 + 2,
+                     "q": 12}
+
+
 # ----- initial state -------------------------------------------------------------------
 
 def test_initial_state_zero_pressure_zero_loads():

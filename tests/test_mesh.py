@@ -18,8 +18,9 @@ from poromech.assembly import BoundaryConditions, DiscreteSystem, Material
 from poromech.mesh import generators
 
 from helpers import (RIGHT_TRIANGLE, UNIT_SQUARE, four_edge_mirror,
-                     random_convex_polygon, random_spd_tensor,
-                     reference_faces, reference_geometry,
+                     polygon_moments, random_convex_polygon,
+                     random_spd_tensor, random_star_polygon,
+                     random_u_polygon, reference_faces, reference_geometry,
                      reference_quadrature, reference_voronoi)
 from poromech.problems.studies import FAMILIES, family_mesh
 
@@ -92,6 +93,32 @@ def test_quadrature_exact_for_quadratics():
     assert wts @ pts[:, 0] == pytest.approx(0.5, abs=1e-14)
     assert wts @ pts[:, 0] ** 2 == pytest.approx(1.0 / 3.0, abs=1e-14)
     assert wts @ (pts[:, 0] * pts[:, 1]) == pytest.approx(0.25, abs=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=3, max_value=12), st.booleans())
+def test_quadrature_exact_on_nonconvex_polygons(seed, n_verts, u_shaped):
+    """Signed fan areas integrate quadratics exactly on simple polygons
+    that are not star-shaped around their centroid; the weights of
+    clockwise fan triangles are negative."""
+    rng = np.random.default_rng(seed)
+    verts = (random_u_polygon(rng) if u_shaped
+             else random_star_polygon(rng, n_verts))
+    area, centroid = polygon_area_centroid(verts)
+    spokes = verts - centroid
+    fan = (spokes[:, 0] * np.roll(spokes[:, 1], -1)
+           - spokes[:, 1] * np.roll(spokes[:, 0], -1))
+    if u_shaped:
+        assert fan.min() < 0.0
+    pts, wts = polygon_quadrature(verts)
+    x, y = pts[:, 0], pts[:, 1]
+    got = wts @ np.column_stack([np.ones_like(x), x, y, x * x, x * y,
+                                 y * y])
+    want = polygon_moments(verts)
+    scale = area * (1.0 + np.abs(verts).max()) ** 2
+    assert wts.sum() == pytest.approx(area, rel=1e-13)
+    assert np.abs(got - want).max() <= 1e-13 * scale
 
 
 def test_quadrature_shares_spoke_midpoints():

@@ -229,6 +229,35 @@ def test_exact_fields_start_consistently():
     assert manufactured.pressure(center, 0.0)[0] == pytest.approx(-1.0)
 
 
+def test_boundary_callables_match_vectorized_fields():
+    """The math-on-floats boundary data agree with the numpy fields."""
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-0.5, 1.5, (200, 2))
+    for t in rng.uniform(0.0, 2.0, 5):
+        u = manufactured.displacement(pts, t)
+        p = manufactured.pressure(pts, t)
+        for i, pt in enumerate(pts):
+            assert np.abs(np.subtract(manufactured.boundary_displacement(
+                pt, t), u[i])).max() <= 4e-16
+            assert abs(manufactured.boundary_pressure(pt, t) - p[i]) \
+                <= 4e-16
+
+
+def test_manufactured_dirichlet_values_match_fields():
+    mesh = build_cartesian(6, 6)
+    system, _ = manufactured.setup(mesh, dt=0.1)
+    vert, comp = np.divmod(system.fixed_u, 2)
+    for t in (0.0, 0.15, 0.7):
+        vals = system.dirichlet_values(t)
+        want_u = manufactured.displacement(mesh.vertices[vert], t)
+        want_p = manufactured.pressure(
+            mesh.face_midpoint[system.fixed_pi], t)
+        assert vals.shape == system.fixed.shape
+        assert np.abs(vals[:vert.size]
+                      - want_u[np.arange(vert.size), comp]).max() <= 4e-16
+        assert np.abs(vals[vert.size:] - want_p).max() <= 4e-16
+
+
 def test_body_force_closes_momentum_balance():
     """Finite-difference residual of -div(2G eps + lam tr I) + alpha grad p
     against the hand-derived body force."""
