@@ -18,13 +18,15 @@ components fixed), pressure once per fixed face, traction and flux once per
 matching face.  They should therefore be cheap to call on one point; the
 `where` selectors run only at set-up.
 
-Set-up works on the vertex-count groups of the mesh cells
-(PolyMesh.cell_groups): the local operators of a group are computed cell by
-cell from the rows of the group's stored CellGeometry and stacked into
-arrays, (m, 2 nv, 2 nv) stiffness matrices and (m, nv, nv) inverse inner
-products, and each global block is built by one COO-to-CSR conversion of
-the stacked index and value arrays of all groups.  The cell quadrature and
-the velocity recovery run once per group as well.
+Set-up is one pass over the vertex-count groups of the mesh cells
+(PolyMesh.cell_groups).  Per group, the VEM and mimetic kernels run once
+per cell on the rows of the group's stored CellGeometry and fill (m, ...)
+arrays, from which the pass emits the COO parts of the four blocks and of
+two operators on interleaved vertex fields: cell_mean (2 n_p, n_u), the x
+and y cell means, and cell_strain (3 n_p, n_u), the cell-mean strains
+(e_xx, e_yy, 2 e_xy).  Each matrix is one COO-to-CSR conversion of the
+parts of all groups.  The inverse velocity inner products stay, one array
+per group, in velocity_inverse; the cell quadrature runs once per group.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ import scipy.sparse as sp
 
 from . import mfd, vem
 from .mesh import FACE_FLUX, FACE_PRESSURE, PolyMesh, kappa_as_tensor
-from .mesh.core import CellGeometry, CellGroup, polygon_quadrature
+from .mesh.core import CellGeometry, polygon_quadrature
 from .solver import BlockPreconditioner, SolverError, factorize, gmres
 from .stab import (assemble_jump_matrix, beta_coefficient,
-                   build_macro_elements)
+                   build_macro_elements, checkerboard_indicator)
 
 # Iterative refinement of the direct solve stops once the componentwise
 # backward error max_i |r_i| / (|A| |x| + |b|)_i is at most REFINE_STOP,
@@ -87,25 +89,13 @@ class BoundaryConditions:
 class State:
     """Discrete solution at one time level.
 
-    The one-sided velocities w are recovered on demand (see
-    DiscreteSystem.recover_velocity) and may be None.
+    The one-sided velocities are not stored; DiscreteSystem.recover_velocity
+    computes them from p and pi.
     """
     time: float
     u: np.ndarray
     p: np.ndarray
     pi: np.ndarray
-    w: np.ndarray | None = None
-
-
-@dataclass
-class CellOperators:
-    """Local operators of one vertex-count group of m cells with nv
-    vertices each, stacked along the first axis."""
-    group: CellGroup
-    stiffness: np.ndarray      # (m, 2 nv, 2 nv), interleaved vector dofs
-    grad: np.ndarray           # (m, 2, nv), cell-mean gradient rows
-    mean_row: np.ndarray       # (m, nv), cell-mean value rows
-    minv: np.ndarray           # (m, nv, nv), inverse velocity inner products
 
 
 def _block_pairs(index: np.ndarray):
@@ -156,19 +146,15 @@ class DiscreteSystem:
         self.n_p = mesh.num_cells
         self.n_pi = mesh.num_faces
 
-        self._build_local_operators(tpfa)
-        self._build_blocks()
+        self._build_operators(tpfa)
         self._build_stabilization(stabilize)
         self._build_dirichlet()
         self._build_system()
         self._quad = None
-        self._mean_op = None
-        self._uu_lu = None
-        self._pipi_lu = None
 
-    # ----- local operators -------------------------------------------------
+    # ----- operators -------------------------------------------------------
 
-    def _build_local_operators(self, tpfa: bool) -> None:
+    def _build_operators(self, tpfa: bool) -> None:
         mesh, mat = self.mesh, self.material
         kappa = kappa_as_tensor(mat.kappa)
         if tpfa:
@@ -176,56 +162,58 @@ class DiscreteSystem:
         else:
             inner = mfd.local_inner_product
             tensors = (kappa, np.linalg.inv(kappa))
-        self.cell_ops = []
+        uu, up, ppi, pipi, mean, strain = [], [], [], [], [], []
+        self.velocity_inverse = []
+        self.velocity_offsets = mesh.cell_offsets
+        self.app_diag = np.empty(self.n_p)
         for group in mesh.cell_groups:
             m, nv = group.vertices.shape
-            cells, m_k = [], np.empty((m, nv, nv))
+            stiffness = np.empty((m, 2 * nv, 2 * nv))
+            grad, mean_row = np.empty((m, 2, nv)), np.empty((m, nv))
+            m_k = np.empty((m, nv, nv))
             # one CellGeometry per cell: the rows of the group's arrays
             for i, geo in enumerate(map(CellGeometry._make,
                                         zip(*group.geometry))):
-                cells.append(vem.vem_cell(geo, mat.shear, mat.lam))
+                cell = vem.vem_cell(geo, mat.shear, mat.lam)
+                stiffness[i], grad[i] = cell.stiffness, cell.grad
+                mean_row[i] = cell.mean_row
                 try:
                     m_k[i] = inner(geo, *tensors)
                 except ValueError as err:
                     raise ValueError(f"cell {group.cells[i]}: {err}") \
                         from None
-            self.cell_ops.append(CellOperators(
-                group=group,
-                stiffness=np.stack([c.stiffness for c in cells]),
-                grad=np.stack([c.grad for c in cells]),
-                mean_row=np.stack([c.mean_row for c in cells]),
-                minv=np.linalg.inv(m_k)))
-        self.velocity_offsets = mesh.cell_offsets
+            minv = np.linalg.inv(m_k)
+            self.velocity_inverse.append(minv)
 
-    def _build_blocks(self) -> None:
-        mesh, mat = self.mesh, self.material
-        uu, up, ppi, pipi = [], [], [], []
-        self.app_diag = np.empty(self.n_p)
-        for ops in self.cell_ops:
-            group = ops.group
-            m, nv = group.vertices.shape
+            ux, uy = 2 * group.vertices, 2 * group.vertices + 1
             dofs = np.empty((m, 2 * nv), dtype=int)
-            dofs[:, 0::2] = 2 * group.vertices
-            dofs[:, 1::2] = 2 * group.vertices + 1
-            uu.append(_block_pairs(dofs) + (ops.stiffness,))
-            div_rows = ops.grad.transpose(0, 2, 1).reshape(m, 2 * nv)
+            dofs[:, 0::2], dofs[:, 1::2] = ux, uy
+            uu.append(_block_pairs(dofs) + (stiffness,))
+            div_rows = grad.transpose(0, 2, 1).reshape(m, 2 * nv)
             up.append((dofs, np.repeat(group.cells, 2 * nv),
                        mat.alpha * mesh.cell_area[group.cells, None]
                        * div_rows))
+            owner = np.broadcast_to(group.cells[:, None], (m, nv))
+            mean += [(2 * owner, ux, mean_row), (2 * owner + 1, uy, mean_row)]
+            dx, dy = grad[:, 0], grad[:, 1]
+            strain += [(3 * owner, ux, dx), (3 * owner + 1, uy, dy),
+                       (3 * owner + 2, ux, dy), (3 * owner + 2, uy, dx)]
 
             fvec = mesh.face_length[group.faces]
-            minv_f = np.matmul(ops.minv, fvec[..., None])[..., 0]
+            minv_f = np.matmul(minv, fvec[..., None])[..., 0]
             self.app_diag[group.cells] = (fvec * minv_f).sum(axis=1)
             ppi.append((np.repeat(group.cells, nv), group.faces,
                         -minv_f * fvec))
             pipi.append(_block_pairs(group.faces)
-                        + (ops.minv * (fvec[:, :, None] * fvec[:, None, :]),))
+                        + (minv * (fvec[:, :, None] * fvec[:, None, :]),))
 
         self.a_uu = _csr(uu, (self.n_u, self.n_u))
         self.a_up = _csr(up, (self.n_u, self.n_p))
         self.a_ppi = _csr(ppi, (self.n_p, self.n_pi))
         self.a_pipi = _csr(pipi, (self.n_pi, self.n_pi))
-        self.storage_diag = self.material.storage * self.mesh.cell_area
+        self.cell_mean = _csr(mean, (2 * self.n_p, self.n_u))
+        self.cell_strain = _csr(strain, (3 * self.n_p, self.n_u))
+        self.storage_diag = mat.storage * mesh.cell_area
 
     def _build_stabilization(self, stabilize: bool) -> None:
         mat = self.material
@@ -389,21 +377,6 @@ class DiscreteSystem:
                           np.concatenate(cells))
         return self._quad
 
-    def cell_mean_operator(self) -> sp.csr_matrix:
-        """Cell means of an interleaved vertex field, (2 n_p, n_u): rows
-        2k and 2k + 1 give the x and y means over cell k, through the cell
-        mean of the displacement space."""
-        if self._mean_op is None:
-            parts = []
-            for ops in self.cell_ops:
-                owner = np.broadcast_to(ops.group.cells[:, None],
-                                        ops.mean_row.shape)
-                verts = ops.group.vertices
-                parts += [(2 * owner, 2 * verts, ops.mean_row),
-                          (2 * owner + 1, 2 * verts + 1, ops.mean_row)]
-            self._mean_op = _csr(parts, (2 * self.n_p, self.n_u))
-        return self._mean_op
-
     def mech_rhs(self, t: float) -> np.ndarray:
         """Momentum right-hand side: body force and traction terms."""
         b_u = np.zeros(self.n_u)
@@ -417,7 +390,7 @@ class DiscreteSystem:
                                       minlength=self.n_p)
             loads[1::2] = np.bincount(cells, wts * load[:, 1],
                                       minlength=self.n_p)
-            b_u += self.cell_mean_operator().T @ loads
+            b_u += self.cell_mean.T @ loads
         for half_length, x_f, verts, value in self._traction_specs:
             half = half_length * np.asarray(value(x_f, t), dtype=float)
             for v in verts:
@@ -465,8 +438,8 @@ class DiscreteSystem:
 
         p0 may be a scalar, a per-cell array, or a vectorized callable of
         the quadrature points.  Displacements solve the momentum equation
-        against p0 unless u0 is given; traces and velocities always solve
-        the flow problem against p0.
+        against p0 unless u0 is given; traces always solve the flow
+        problem against p0.  Each solve factorizes its block afresh.
         """
         mesh = self.mesh
         x_d = self.dirichlet_values(t0)
@@ -480,33 +453,26 @@ class DiscreteSystem:
                                       (self.n_p,)).copy()
 
         if u0 is None:
-            if self._uu_lu is None:
-                self._uu_lu = factorize(
-                    self.a_uu[self.free_u][:, self.free_u])
             b_u = self.mech_rhs(t0) + self.a_up @ p_cells
             b_f = b_u[self.free_u]
             if self.fixed_u.size:
                 b_f = b_f - self.a_uu[self.free_u][:, self.fixed_u] @ u_d
             u0 = np.empty(self.n_u)
-            u0[self.free_u] = self._uu_lu.solve(b_f)
+            u0[self.free_u] = factorize(
+                self.a_uu[self.free_u][:, self.free_u]).solve(b_f)
             u0[self.fixed_u] = u_d
         else:
             u0 = np.asarray(u0, dtype=float)
 
-        if self._pipi_lu is None:
-            self._pipi_lu = factorize(
-                self.a_pipi[self.free_pi][:, self.free_pi])
         r_pi = self.trace_rhs(t0) - self.a_ppi.T @ p_cells
         b_f = r_pi[self.free_pi]
         if self.fixed_pi.size:
             b_f = b_f - self.a_pipi[self.free_pi][:, self.fixed_pi] @ pi_d
         pi0 = np.empty(self.n_pi)
-        pi0[self.free_pi] = self._pipi_lu.solve(b_f)
+        pi0[self.free_pi] = factorize(
+            self.a_pipi[self.free_pi][:, self.free_pi]).solve(b_f)
         pi0[self.fixed_pi] = pi_d
-
-        state = State(time=t0, u=u0, p=p_cells, pi=pi0)
-        state.w = self.recover_velocity(state)
-        return state
+        return State(time=t0, u=u0, p=p_cells, pi=pi0)
 
     def recover_velocity(self, state: State) -> np.ndarray:
         """One-sided face velocities from the cell-local flow equations.
@@ -516,11 +482,10 @@ class DiscreteSystem:
         the order of mesh.cell_faces[k].
         """
         w = np.empty(self.velocity_offsets[-1])
-        for ops in self.cell_ops:
-            group = ops.group
+        for group, minv in zip(self.mesh.cell_groups, self.velocity_inverse):
             fvec = self.mesh.face_length[group.faces]
             rhs = fvec * (state.p[group.cells, None] - state.pi[group.faces])
-            w[group.edges] = np.matmul(ops.minv, rhs[..., None])[..., 0]
+            w[group.edges] = np.matmul(minv, rhs[..., None])[..., 0]
         return w
 
     # ----- inspection ----------------------------------------------------------
@@ -531,5 +496,4 @@ class DiscreteSystem:
 
     def jump_indicator(self, state: State) -> float:
         """Scaled pressure jump energy of a state (see stab module)."""
-        from .stab import checkerboard_indicator
         return checkerboard_indicator(self.mesh, state.p)

@@ -47,6 +47,5 @@ def setup(mesh: PolyMesh, dt: float, *, stabilize: bool = False,
                             linear_solver=linear_solver, rtol=rtol,
                             maxiter=maxiter)
     state0 = State(time=0.0, u=np.zeros(system.n_u),
-                   p=np.zeros(system.n_p), pi=np.zeros(system.n_pi),
-                   w=np.zeros(system.velocity_offsets[-1]))
+                   p=np.zeros(system.n_p), pi=np.zeros(system.n_pi))
     return system, state0

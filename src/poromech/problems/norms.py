@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..assembly import DiscreteSystem, State, _csr
+from ..assembly import DiscreteSystem, State
 
 
 class ErrorNorms:
@@ -26,18 +26,6 @@ class ErrorNorms:
         self.system = system
         self.pressure = pressure
         self.displacement = displacement
-        self._mean_op = system.cell_mean_operator()
-        # Cell-mean strain (e_xx, e_yy, 2 e_xy) per cell from the mean
-        # gradients of the interleaved vertex displacements.
-        parts = []
-        for ops in system.cell_ops:
-            owner = 3 * np.broadcast_to(ops.group.cells[:, None],
-                                        ops.mean_row.shape)
-            ux, uy = 2 * ops.group.vertices, 2 * ops.group.vertices + 1
-            dx, dy = ops.grad[:, 0], ops.grad[:, 1]
-            parts += [(owner, ux, dx), (owner + 1, uy, dy),
-                      (owner + 2, ux, dy), (owner + 2, uy, dx)]
-        self._strain_op = _csr(parts, (3 * system.n_p, system.n_u))
         self._acc = np.zeros(3)
         self.steps = 0
 
@@ -55,12 +43,12 @@ class ErrorNorms:
         means = np.stack(
             [np.bincount(cells, wts * u_exact[:, c], minlength=mesh.num_cells)
              for c in (0, 1)], axis=-1) / area[:, None]
-        diff_u = means - (self._mean_op @ state.u).reshape(-1, 2)
+        diff_u = means - (system.cell_mean @ state.u).reshape(-1, 2)
         e_u = np.sqrt(area @ (diff_u**2).sum(axis=1))
 
         u_interp = np.asarray(
             self.displacement(mesh.vertices, t)).ravel()
-        strain = (self._strain_op @ (u_interp - state.u)).reshape(-1, 3)
+        strain = (system.cell_strain @ (u_interp - state.u)).reshape(-1, 3)
         shear, lam = system.material.shear, system.material.lam
         trace = strain[:, 0] + strain[:, 1]
         s_xx = 2.0 * shear * strain[:, 0] + lam * trace

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from poromech.mesh import PolyMesh, build_cartesian
 from poromech.mesh.core import (kappa_as_tensor, polygon_area_centroid,
                                 polygon_diameter, polygon_edge_geometry)
 from poromech.solver import BREAKDOWN_TOL, KrylovReport, SolverError
@@ -77,6 +78,20 @@ def polygon_moments(verts):
                      ((x * yn + 2.0 * x * y + 2.0 * xn * yn + xn * y)
                       * cross).sum() / 24.0,
                      ((y * y + y * yn + yn * yn) * cross).sum() / 12.0])
+
+
+def dart_mesh(n, amp):
+    """build_cartesian(n, n) with every interior vertex (i, j) with i + j
+    even moved by amp h along (1, 1).  For amp > 1/2 the cells around a
+    moved vertex are darts, quadrilaterals with one reflex vertex; at
+    amp = 0.8 the centroid of such a cell no longer sees its whole
+    boundary."""
+    mesh = build_cartesian(n, n)
+    j, i = np.divmod(np.arange(mesh.num_vertices), n + 1)
+    moved = ~mesh.boundary_vertex_mask & ((i + j) % 2 == 0)
+    vertices = mesh.vertices.copy()
+    vertices[moved] += amp / n
+    return PolyMesh(vertices, mesh.cells)
 
 
 def random_spd_tensor(rng, cond_max=100.0):
@@ -405,8 +420,8 @@ def four_field_blocks(system) -> FourFieldBlocks:
     mesh = system.mesh
     n_w = system.velocity_offsets[-1]
     rows, cols, vals = [], [], []
-    for ops in system.cell_ops:
-        for edges, minv in zip(ops.group.edges, ops.minv):
+    for group, minv_group in zip(mesh.cell_groups, system.velocity_inverse):
+        for edges, minv in zip(group.edges, minv_group):
             for i, row in enumerate(np.linalg.inv(minv)):
                 rows += [edges[i]] * edges.size
                 cols += list(edges)

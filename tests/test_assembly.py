@@ -4,10 +4,14 @@ system."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from poromech import vem
 from poromech.assembly import (BoundaryConditions, DiscreteSystem, Material,
                                State)
-from poromech.mesh import PolyMesh, build_cartesian, build_voronoi
+from poromech.mesh import (PolyMesh, build_cartesian, build_voronoi,
+                           polygon_geometry)
+from poromech.problems.studies import FAMILIES, family_mesh
 
 from helpers import four_field_blocks
 
@@ -165,6 +169,33 @@ def test_condensation_addition_is_diagonal():
     assert np.all(np.diag(added) > 0.0)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_cell_mean_and_strain_operators(family):
+    """cell_mean and cell_strain apply each cell's VEM mean row and mean
+    gradient; the coupling block is alpha |K| times the strain trace."""
+    mesh = family_mesh(family, 6)
+    material = Material(shear=1.3, lam=2.1, alpha=0.7)
+    bcs = BoundaryConditions(
+        displacement=[(lambda x: True, (True, True),
+                       lambda x, t: (0.0, 0.0))])
+    system = DiscreteSystem(mesh, material, bcs, dt=0.1)
+    u = np.random.default_rng(6).standard_normal(system.n_u)
+    means = (system.cell_mean @ u).reshape(-1, 2)
+    strains = (system.cell_strain @ u).reshape(-1, 3)
+    for k, ids in enumerate(mesh.cells):
+        cell = vem.vem_cell(polygon_geometry(mesh.vertices[ids]),
+                            material.shear, material.lam)
+        ux, uy = u[2 * ids], u[2 * ids + 1]
+        assert means[k] == pytest.approx(
+            [cell.mean_row @ ux, cell.mean_row @ uy], rel=1e-12, abs=1e-12)
+        (dxx, dxy), (dyx, dyy) = cell.grad @ ux, cell.grad @ uy
+        assert strains[k] == pytest.approx([dxx, dyy, dxy + dyx],
+                                           rel=1e-12, abs=1e-12)
+    trace = system.cell_strain[0::3] + system.cell_strain[1::3]
+    coupling = (sp.diags(material.alpha * mesh.cell_area) @ trace).T
+    assert (system.a_up != coupling).nnz == 0
+
+
 def test_unknown_layout_matches_mesh_counts():
     system, _ = mixed_problem(3, dt=0.1)
     mesh = system.mesh
@@ -283,10 +314,11 @@ def test_boundary_callables_run_once_per_item():
 # ----- initial state -------------------------------------------------------------------
 
 def test_initial_state_zero_pressure_zero_loads():
-    state = one_cell_system().initial_state(p0=0.0)
+    system = one_cell_system()
+    state = system.initial_state(p0=0.0)
     assert np.abs(state.u).max() == 0.0
     assert np.abs(state.pi).max() == 0.0
-    assert np.abs(state.w).max() == 0.0
+    assert np.abs(system.recover_velocity(state)).max() == 0.0
 
 
 def test_initial_state_balances_momentum():

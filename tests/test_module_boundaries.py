@@ -1,0 +1,50 @@
+"""Module boundaries of the package: each module's private names (a
+leading underscore) stay inside it."""
+
+import ast
+from pathlib import Path
+
+import poromech
+
+PACKAGE = Path(poromech.__file__).parent
+
+
+def _private(dotted):
+    """Whether a dotted name has a part with a leading underscore that is
+    not a dunder."""
+    return any(part.startswith("_") and not part.endswith("__")
+               for part in dotted.split("."))
+
+
+def private_imports(path):
+    """(line, name) of every private name or module the file imports."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = ([module] if _private(module)
+                     else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if _private(name)]
+    return found
+
+
+def test_no_module_imports_private_names():
+    offenders = [f"{path.relative_to(PACKAGE)}:{line} {name}"
+                 for path in sorted(PACKAGE.rglob("*.py"))
+                 for line, name in private_imports(path)]
+    assert offenders == []
+
+
+def test_private_import_check_sees_both_forms(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\n"
+                     "from ..assembly import State, _csr\n"
+                     "from ._impl import helper\n"
+                     "import pkg._hidden\n"
+                     "from . import __version__\n")
+    assert private_imports(probe) == [(2, "_csr"), (3, "_impl"),
+                                      (4, "pkg._hidden")]
