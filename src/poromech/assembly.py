@@ -9,8 +9,10 @@ couples displacements, pressures and traces:
     [ A_up^T   A_pp   dt A_ppi ] [p ] = [ b_p  ]
     [ 0      A_ppi^T    A_pipi ] [pi]   [ b_pi ]
 
-Volume source callables (body force, fluid source) are vectorized: they take
-an (n, 2) array of points and a time and return (n, 2) or (n,) values.
+Volume callables (body force, fluid source, initial pressure) take the
+(n, 2) quadrature points (and a time); their values must broadcast to
+(n, 2) for the body force and to (n,) otherwise, else a ValueError names
+the callable.
 Boundary callables (displacement, traction, pressure, flux) take a single
 point, a (2,) array, and a time.  They run once per step for each item
 they prescribe: displacement once per fixed dof (twice at a vertex with both
@@ -24,9 +26,12 @@ per cell on the rows of the group's stored CellGeometry and fill (m, ...)
 arrays, from which the pass emits the COO parts of the four blocks and of
 two operators on interleaved vertex fields: cell_mean (2 n_p, n_u), the x
 and y cell means, and cell_strain (3 n_p, n_u), the cell-mean strains
-(e_xx, e_yy, 2 e_xy).  Each matrix is one COO-to-CSR conversion of the
-parts of all groups.  The inverse velocity inner products stay, one array
-per group, in velocity_inverse; the cell quadrature runs once per group.
+(e_xx, e_yy, 2 e_xy).  The pass also runs the cell quadrature: the system
+owns the points quad_points, their cells quad_cells and the weights as
+cell_integral (n_p, n_q), so cell_integral @ f(quad_points) integrates f
+over each cell, exactly for quadratics.  Each matrix is one COO-to-CSR
+conversion of the parts of all groups; the inverse velocity inner products
+stay, one array per group, in velocity_inverse.
 """
 
 from __future__ import annotations
@@ -150,7 +155,6 @@ class DiscreteSystem:
         self._build_stabilization(stabilize)
         self._build_dirichlet()
         self._build_system()
-        self._quad = None
 
     # ----- operators -------------------------------------------------------
 
@@ -163,6 +167,7 @@ class DiscreteSystem:
             inner = mfd.local_inner_product
             tensors = (kappa, np.linalg.inv(kappa))
         uu, up, ppi, pipi, mean, strain = [], [], [], [], [], []
+        points, integral, n_q = [], [], 0
         self.velocity_inverse = []
         self.velocity_offsets = mesh.cell_offsets
         self.app_diag = np.empty(self.n_p)
@@ -207,12 +212,22 @@ class DiscreteSystem:
             pipi.append(_block_pairs(group.faces)
                         + (minv * (fvec[:, :, None] * fvec[:, None, :]),))
 
+            q_pts, q_wts = polygon_quadrature(group.geometry.verts,
+                                              group.geometry.centroid)
+            points.append(q_pts.reshape(-1, 2))
+            integral.append((np.repeat(group.cells, q_wts.shape[1]),
+                             n_q + np.arange(q_wts.size), q_wts))
+            n_q += q_wts.size
+
         self.a_uu = _csr(uu, (self.n_u, self.n_u))
         self.a_up = _csr(up, (self.n_u, self.n_p))
         self.a_ppi = _csr(ppi, (self.n_p, self.n_pi))
         self.a_pipi = _csr(pipi, (self.n_pi, self.n_pi))
         self.cell_mean = _csr(mean, (2 * self.n_p, self.n_u))
         self.cell_strain = _csr(strain, (3 * self.n_p, self.n_u))
+        self.quad_points = np.concatenate(points)
+        self.quad_cells = np.concatenate([part[0] for part in integral])
+        self.cell_integral = _csr(integral, (self.n_p, n_q))
         self.storage_diag = mat.storage * mesh.cell_area
 
     def _build_stabilization(self, stabilize: bool) -> None:
@@ -358,24 +373,16 @@ class DiscreteSystem:
 
     # ----- right-hand sides --------------------------------------------------
 
-    def quadrature(self):
-        """Concatenated cell quadrature: (points, weights, owner cells).
-
-        Weights of one cell sum to its area; the rule integrates
-        quadratics exactly on each cell.  The points of a cell are
-        contiguous; cells come in the order of mesh.cell_groups.
-        """
-        if self._quad is None:
-            pts, wts, cells = [], [], []
-            for group in self.mesh.cell_groups:
-                q_pts, q_wts = polygon_quadrature(group.geometry.verts,
-                                                  group.geometry.centroid)
-                pts.append(q_pts.reshape(-1, 2))
-                wts.append(q_wts.ravel())
-                cells.append(np.repeat(group.cells, q_wts.shape[1]))
-            self._quad = (np.concatenate(pts), np.concatenate(wts),
-                          np.concatenate(cells))
-        return self._quad
+    def _integrate(self, name: str, values, *shape) -> np.ndarray:
+        """Cell integrals of the values that the volume callable `name`
+        returned at quad_points, broadcast to (n_q, *shape)."""
+        shape = (len(self.quad_points),) + shape
+        try:
+            values = np.broadcast_to(np.asarray(values, dtype=float), shape)
+        except ValueError:
+            raise ValueError(f"{name} returned shape {np.shape(values)}, "
+                             f"expected {shape}") from None
+        return self.cell_integral @ values
 
     def mech_rhs(self, t: float) -> np.ndarray:
         """Momentum right-hand side: body force and traction terms."""
@@ -383,14 +390,9 @@ class DiscreteSystem:
         if self.body_force is not None:
             # Cell integrals of the load reach the vertices through the
             # transposed cell-mean operator.
-            pts, wts, cells = self.quadrature()
-            load = np.asarray(self.body_force(pts, t), dtype=float)
-            loads = np.empty(2 * self.n_p)
-            loads[0::2] = np.bincount(cells, wts * load[:, 0],
-                                      minlength=self.n_p)
-            loads[1::2] = np.bincount(cells, wts * load[:, 1],
-                                      minlength=self.n_p)
-            b_u += self.cell_mean.T @ loads
+            loads = self._integrate(
+                "body_force", self.body_force(self.quad_points, t), 2)
+            b_u += self.cell_mean.T @ loads.ravel()
         for half_length, x_f, verts, value in self._traction_specs:
             half = half_length * np.asarray(value(x_f, t), dtype=float)
             for v in verts:
@@ -402,10 +404,8 @@ class DiscreteSystem:
         """Mass balance right-hand side: accumulation history and source."""
         b_p = self.a_up.T @ state.u + self.storage_diag * state.p
         if self.mass_source is not None:
-            pts, wts, cells = self.quadrature()
-            src = np.asarray(self.mass_source(pts, t), dtype=float)
-            b_p = b_p + self.dt * np.bincount(cells, wts * src,
-                                              minlength=self.n_p)
+            b_p = b_p + self.dt * self._integrate(
+                "mass_source", self.mass_source(self.quad_points, t))
         return b_p
 
     def trace_rhs(self, t: float) -> np.ndarray:
@@ -441,13 +441,11 @@ class DiscreteSystem:
         against p0 unless u0 is given; traces always solve the flow
         problem against p0.  Each solve factorizes its block afresh.
         """
-        mesh = self.mesh
         x_d = self.dirichlet_values(t0)
         u_d, pi_d = x_d[:self.fixed_u.size], x_d[self.fixed_u.size:]
         if callable(p0):
-            pts, wts, cells = self.quadrature()
-            p_cells = np.bincount(cells, wts * np.asarray(p0(pts)),
-                                  minlength=self.n_p) / mesh.cell_area
+            p_cells = (self._integrate("p0", p0(self.quad_points))
+                       / self.mesh.cell_area)
         else:
             p_cells = np.broadcast_to(np.asarray(p0, dtype=float),
                                       (self.n_p,)).copy()

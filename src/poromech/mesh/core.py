@@ -213,11 +213,8 @@ class PolyMesh:
                             for nv in np.unique(sizes)]
         self._compute_geometry()
         if face_tags is None:
-            self.face_tags = np.where(self.boundary_mask, FACE_FLUX,
-                                      FACE_INTERIOR)
-        else:
-            self.face_tags = np.asarray(face_tags, dtype=int).copy()
-            self._check_tags()
+            face_tags = np.where(self.boundary_mask, FACE_FLUX, FACE_INTERIOR)
+        self.face_tags = face_tags
 
     # -- topology ---------------------------------------------------------
 
@@ -378,16 +375,27 @@ class PolyMesh:
                     tags[f] = FACE_PRESSURE
         self.face_tags = tags
 
-    def _check_tags(self):
+    @property
+    def face_tags(self) -> np.ndarray:
+        """FACE_* code of every face, read-only; assignment stores a
+        checked copy."""
+        return self._face_tags
+
+    @face_tags.setter
+    def face_tags(self, tags):
+        tags = np.array(tags, dtype=int)
+        if tags.shape != (self.num_faces,):
+            raise MeshError(f"expected {self.num_faces} face tags")
+        # FACE_INTERIOR exactly on the interior faces, known codes only
         on_boundary = self.boundary_mask
-        bad = np.flatnonzero(on_boundary & (self.face_tags == FACE_INTERIOR))
+        bad = np.flatnonzero((on_boundary == (tags == FACE_INTERIOR))
+                             | ~np.isin(tags, list(TAG_NAMES)))
         if bad.size:
-            raise MeshError(f"boundary face {bad[0]} tagged interior")
-        bad = np.flatnonzero(~on_boundary & (self.face_tags != FACE_INTERIOR))
-        if bad.size:
-            raise MeshError(f"interior face {bad[0]} carries a boundary tag")
-        if not np.isin(self.face_tags, list(TAG_NAMES)).all():
-            raise MeshError("unknown face tag code")
+            where = "boundary" if on_boundary[bad[0]] else "interior"
+            raise MeshError(f"{where} face {bad[0]} cannot carry tag code "
+                            f"{tags[bad[0]]}")
+        tags.flags.writeable = False  # changes go through the setter
+        self._face_tags = tags
 
     # -- local views --------------------------------------------------------
 

@@ -115,8 +115,7 @@ def read_mesh(path) -> PolyMesh:
             raise MeshFormatError(f"line {ln}: face ({va}, {vb}) listed "
                                   "twice")
         tags[fi] = code
-    mesh.face_tags = np.asarray(tags, dtype=int)
-    mesh._check_tags()
+    mesh.face_tags = tags
     return mesh
 
 

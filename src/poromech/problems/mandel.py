@@ -217,11 +217,9 @@ def profile_cells(mesh: PolyMesh, height: float) -> np.ndarray:
 def exact_cell_means(solution: MandelSolution, system: DiscreteSystem,
                      cells: np.ndarray, t: float) -> np.ndarray:
     """Exact pressure cell means over the given cells at time t."""
-    pts, wts, owners = system.quadrature()
-    values = solution.pressure(pts[:, 0], t)
-    integrals = np.bincount(owners, wts * values,
-                            minlength=system.n_p)
-    return integrals[cells] / system.mesh.cell_area[cells]
+    values = solution.pressure(system.quad_points[:, 0], t)
+    return (system.cell_integral[cells] @ values
+            / system.mesh.cell_area[cells])
 
 
 def run_profiles(system: DiscreteSystem, solution: MandelSolution,

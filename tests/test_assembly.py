@@ -13,7 +13,7 @@ from poromech.mesh import (PolyMesh, build_cartesian, build_voronoi,
                            polygon_geometry)
 from poromech.problems.studies import FAMILIES, family_mesh
 
-from helpers import four_field_blocks
+from helpers import dart_mesh, four_field_blocks, polygon_moments
 
 
 def mixed_problem(n, dt, stabilize=False):
@@ -368,19 +368,73 @@ def test_constructor_validation():
         DiscreteSystem(mesh, material, bcs, dt=1.0)
 
 
-def test_quadrature_is_cellwise_exact():
-    mesh = build_voronoi(25, 20, seed=1)
-    material = Material(shear=1.0, lam=1.0)
+def clamped_system(mesh, **kwargs):
+    """Unit-modulus system clamped on the whole boundary."""
     bcs = BoundaryConditions(
         displacement=[(lambda x: True, (True, True),
                        lambda x, t: (0.0, 0.0))])
-    system = DiscreteSystem(mesh, material, bcs, dt=1.0)
-    pts, wts, cells = system.quadrature()
-    areas = np.bincount(cells, wts, minlength=mesh.num_cells)
+    return DiscreteSystem(mesh, Material(shear=1.0, lam=1.0), bcs, dt=1.0,
+                          **kwargs)
+
+
+def test_quadrature_is_cellwise_exact():
+    mesh = build_voronoi(25, 20, seed=1)
+    system = clamped_system(mesh)
+    integral, pts = system.cell_integral, system.quad_points
+    assert integral.shape == (mesh.num_cells, len(pts))
+    areas = integral @ np.ones(len(pts))
     assert areas == pytest.approx(mesh.cell_area, rel=1e-12)
-    first = np.bincount(cells, wts * pts[:, 0], minlength=mesh.num_cells)
+    first = integral @ pts[:, 0]
     assert first == pytest.approx(mesh.cell_area * mesh.cell_centroid[:, 0],
                                   rel=1e-12)
+
+
+@pytest.mark.parametrize("name", FAMILIES + ("dart",))
+def test_cell_integral_exact_for_quadratics(name):
+    mesh = dart_mesh(10, 0.8) if name == "dart" else family_mesh(name, 6)
+    system = clamped_system(mesh)
+    x, y = system.quad_points.T
+    # every point belongs to one cell, recorded in quad_cells
+    assert np.array_equal(system.cell_integral.getnnz(axis=0),
+                          np.ones(x.size))
+    owners = system.cell_integral.tocsc().indices
+    assert np.array_equal(system.quad_cells, owners)
+    got = np.column_stack([system.cell_integral @ q
+                           for q in (x * x, x * y, y * y)])
+    want = np.array([polygon_moments(mesh.cell_polygon(k))[3:]
+                     for k in range(mesh.num_cells)])
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_scalar_mass_source_broadcasts():
+    mesh = build_cartesian(4, 4)
+    system = clamped_system(mesh, mass_source=lambda pts, t: 1.0)
+    state = State(time=0.0, u=np.zeros(system.n_u), p=np.zeros(system.n_p),
+                  pi=np.zeros(system.n_pi))
+    assert np.array_equal(system.mass_rhs(state, 0.0), np.full(16, 1 / 16))
+
+
+def test_constant_body_force_broadcasts():
+    mesh = build_cartesian(4, 4)
+    constant = clamped_system(mesh, body_force=lambda pts, t: (0.0, -1.0))
+    per_point = clamped_system(
+        mesh, body_force=lambda pts, t: np.tile([0.0, -1.0], (len(pts), 1)))
+    assert np.array_equal(constant.mech_rhs(0.0), per_point.mech_rhs(0.0))
+    assert constant.mech_rhs(0.0).sum() == pytest.approx(-1.0, rel=1e-14)
+
+
+def test_volume_callable_of_wrong_shape_is_named():
+    mesh = build_cartesian(4, 4)
+    system = clamped_system(mesh, body_force=lambda pts, t: pts[:, 0],
+                            mass_source=lambda pts, t: pts)
+    with pytest.raises(ValueError, match=r"body_force .*\(\d+, 2\)"):
+        system.mech_rhs(0.0)
+    state = State(time=0.0, u=np.zeros(system.n_u), p=np.zeros(system.n_p),
+                  pi=np.zeros(system.n_pi))
+    with pytest.raises(ValueError, match="mass_source"):
+        system.mass_rhs(state, 0.0)
+    with pytest.raises(ValueError, match="p0"):
+        system.initial_state(p0=lambda pts: pts)
 
 
 def test_tpfa_variant_yields_diagonal_velocity_block():

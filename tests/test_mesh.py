@@ -547,6 +547,24 @@ def test_bad_tags_rejected():
         PolyMesh(mesh.vertices, mesh.cells, face_tags=tags)
 
 
+def test_face_tag_assignment_is_checked():
+    mesh = build_cartesian(2, 2)
+    tags = np.where(mesh.boundary_mask, FACE_PRESSURE, FACE_INTERIOR)
+    mesh.face_tags = tags
+    tags[0] = FACE_FLUX
+    assert mesh.face_tags[0] == FACE_PRESSURE  # stored as a copy
+    before = mesh.face_tags
+    for bad in (np.full(mesh.num_faces, FACE_INTERIOR),
+                np.where(mesh.boundary_mask, FACE_FLUX, FACE_PRESSURE),
+                np.where(mesh.boundary_mask, 99, FACE_INTERIOR),
+                tags[:-1]):
+        with pytest.raises(MeshError):
+            mesh.face_tags = bad
+    assert mesh.face_tags is before
+    with pytest.raises(ValueError, match="read-only"):
+        mesh.face_tags[0] = FACE_INTERIOR
+
+
 # ----- file round trips -----------------------------------------------------------
 
 def test_io_roundtrip_idempotent(tmp_path):

@@ -1,5 +1,6 @@
 """Module boundaries of the package: each module's private names (a
-leading underscore) stay inside it."""
+leading underscore) stay inside it, and each object's private attributes
+are read only through self or cls."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,9 @@ from pathlib import Path
 import poromech
 
 PACKAGE = Path(poromech.__file__).parent
+
+# the public API of namedtuples carries a leading underscore
+NAMEDTUPLE_API = {"_make", "_fields", "_replace", "_asdict"}
 
 
 def _private(dotted):
@@ -32,6 +36,18 @@ def private_imports(path):
     return found
 
 
+def private_attributes(path):
+    """(line, expression) of every private attribute taken of an object
+    other than self or cls, the namedtuple API aside."""
+    return sorted((node.lineno, ast.unparse(node))
+                  for node in ast.walk(ast.parse(path.read_text(),
+                                                 filename=str(path)))
+                  if isinstance(node, ast.Attribute) and _private(node.attr)
+                  and node.attr not in NAMEDTUPLE_API
+                  and not (isinstance(node.value, ast.Name)
+                           and node.value.id in ("self", "cls")))
+
+
 def test_no_module_imports_private_names():
     offenders = [f"{path.relative_to(PACKAGE)}:{line} {name}"
                  for path in sorted(PACKAGE.rglob("*.py"))
@@ -48,3 +64,21 @@ def test_private_import_check_sees_both_forms(tmp_path):
                      "from . import __version__\n")
     assert private_imports(probe) == [(2, "_csr"), (3, "_impl"),
                                       (4, "pkg._hidden")]
+
+
+def test_no_private_attribute_access_across_objects():
+    offenders = [f"{path.relative_to(PACKAGE)}:{line} {expr}"
+                 for path in sorted(PACKAGE.rglob("*.py"))
+                 for line, expr in private_attributes(path)]
+    assert offenders == []
+
+
+def test_private_attribute_check_sees_other_objects(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("self._cache = CellGeometry._make(row)\n"
+                     "cls._registry, point._replace(x=1), obj.__dict__\n"
+                     "mesh._check_tags()\n"
+                     "self.mesh._tags = system.solver._lu\n")
+    assert private_attributes(probe) == [(3, "mesh._check_tags"),
+                                         (4, "self.mesh._tags"),
+                                         (4, "system.solver._lu")]
