@@ -7,9 +7,8 @@ stabilization and a block-triangular preconditioned GMRES solver.
 """
 
 from .assembly import BoundaryConditions, DiscreteSystem, Material, State
-from .mesh import (FACE_FLUX, FACE_INTERIOR, FACE_PRESSURE, MeshError,
-                   PolyMesh, build_cartesian, build_hybrid, build_skewed,
-                   build_voronoi, read_mesh, write_mesh)
+from .mesh import (MeshError, PolyMesh, build_cartesian, build_hybrid,
+                   build_skewed, build_voronoi, read_mesh, write_mesh)
 from .solver import BlockPreconditioner, KrylovReport, SolverError, gmres
 from .stab import (MacroPartition, beta_coefficient, build_macro_elements,
                    checkerboard_indicator)
@@ -17,11 +16,10 @@ from .stab import (MacroPartition, beta_coefficient, build_macro_elements,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryConditions", "DiscreteSystem", "Material",
-    "State", "FACE_FLUX", "FACE_INTERIOR", "FACE_PRESSURE", "MeshError",
-    "PolyMesh", "build_cartesian", "build_hybrid", "build_skewed",
-    "build_voronoi", "read_mesh", "write_mesh", "BlockPreconditioner",
-    "KrylovReport", "SolverError", "gmres",
+    "BoundaryConditions", "DiscreteSystem", "Material", "State",
+    "MeshError", "PolyMesh", "build_cartesian", "build_hybrid",
+    "build_skewed", "build_voronoi", "read_mesh", "write_mesh",
+    "BlockPreconditioner", "KrylovReport", "SolverError", "gmres",
     "MacroPartition", "beta_coefficient", "build_macro_elements",
     "checkerboard_indicator", "__version__",
 ]

@@ -17,8 +17,9 @@ Boundary callables (displacement, traction, pressure, flux) take a single
 point, a (2,) array, and a time.  They run once per step for each item
 they prescribe: displacement once per fixed dof (twice at a vertex with both
 components fixed), pressure once per fixed face, traction and flux once per
-matching face.  They should therefore be cheap to call on one point; the
-`where` selectors run only at set-up.
+matching face.  They should therefore be cheap to call on one point.  The
+selectors (each `where` and pressure_where) run only at set-up, once per
+boundary face.
 
 Set-up is one pass over the vertex-count groups of the mesh cells
 (PolyMesh.cell_groups).  Per group, the VEM and mimetic kernels run once
@@ -42,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import mfd, vem
-from .mesh import FACE_FLUX, FACE_PRESSURE, PolyMesh, kappa_as_tensor
+from .mesh import PolyMesh, kappa_as_tensor
 from .mesh.core import CellGeometry, polygon_quadrature
 from .solver import BlockPreconditioner, SolverError, factorize, gmres
 from .stab import (assemble_jump_matrix, beta_coefficient,
@@ -63,7 +64,10 @@ class Material:
 
     shear and lam are the drained elastic moduli, alpha the pressure
     coupling coefficient, storage the specific storage, kappa the (scalar,
-    diagonal or full) permeability over viscosity.
+    diagonal or full) permeability over viscosity.  The scalars must be
+    finite with shear > 0, lam > -shear (so that the plane-strain elasticity
+    tensor is positive definite) and storage >= 0, else a ValueError names
+    the field; DiscreteSystem checks kappa.
     """
     shear: float
     lam: float
@@ -71,21 +75,41 @@ class Material:
     storage: float = 0.0
     kappa: float | np.ndarray = 1.0
 
+    def __post_init__(self):
+        for name, admissible in (("shear", self.shear > 0.0),
+                                 ("lam", self.lam > -self.shear),
+                                 ("alpha", True),
+                                 ("storage", self.storage >= 0.0)):
+            value = getattr(self, name)
+            if not (admissible and np.isfinite(value)):
+                raise ValueError(
+                    f"Material.{name} = {value} is not admissible (finite "
+                    "values with shear > 0, lam > -shear, storage >= 0)")
+
 
 @dataclass
 class BoundaryConditions:
     """Boundary data.
 
-    displacement: list of (where, mask, value); where takes a boundary face
-    midpoint, mask picks the constrained components, value(x, t) gives the
-    prescribed displacement at a vertex of a matching face.
+    The selectors (every `where` and pressure_where) are predicates on a
+    boundary face midpoint.  Each runs once per boundary face at set-up;
+    DiscreteSystem raises a ValueError naming a `where` that matches no
+    face.
+
+    displacement: list of (where, mask, value); mask picks the constrained
+    components, value(x, t) gives the prescribed displacement at a vertex
+    of a matching face.
     traction: list of (where, value) with value(x, t) a 2-vector.
-    pressure: value(x, t) on faces tagged as pressure boundary.
-    flux: outward normal flux value(x, t) on faces tagged as flux boundary;
-    None means no flow.
+    pressure_where: selects the prescribed-pressure faces Gamma_p; None
+    selects none.
+    pressure: value(x, t) on the pressure faces, given exactly when
+    pressure_where selects a face.
+    flux: outward normal flux value(x, t) on every other boundary face,
+    Gamma_q; None means no flow.
     """
     displacement: list = field(default_factory=list)
     traction: list = field(default_factory=list)
+    pressure_where: object = None
     pressure: object = None
     flux: object = None
 
@@ -108,6 +132,20 @@ def _block_pairs(index: np.ndarray):
     n-by-n local blocks coupling the indices (m, n) of each cell."""
     n = index.shape[1]
     return np.repeat(index, n, axis=1), np.tile(index, n)
+
+
+def _matches(name: str, selectors: list, faces: np.ndarray,
+             points: np.ndarray):
+    """(face, i) pairs, in face order, for each face whose point
+    selectors[i] matches.  Each selector runs once per face; a ValueError
+    names one that matches no face."""
+    hits = np.array([[bool(where(x)) for where in selectors]
+                     for x in points], dtype=bool)
+    missing = np.flatnonzero(~hits.any(axis=0))
+    if missing.size:
+        raise ValueError(f"{name}[{missing[0]}] selects no boundary face")
+    rows, cols = np.nonzero(hits)
+    return zip(faces[rows], cols)
 
 
 def _csr(parts, shape) -> sp.csr_matrix:
@@ -250,17 +288,16 @@ class DiscreteSystem:
     def _build_dirichlet(self) -> None:
         mesh, bcs = self.mesh, self.bcs
         boundary = np.flatnonzero(mesh.boundary_mask)
+        midpoints = mesh.face_midpoint[boundary]
         specs = {}
-        for f in boundary:
-            x_f = mesh.face_midpoint[f]
-            for where, mask, value in bcs.displacement:
-                if not where(x_f):
-                    continue
-                for v in mesh.faces[f]:
-                    for comp in (0, 1):
-                        if mask[comp]:
-                            specs[2 * v + comp] = (comp, mesh.vertices[v],
-                                                   value)
+        for f, i in _matches("displacement",
+                             [where for where, _, _ in bcs.displacement],
+                             boundary, midpoints):
+            _, mask, value = bcs.displacement[i]
+            for v in mesh.faces[f]:
+                for comp in (0, 1):
+                    if mask[comp]:
+                        specs[2 * v + comp] = (comp, mesh.vertices[v], value)
         self._u_specs = [specs[dof] for dof in sorted(specs)]
         self.fixed_u = np.array(sorted(specs), dtype=int)
         self.free_u = np.setdiff1d(np.arange(self.n_u), self.fixed_u)
@@ -282,17 +319,23 @@ class DiscreteSystem:
         # values in the order of bcs.traction
         self._traction_specs = [
             (0.5 * mesh.face_length[f], mesh.face_midpoint[f],
-             mesh.faces[f].tolist(), value)
-            for f in boundary for where, value in bcs.traction
-            if where(mesh.face_midpoint[f])]
+             mesh.faces[f].tolist(), bcs.traction[i][1])
+            for f, i in _matches("traction",
+                                 [where for where, _ in bcs.traction],
+                                 boundary, midpoints)]
 
-        self.fixed_pi = np.flatnonzero(mesh.face_tags == FACE_PRESSURE)
+        where_p = bcs.pressure_where or (lambda x: False)
+        on_pressure = np.array([bool(where_p(x)) for x in midpoints])
+        if on_pressure.any() != (bcs.pressure is not None):
+            raise ValueError(
+                "pressure_where selects no boundary face, but a pressure "
+                "value is given" if bcs.pressure is not None else
+                "pressure_where selects boundary faces, but no pressure "
+                "value is given")
+        self.fixed_pi = boundary[on_pressure]
         self._pi_points = list(mesh.face_midpoint[self.fixed_pi])
         self.free_pi = np.setdiff1d(np.arange(self.n_pi), self.fixed_pi)
-        if self.fixed_pi.size and bcs.pressure is None:
-            raise ValueError("mesh has pressure boundary faces but no "
-                             "pressure value was given")
-        self._flux_faces = np.flatnonzero(mesh.face_tags == FACE_FLUX)
+        self._flux_faces = boundary[~on_pressure]
 
         off_p = self.n_u
         off_pi = self.n_u + self.n_p
@@ -409,7 +452,7 @@ class DiscreteSystem:
         return b_p
 
     def trace_rhs(self, t: float) -> np.ndarray:
-        """Flux constraint right-hand side on flux-tagged faces."""
+        """Flux constraint right-hand side on the flux boundary faces."""
         b_pi = np.zeros(self.n_pi)
         if self.bcs.flux is not None:
             mesh = self.mesh

@@ -18,16 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Flow boundary tags. Every face is interior, prescribed-pressure, or
-# prescribed-flux; the three subsets are disjoint and cover all faces.
-FACE_INTERIOR = 0
-FACE_PRESSURE = 1
-FACE_FLUX = 2
-
-TAG_NAMES = {FACE_INTERIOR: "int", FACE_PRESSURE: "p", FACE_FLUX: "q"}
-TAG_CODES = {name: code for code, name in TAG_NAMES.items()}
-
-
 # (t_y, t_x) * _ROTATE = (t_y, -t_x): tangent rotated by -90 degrees
 _ROTATE = np.array([1.0, -1.0])
 # relative asymmetry |k_xy - k_yx| / max |k_ij| that a permeability tensor
@@ -179,7 +169,6 @@ class PolyMesh:
     face_cells : (nf, 2) int array, adjacent cells (second entry -1 on the
         boundary)
     cell_faces : list of int arrays, faces of each cell aligned with its edges
-    face_tags : (nf,) int array of FACE_* codes
     cell_offsets : (nt + 1,) int array, start of each cell's edges in the
         flat edge arrays
     edge_cells, edge_vertices, edge_next : flat edge arrays, the cell and
@@ -193,7 +182,7 @@ class PolyMesh:
         with the batched CellGeometry of its cells
     """
 
-    def __init__(self, vertices, cells, face_tags=None):
+    def __init__(self, vertices, cells):
         self.vertices = np.asarray(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
@@ -212,9 +201,6 @@ class PolyMesh:
         self.cell_groups = [self._cell_group(np.flatnonzero(sizes == nv), nv)
                             for nv in np.unique(sizes)]
         self._compute_geometry()
-        if face_tags is None:
-            face_tags = np.where(self.boundary_mask, FACE_FLUX, FACE_INTERIOR)
-        self.face_tags = face_tags
 
     # -- topology ---------------------------------------------------------
 
@@ -358,44 +344,6 @@ class PolyMesh:
                 nbr[kk].append(ll)
                 nbr[ll].append(kk)
         return [np.array(sorted(n), dtype=int) for n in nbr]
-
-    # -- boundary tagging ---------------------------------------------------
-
-    def tag_boundary(self, pressure=None):
-        """Tag boundary faces by a predicate on face midpoints.
-
-        Faces where ``pressure(midpoint)`` is true become prescribed-pressure
-        faces; the remaining boundary faces become prescribed-flux faces.
-        """
-        on_boundary = self.boundary_mask
-        tags = np.where(on_boundary, FACE_FLUX, FACE_INTERIOR)
-        if pressure is not None:
-            for f in np.flatnonzero(on_boundary):
-                if pressure(self.face_midpoint[f]):
-                    tags[f] = FACE_PRESSURE
-        self.face_tags = tags
-
-    @property
-    def face_tags(self) -> np.ndarray:
-        """FACE_* code of every face, read-only; assignment stores a
-        checked copy."""
-        return self._face_tags
-
-    @face_tags.setter
-    def face_tags(self, tags):
-        tags = np.array(tags, dtype=int)
-        if tags.shape != (self.num_faces,):
-            raise MeshError(f"expected {self.num_faces} face tags")
-        # FACE_INTERIOR exactly on the interior faces, known codes only
-        on_boundary = self.boundary_mask
-        bad = np.flatnonzero((on_boundary == (tags == FACE_INTERIOR))
-                             | ~np.isin(tags, list(TAG_NAMES)))
-        if bad.size:
-            where = "boundary" if on_boundary[bad[0]] else "interior"
-            raise MeshError(f"{where} face {bad[0]} cannot carry tag code "
-                            f"{tags[bad[0]]}")
-        tags.flags.writeable = False  # changes go through the setter
-        self._face_tags = tags
 
     # -- local views --------------------------------------------------------
 

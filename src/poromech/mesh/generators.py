@@ -58,7 +58,7 @@ def apply_skew(mesh: PolyMesh) -> PolyMesh:
     bump = SKEW_AMPLITUDE * np.sin(SKEW_FREQUENCY * x) \
         * np.cos(SKEW_FREQUENCY * y + 0.5 * np.pi)
     vertices = np.column_stack([x + bump, y + bump])
-    return PolyMesh(vertices, mesh.cells, face_tags=mesh.face_tags)
+    return PolyMesh(vertices, mesh.cells)
 
 
 def build_skewed(nx: int, ny: int) -> PolyMesh:

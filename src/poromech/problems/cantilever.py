@@ -37,7 +37,6 @@ def setup(mesh: PolyMesh, dt: float, *, stabilize: bool = False,
     hi = mesh.vertices.max(axis=0)
     width, height = hi - lo
     tol = 1e-9 * max(width, height)
-    mesh.tag_boundary()
     bcs = BoundaryConditions(
         displacement=[(lambda x: x[0] < lo[0] + tol, (True, True),
                        lambda x, t: (0.0, 0.0))],

@@ -179,7 +179,6 @@ def setup(mesh: PolyMesh, dt: float, *, force: float = 2.0e2,
     solution = MandelSolution(material, width=width, force=force,
                               n_terms=n_terms)
     tol = 1e-9 * max(width, height)
-    mesh.tag_boundary(pressure=lambda x: x[0] > width - tol)
 
     # Only u_y is prescribed on the top edge, and it is the same at every
     # top vertex: evaluate the series once per time level.
@@ -200,6 +199,7 @@ def setup(mesh: PolyMesh, dt: float, *, force: float = 2.0e2,
             (lambda x: x[1] > height - tol, (False, True),
              top_displacement),
         ],
+        pressure_where=lambda x: x[0] > width - tol,
         pressure=lambda x, t: 0.0)
     system = DiscreteSystem(mesh, material, bcs, dt,
                             linear_solver=linear_solver,

@@ -87,10 +87,9 @@ def setup(mesh: PolyMesh, dt: float, *, stabilize: bool = False,
     so only the pressure cell means seed the time loop.
     """
     material = default_material()
-    mesh.tag_boundary(pressure=lambda x: True)
     bcs = BoundaryConditions(
         displacement=[(lambda x: True, (True, True), boundary_displacement)],
-        pressure=boundary_pressure)
+        pressure_where=lambda x: True, pressure=boundary_pressure)
     system = DiscreteSystem(mesh, material, bcs, dt,
                             stabilize=stabilize,
                             linear_solver=linear_solver,

@@ -93,12 +93,12 @@ def test_criterion_2_patch_tests():
     p_bar = lambda x: 1.5 * x[..., 0] - 0.7 * x[..., 1] + 0.3
     v_bar = -kappa @ np.array([1.5, -0.7])
     mesh = build_cartesian(10, 10)
-    mesh.tag_boundary(pressure=lambda x: True)
     material = Material(shear=1.0, lam=1.0, alpha=0.0, storage=0.0,
                         kappa=kappa)
     bcs = BoundaryConditions(
         displacement=[(lambda x: True, (True, True),
                        lambda x, t: (0.0, 0.0))],
+        pressure_where=lambda x: True,
         pressure=lambda x, t: p_bar(x))
     system = DiscreteSystem(mesh, material, bcs, dt=1.0)
     state = system.step(system.initial_state(p0=0.0))
@@ -276,13 +276,13 @@ def test_criterion_8_solver():
 
 def test_criterion_9_tpfa_equivalence():
     mesh = build_cartesian(5, 5)
-    mesh.tag_boundary(pressure=lambda x: True)
     kappa = np.diag([2.0, 1.0])
     material = Material(shear=1.0, lam=1.0, alpha=0.0, storage=1.0,
                         kappa=kappa)
     bcs = BoundaryConditions(
         displacement=[(lambda x: True, (True, True),
                        lambda x, t: (0.0, 0.0))],
+        pressure_where=lambda x: True,
         pressure=lambda x, t: 0.0)
     dt = 0.7
     system = DiscreteSystem(mesh, material, bcs, dt, tpfa=True)

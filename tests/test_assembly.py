@@ -21,7 +21,6 @@ def mixed_problem(n, dt, stabilize=False):
     displacement masks, traction, pressure and flux boundaries, body force
     and fluid source, anisotropic permeability, nonzero previous state."""
     mesh = build_cartesian(n, n)
-    mesh.tag_boundary(pressure=lambda x: x[0] > 1.0 - 1e-9)
     material = Material(shear=2.0, lam=3.0, alpha=0.9, storage=0.3,
                         kappa=np.diag([2.0, 1.0]))
     bcs = BoundaryConditions(
@@ -33,6 +32,7 @@ def mixed_problem(n, dt, stabilize=False):
         ],
         traction=[(lambda x: x[1] > 1.0 - 1e-9,
                    lambda x, t: (0.3 * x[0], -1.0 - 0.2 * t))],
+        pressure_where=lambda x: x[0] > 1.0 - 1e-9,
         pressure=lambda x, t: 5.0 * t * x[1],
         flux=lambda x, t: 0.4 * t * (1.0 + x[0]))
 
@@ -208,11 +208,11 @@ def test_unknown_layout_matches_mesh_counts():
 
 def test_zero_loads_keep_zero_state():
     mesh = build_cartesian(3, 3)
-    mesh.tag_boundary(pressure=lambda x: x[0] > 1.0 - 1e-9)
     material = Material(shear=1.0, lam=1.0, alpha=1.0, storage=0.1)
     bcs = BoundaryConditions(
         displacement=[(lambda x: x[0] < 1e-9, (True, True),
                        lambda x, t: (0.0, 0.0))],
+        pressure_where=lambda x: x[0] > 1.0 - 1e-9,
         pressure=lambda x, t: 0.0)
     system = DiscreteSystem(mesh, material, bcs, dt=0.5)
     state = State(time=0.0, u=np.zeros(system.n_u),
@@ -243,7 +243,6 @@ def test_per_cell_mass_balance_sealed_incompressible():
     """With zero storage, no source and no-flow boundaries, each cell
     balances coupled volume change against its face fluxes."""
     mesh = build_cartesian(4, 4)
-    mesh.tag_boundary()
     material = Material(shear=1.0, lam=10.0, alpha=1.0, storage=0.0)
     bcs = BoundaryConditions(
         displacement=[(lambda x: x[0] < 1e-9, (True, True),
@@ -277,7 +276,6 @@ def test_boundary_callables_run_once_per_item():
     fixed face, traction and flux once per matching face; the `where`
     selectors run only at set-up."""
     mesh = build_cartesian(4, 4)
-    mesh.tag_boundary(pressure=lambda x: x[0] > 1.0 - 1e-9)
     calls = {}
 
     def counted(name, fn):
@@ -295,6 +293,7 @@ def test_boundary_callables_run_once_per_item():
                    counted("t", lambda x, t: (x[0], -1.0))),
                   (counted("where_t", lambda x: x[1] > 0.5),
                    counted("t", lambda x, t: (0.0, t)))],
+        pressure_where=lambda x: x[0] > 1.0 - 1e-9,
         pressure=counted("p", lambda x, t: t),
         flux=counted("q", lambda x, t: 0.1 * t))
     system = DiscreteSystem(mesh, Material(shear=1.0, lam=1.0), bcs, dt=0.1)
@@ -363,9 +362,87 @@ def test_constructor_validation():
         DiscreteSystem(mesh, material, bcs, dt=0.0)
     with pytest.raises(ValueError, match="solver"):
         DiscreteSystem(mesh, material, bcs, dt=1.0, linear_solver="cg")
-    mesh.tag_boundary(pressure=lambda x: True)
+    bcs.pressure_where = lambda x: True
     with pytest.raises(ValueError, match="pressure"):
         DiscreteSystem(mesh, material, bcs, dt=1.0)
+
+
+def test_pressure_where_splits_the_flow_boundary():
+    """pressure_where runs once per boundary face and picks the pressure
+    faces, ascending; every other boundary face is a flux face."""
+    mesh = build_cartesian(3, 3)
+    calls = []
+
+    def right(x):
+        calls.append(x)
+        return x[0] > 1.0 - 1e-9
+
+    bcs = BoundaryConditions(
+        displacement=[(lambda x: True, (True, True),
+                       lambda x, t: (0.0, 0.0))],
+        pressure_where=right, pressure=lambda x, t: 0.0,
+        flux=lambda x, t: 1.0)
+    system = DiscreteSystem(mesh, Material(shear=1.0, lam=1.0), bcs, dt=1.0)
+    boundary = np.flatnonzero(mesh.boundary_mask)
+    assert len(calls) == boundary.size
+    assert system.fixed_pi.size == 3
+    assert np.all(np.diff(system.fixed_pi) > 0)
+    assert np.all(mesh.face_midpoint[system.fixed_pi, 0] > 1.0 - 1e-9)
+    assert np.array_equal(system.free_pi, np.setdiff1d(
+        np.arange(mesh.num_faces), system.fixed_pi))
+    flux_faces = np.flatnonzero(system.trace_rhs(0.0))
+    assert np.array_equal(flux_faces,
+                          np.setdiff1d(boundary, system.fixed_pi))
+
+
+def test_selector_that_selects_nothing_is_named():
+    mesh = build_cartesian(3, 3)
+    clamp = (lambda x: True, (True, True), lambda x, t: (0.0, 0.0))
+    nowhere = lambda x: x[0] > 2.0
+    zero = lambda x, t: 0.0
+    for bcs, name in [
+            (BoundaryConditions(displacement=[clamp, (nowhere, (True, False),
+                                                      zero)]),
+             r"displacement\[1\]"),
+            (BoundaryConditions(displacement=[clamp],
+                                traction=[(lambda x: True, zero),
+                                          (nowhere, zero)]),
+             r"traction\[1\]"),
+            (BoundaryConditions(displacement=[clamp], pressure_where=nowhere,
+                                pressure=zero), "pressure_where"),
+            (BoundaryConditions(displacement=[clamp], pressure=zero),
+             "pressure_where")]:
+        with pytest.raises(ValueError, match=name + " selects no boundary"):
+            DiscreteSystem(mesh, Material(shear=1.0, lam=1.0), bcs, dt=1.0)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(shear=0.0), "shear"),
+    (dict(shear=-1.0), "shear"),
+    (dict(shear=np.inf), "shear"),
+    (dict(lam=-1.0), "lam"),
+    (dict(lam=np.nan), "lam"),
+    (dict(alpha=np.nan), "alpha"),
+    (dict(storage=-5.0), "storage"),
+    (dict(storage=np.inf), "storage"),
+])
+def test_material_rejects_non_physical_values(kwargs, name):
+    with pytest.raises(ValueError, match=rf"Material\.{name} "):
+        Material(**{"shear": 1.0, "lam": 1.0, **kwargs})
+
+
+def test_material_admits_negative_lam_above_minus_shear():
+    mesh = build_cartesian(4, 4)
+    bcs = BoundaryConditions(
+        displacement=[(lambda x: True, (True, True),
+                       lambda x, t: (0.0, 0.0))])
+    system = DiscreteSystem(mesh, Material(shear=1.0, lam=-0.9), bcs,
+                            dt=1.0, body_force=lambda pts, t: (1.0, -1.0))
+    state = system.step(State(time=0.0, u=np.zeros(system.n_u),
+                              p=np.zeros(system.n_p),
+                              pi=np.zeros(system.n_pi)))
+    assert np.abs(state.u).max() > 0.0
+    assert np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.p))
 
 
 def clamped_system(mesh, **kwargs):

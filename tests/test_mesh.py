@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay, QhullError
 
-from poromech.mesh import (FACE_FLUX, FACE_INTERIOR, FACE_PRESSURE,
-                           MeshError, MeshFormatError, PolyMesh, apply_skew,
+from poromech.mesh import (MeshError, MeshFormatError, PolyMesh, apply_skew,
                            build_cartesian, build_hybrid, build_skewed,
                            build_voronoi, is_k_orthogonal,
                            k_orthogonality_defect, kappa_as_tensor,
@@ -524,118 +523,89 @@ def test_kappa_as_tensor_rejects_non_spd(kappa, reason):
                        BoundaryConditions(), dt=1.0)
 
 
-# ----- boundary tagging ----------------------------------------------------------
-
-def test_tag_boundary():
-    mesh = build_cartesian(3, 3)
-    mesh.tag_boundary(pressure=lambda x: x[0] > 1.0 - 1e-9)
-    on_boundary = mesh.boundary_mask
-    pressure = mesh.face_tags == FACE_PRESSURE
-    flux = mesh.face_tags == FACE_FLUX
-    assert pressure.sum() == 3
-    assert np.all(mesh.face_midpoint[pressure, 0] > 1.0 - 1e-9)
-    assert np.array_equal(pressure | flux, on_boundary)
-    assert np.array_equal(mesh.face_tags == FACE_INTERIOR, ~on_boundary)
-
-
-def test_bad_tags_rejected():
-    mesh = build_cartesian(2, 2)
-    tags = np.where(mesh.boundary_mask, FACE_FLUX, FACE_INTERIOR)
-    interior = np.flatnonzero(~mesh.boundary_mask)[0]
-    tags[interior] = FACE_PRESSURE
-    with pytest.raises(MeshError):
-        PolyMesh(mesh.vertices, mesh.cells, face_tags=tags)
-
-
-def test_face_tag_assignment_is_checked():
-    mesh = build_cartesian(2, 2)
-    tags = np.where(mesh.boundary_mask, FACE_PRESSURE, FACE_INTERIOR)
-    mesh.face_tags = tags
-    tags[0] = FACE_FLUX
-    assert mesh.face_tags[0] == FACE_PRESSURE  # stored as a copy
-    before = mesh.face_tags
-    for bad in (np.full(mesh.num_faces, FACE_INTERIOR),
-                np.where(mesh.boundary_mask, FACE_FLUX, FACE_PRESSURE),
-                np.where(mesh.boundary_mask, 99, FACE_INTERIOR),
-                tags[:-1]):
-        with pytest.raises(MeshError):
-            mesh.face_tags = bad
-    assert mesh.face_tags is before
-    with pytest.raises(ValueError, match="read-only"):
-        mesh.face_tags[0] = FACE_INTERIOR
-
-
 # ----- file round trips -----------------------------------------------------------
 
 def test_io_roundtrip_idempotent(tmp_path):
     mesh = build_cartesian(3, 3)
-    mesh.tag_boundary(pressure=lambda x: x[0] > 1.0 - 1e-9)
     path = tmp_path / "mesh.txt"
     write_mesh(path, mesh)
     loaded = read_mesh(path)
     assert np.array_equal(loaded.vertices, mesh.vertices)
     assert all(np.array_equal(a, b)
                for a, b in zip(loaded.cells, mesh.cells))
-    assert np.array_equal(loaded.face_tags, mesh.face_tags)
+    assert np.array_equal(loaded.faces, mesh.faces)
     again = tmp_path / "again.txt"
     write_mesh(again, loaded)
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_io_preserves_voronoi_tags(tmp_path):
+def test_io_preserves_voronoi_vertices(tmp_path):
     mesh = build_voronoi(100, 20, seed=3)
-    mesh.tag_boundary(pressure=lambda x: x[1] < 1e-9)
     path = tmp_path / "voronoi.txt"
     write_mesh(path, mesh)
     loaded = read_mesh(path)
-    assert np.array_equal(loaded.face_tags, mesh.face_tags)
-    assert np.allclose(loaded.vertices, mesh.vertices, atol=0.0)
+    assert np.array_equal(loaded.vertices, mesh.vertices)
+    assert np.array_equal(loaded.faces, mesh.faces)
 
 
 def test_io_comments_and_whitespace(tmp_path):
     path = tmp_path / "mesh.txt"
     path.write_text("# single cell\n"
+                    "4 1\n"
+                    "0 0\n1 0\n1 1\n0 1\n"
+                    "4 0 1 2 3  # the cell\n")
+    mesh = read_mesh(path)
+    assert mesh.num_cells == 1
+    assert mesh.num_faces == 4
+
+
+def test_io_rejects_face_lines_of_earlier_layout(tmp_path):
+    """A file with the face count in its header and face lines after the
+    cells is rejected on the header line, with integer or float
+    coordinates alike."""
+    path = tmp_path / "old.txt"
+    path.write_text("# single cell\n"
                     "4 1 4\n"
                     "0 0\n1 0\n1 1\n0 1\n"
                     "4 0 1 2 3  # the cell\n"
                     "0 1 q\n1 2 q\n2 3 q\n3 0 q\n")
-    mesh = read_mesh(path)
-    assert mesh.num_cells == 1
-    assert np.all(mesh.face_tags == FACE_FLUX)
+    with pytest.raises(MeshFormatError, match="line 2: .*face lines"):
+        read_mesh(path)
+    write_mesh(path, build_cartesian(3, 3))
+    lines = path.read_text().splitlines()
+    lines[0] += " 24"
+    path.write_text("\n".join(lines + ["0 1 q"] * 24) + "\n")
+    with pytest.raises(MeshFormatError, match="line 1: .*face lines"):
+        read_mesh(path)
 
 
 def test_io_missing_vertex_is_parse_error(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("4 1 4\n0 0\n1 0\n1 1\n0 1\n"
-                    "4 0 1 2 9\n"
-                    "0 1 q\n1 2 q\n2 3 q\n3 0 q\n")
+    path.write_text("4 1\n0 0\n1 0\n1 1\n0 1\n"
+                    "4 0 1 2 9\n")
     with pytest.raises(MeshFormatError, match="line 6"):
         read_mesh(path)
 
 
 def test_io_malformed_number_names_line(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("4 1 4\n0 0\n1 oops\n1 1\n0 1\n"
-                    "4 0 1 2 3\n0 1 q\n1 2 q\n2 3 q\n3 0 q\n")
+    path.write_text("4 1\n0 0\n1 oops\n1 1\n0 1\n"
+                    "4 0 1 2 3\n")
     with pytest.raises(MeshFormatError, match="line 3"):
         read_mesh(path)
 
 
-def test_io_rejects_unknown_tag_and_trailing(tmp_path):
+def test_io_rejects_trailing_content(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("4 1 4\n0 0\n1 0\n1 1\n0 1\n"
-                    "4 0 1 2 3\n0 1 q\n1 2 q\n2 3 q\n3 0 z\n")
-    with pytest.raises(MeshFormatError, match="tag"):
-        read_mesh(path)
-    path.write_text("4 1 4\n0 0\n1 0\n1 1\n0 1\n"
-                    "4 0 1 2 3\n0 1 q\n1 2 q\n2 3 q\n3 0 q\nextra\n")
-    with pytest.raises(MeshFormatError, match="trailing"):
+    path.write_text("4 1\n0 0\n1 0\n1 1\n0 1\n"
+                    "4 0 1 2 3\nextra\n")
+    with pytest.raises(MeshFormatError, match="line 7: trailing"):
         read_mesh(path)
 
 
 def test_io_truncated_file(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("4 1 4\n0 0\n1 0\n")
+    path.write_text("4 1\n0 0\n1 0\n")
     with pytest.raises(MeshFormatError, match="end of file"):
         read_mesh(path)
 

@@ -131,6 +131,24 @@ def test_series_rejects_compressible_material():
                                        storage=0.0))
 
 
+# ----- set-ups -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("problem", [manufactured, mandel, cantilever],
+                         ids=["manufactured", "mandel", "cantilever"])
+def test_setup_leaves_the_mesh_unchanged(problem):
+    mesh = build_cartesian(4, 4)
+
+    def arrays():
+        return {name: value.copy() for name, value in vars(mesh).items()
+                if isinstance(value, np.ndarray)}
+
+    before = arrays()
+    problem.setup(mesh, 0.1)
+    after = arrays()
+    assert after.keys() == before.keys()
+    assert all(np.array_equal(after[name], before[name]) for name in before)
+
+
 # ----- discrete consolidation setup -----------------------------------------------
 
 def test_setup_rejects_offset_mesh():

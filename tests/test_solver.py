@@ -237,11 +237,11 @@ def test_preconditioner_inverts_block_factor():
 
 def test_preconditioner_on_assembled_system_blocks():
     mesh = build_cartesian(4, 4)
-    mesh.tag_boundary(pressure=lambda x: x[0] > 1.0 - 1e-9)
     material = Material(shear=1.0, lam=4.0, alpha=1.0, storage=1e-3)
     bcs = BoundaryConditions(
         displacement=[(lambda x: x[0] < 1e-9, (True, True),
                        lambda x, t: (0.0, 0.0))],
+        pressure_where=lambda x: x[0] > 1.0 - 1e-9,
         pressure=lambda x, t: 0.0)
     system = DiscreteSystem(mesh, material, bcs, dt=1e-4,
                             stabilize=True, linear_solver="gmres")

@@ -5,8 +5,8 @@ cartesian cantilever at dt = 1e-5, n = 40, 80 and 160.
 
 Each (solver, n) case runs in a fresh process with one BLAS thread, so its
 peak RSS (ru_maxrss) is its own.  Set-up is the `cantilever.setup` call
-(mesh tagging, assembly, factorization or preconditioner build); the step
-time is the median of STEPS timed steps.
+(boundary selection, assembly, factorization or preconditioner build); the
+step time is the median of STEPS timed steps.
 """
 
 from __future__ import annotations
