@@ -12,7 +12,8 @@ couples displacements, pressures and traces:
 Volume callables (body force, fluid source, initial pressure) take the
 (n, 2) quadrature points (and a time); their values must broadcast to
 (n, 2) for the body force and to (n,) otherwise, else a ValueError names
-the callable.
+the callable.  Every call from a system passes the same read-only array,
+its quad_points, so a callable may keep per-point work for it.
 Boundary callables (displacement, traction, pressure, flux) take a single
 point, a (2,) array, and a time.  They run once per step for each item
 they prescribe: displacement once per fixed dof (twice at a vertex with both
@@ -259,11 +260,13 @@ class DiscreteSystem:
 
         self.a_uu = _csr(uu, (self.n_u, self.n_u))
         self.a_up = _csr(up, (self.n_u, self.n_p))
+        self.a_up_t = self.a_up.T.tocsr()
         self.a_ppi = _csr(ppi, (self.n_p, self.n_pi))
         self.a_pipi = _csr(pipi, (self.n_pi, self.n_pi))
         self.cell_mean = _csr(mean, (2 * self.n_p, self.n_u))
         self.cell_strain = _csr(strain, (3 * self.n_p, self.n_u))
         self.quad_points = np.concatenate(points)
+        self.quad_points.flags.writeable = False
         self.quad_cells = np.concatenate([part[0] for part in integral])
         self.cell_integral = _csr(integral, (self.n_p, n_q))
         self.storage_diag = mat.storage * mesh.cell_area
@@ -356,7 +359,7 @@ class DiscreteSystem:
     def _build_system(self) -> None:
         full = sp.bmat(
             [[self.a_uu, -self.a_up, None],
-             [self.a_up.T, self.a_pp, self.dt * self.a_ppi],
+             [self.a_up_t, self.a_pp, self.dt * self.a_ppi],
              [None, self.a_ppi.T, self.a_pipi]], format="csr")
         self._a_ff = full[self.free][:, self.free].tocsr()
         self._a_fd = full[self.free][:, self.fixed].tocsr()
@@ -445,7 +448,7 @@ class DiscreteSystem:
 
     def mass_rhs(self, state: State, t: float) -> np.ndarray:
         """Mass balance right-hand side: accumulation history and source."""
-        b_p = self.a_up.T @ state.u + self.storage_diag * state.p
+        b_p = self.a_up_t @ state.u + self.storage_diag * state.p
         if self.mass_source is not None:
             b_p = b_p + self.dt * self._integrate(
                 "mass_source", self.mass_source(self.quad_points, t))

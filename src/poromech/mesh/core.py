@@ -163,7 +163,7 @@ class PolyMesh:
 
     Attributes
     ----------
-    vertices : (nv, 2) float array
+    vertices : (nv, 2) float array of finite coordinates
     cells : list of int arrays, counterclockwise
     faces : (nf, 2) int array, endpoints in the owner cell's traversal order
     face_cells : (nf, 2) int array, adjacent cells (second entry -1 on the
@@ -186,6 +186,10 @@ class PolyMesh:
         self.vertices = np.asarray(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if bad.size:
+            raise MeshError(f"vertex {bad[0]} has a non-finite coordinate: "
+                            f"{self.vertices[bad[0]].tolist()}")
         self.cells = [np.asarray(c, dtype=int) for c in cells]
         sizes = np.fromiter(map(len, self.cells), dtype=int,
                             count=len(self.cells))

@@ -247,6 +247,14 @@ def test_constructor_rejects_bad_cells():
         PolyMesh(verts, [[0, 1, 2], [0, 1, 3]])       # same traversal twice
 
 
+def test_constructor_rejects_non_finite_vertex():
+    verts = np.array(UNIT_SQUARE, dtype=float)
+    verts[2, 1] = np.inf
+    with np.errstate(all="raise"), \
+            pytest.raises(MeshError, match="vertex 2 .*non-finite"):
+        PolyMesh(verts, [[0, 1, 2, 3]])
+
+
 # A unit square (cell 0) next to a second cell on vertices 4-7 that share
 # no edge with it.
 BAD_INPUT = {
@@ -600,6 +608,15 @@ def test_io_rejects_trailing_content(tmp_path):
     path.write_text("4 1\n0 0\n1 0\n1 1\n0 1\n"
                     "4 0 1 2 3\nextra\n")
     with pytest.raises(MeshFormatError, match="line 7: trailing"):
+        read_mesh(path)
+
+
+def test_io_rejects_non_finite_coordinate(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("4 1\n0 0\n1 0\n1 1\nnan 1\n"
+                    "4 0 1 2 3\n")
+    with np.errstate(all="raise"), \
+            pytest.raises(MeshError, match=r"vertex 3 .*\[nan, 1\.0\]"):
         read_mesh(path)
 
 

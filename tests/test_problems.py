@@ -2,9 +2,13 @@
 reference values, smooth reference fields against finite-difference PDE
 residuals, error norms, and study protocols."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from helpers import dart_mesh
 from poromech.assembly import Material
 from poromech.mesh import PolyMesh, build_cartesian
 from poromech.problems import cantilever, mandel, manufactured, studies
@@ -306,6 +310,62 @@ def test_fluid_source_closes_mass_balance():
         lap_p = fd2(p_at, pt, t, 0) + fd2(p_at, pt, t, 1)
         g = float(manufactured.mass_source(pt[None, :], t)[0])
         assert ddt_div - lap_p - g == pytest.approx(0.0, abs=1e-6 * (1 + abs(g)))
+
+
+# ----- cached spatial factors of the exact fields ---------------------------------
+
+FIELDS = ("pressure", "displacement", "body_force", "mass_source")
+
+
+def exact_fields(points, t):
+    return [getattr(manufactured, name)(points, t) for name in FIELDS]
+
+
+@pytest.mark.parametrize("family", studies.FAMILIES + ("dart",))
+def test_cached_fields_match_fresh_points(family):
+    """On a system's read-only quad_points the fields reuse their spatial
+    factors and give the bits of the same call on a writable copy."""
+    mesh = (dart_mesh(10, 0.8) if family == "dart"
+            else studies.family_mesh(family, 6))
+    system, _ = manufactured.setup(mesh, dt=0.1)
+    points = system.quad_points
+    assert manufactured._trig(points) is manufactured._trig(points)
+    fresh = points.copy()
+    for t in (0.0, 0.1, 0.37, 1.0):
+        for got, want in zip(exact_fields(points, t),
+                             exact_fields(fresh, t)):
+            assert np.array_equal(got, want)
+
+
+def test_fields_follow_points_changed_in_place():
+    """Neither a writable array nor a read-only view of one keeps factors
+    that a change in place would leave stale."""
+    points = np.random.default_rng(5).uniform(0.0, 1.0, (40, 2))
+    view = points[:]
+    view.flags.writeable = False
+    for pts in (points, view):
+        before = exact_fields(pts, 0.3)
+        points += 0.25
+        for got, want, old in zip(exact_fields(pts, 0.3),
+                                  exact_fields(points.copy(), 0.3), before):
+            assert np.array_equal(got, want)
+            assert not np.array_equal(got, old)
+
+
+def test_cached_factors_freed_with_the_system():
+    system, _ = manufactured.setup(build_cartesian(4, 4), dt=0.1)
+    manufactured.body_force(system.quad_points, 0.2)
+    factor = weakref.ref(manufactured._trig(system.quad_points)[0])
+    assert factor() is not None
+    del system
+    gc.collect()
+    assert factor() is None
+
+
+def test_system_quad_points_are_read_only():
+    system, _ = manufactured.setup(build_cartesian(3, 3), dt=0.1)
+    with pytest.raises(ValueError, match="read-only"):
+        system.quad_points[0, 0] = 0.5
 
 
 # ----- error norms ----------------------------------------------------------------
