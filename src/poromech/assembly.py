@@ -171,8 +171,14 @@ class DiscreteSystem:
                  body_force=None, mass_source=None,
                  linear_solver: str = "direct", tpfa: bool = False,
                  rtol: float = 1e-6, maxiter: int = 500):
-        if dt <= 0.0:
-            raise ValueError(f"time step must be positive, got {dt}")
+        # the chained comparisons are False for nan as well
+        if not 0.0 < dt < np.inf:
+            raise ValueError(f"time step dt must be finite and positive, "
+                             f"got {dt}")
+        if not 0.0 < rtol < np.inf:
+            raise ValueError(f"rtol must be finite and positive, got {rtol}")
+        if maxiter < 1:
+            raise ValueError(f"maxiter must be at least 1, got {maxiter}")
         if linear_solver not in ("direct", "gmres"):
             raise ValueError(f"unknown linear solver '{linear_solver}'")
         self.mesh = mesh

@@ -12,12 +12,15 @@ pass is the bare diagram; each later step reflects the generators whose
 cell reached the box, and those within one mean spacing of it, and rarely
 needs a second pass.  At n = 1,600 each pass gives qhull about 2,200
 points, not 5n = 8,000.
+
+scipy.spatial is imported by the Voronoi builder only: the first Voronoi
+build in a process pays for that import (its time and its resident
+memory), and a process that builds no Voronoi mesh never loads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
 
 from .core import MeshError, PolyMesh, polygon_area_centroid
 
@@ -97,6 +100,8 @@ def build_voronoi(n_cells: int, lloyd_iters: int = 0, seed: int = 0,
     Degenerate configurations are retried with a small deterministic jitter;
     when five attempts fail, MeshError is raised (never qhull's error).
     """
+    from scipy.spatial import QhullError
+
     if n_cells < 2 and points is None:
         raise MeshError("a Voronoi mesh needs at least two generators")
     rng = np.random.default_rng(seed)
@@ -149,6 +154,8 @@ def _clipped_cells(pts: np.ndarray, candidates: np.ndarray):
     counterclockwise around its vertex mean, and the mask of the cells
     that reach the box.
     """
+    from scipy.spatial import Delaunay, QhullError
+
     n = len(pts)
     while True:
         x, y = pts[candidates, 0], pts[candidates, 1]

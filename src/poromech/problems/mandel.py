@@ -106,7 +106,11 @@ class MandelSolution:
                       / self.width**2)
 
     def pressure(self, x, t: float):
-        """Pore pressure at horizontal position x and time t > 0."""
+        """Pore pressure at horizontal position x and time t > 0.
+
+        Every term of the series is evaluated at every point at once, so
+        memory is O(len(x) * n_terms).
+        """
         x = np.asarray(x, dtype=float)
         decay = self._coef_p * self._decay(t)
         arg = np.multiply.outer(x, self.roots) / self.width
@@ -115,7 +119,10 @@ class MandelSolution:
         return scale * ((np.cos(arg) - np.cos(self.roots)) @ decay)
 
     def displacement(self, x, y, t: float):
-        """Displacement components at (x, y) and time t > 0."""
+        """Displacement components at (x, y) and time t > 0.
+
+        As in pressure, memory is O(len(x) * n_terms).
+        """
         x = np.asarray(x, dtype=float)
         force, shear, a = self.force, self.material.shear, self.width
         decay = self._decay(t)
@@ -216,10 +223,16 @@ def profile_cells(mesh: PolyMesh, height: float) -> np.ndarray:
 
 def exact_cell_means(solution: MandelSolution, system: DiscreteSystem,
                      cells: np.ndarray, t: float) -> np.ndarray:
-    """Exact pressure cell means over the given cells at time t."""
-    values = solution.pressure(system.quad_points[:, 0], t)
-    return (system.cell_integral[cells] @ values
-            / system.mesh.cell_area[cells])
+    """Exact pressure cell means over the given cells at time t.
+
+    The series is evaluated only at the quadrature points of these cells,
+    the columns of their cell_integral rows.
+    """
+    block = system.cell_integral[cells]
+    values = np.zeros(block.shape[1])
+    values[block.indices] = solution.pressure(
+        system.quad_points[block.indices, 0], t)
+    return block @ values / system.mesh.cell_area[cells]
 
 
 def run_profiles(system: DiscreteSystem, solution: MandelSolution,

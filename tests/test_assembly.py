@@ -367,6 +367,28 @@ def test_constructor_validation():
         DiscreteSystem(mesh, material, bcs, dt=1.0)
 
 
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, -1.0])
+def test_bad_time_step_raises(dt):
+    """A sign test alone lets nan and inf through to the LU, which then
+    reports a singular factor instead of naming dt."""
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        clamped_system(build_cartesian(2, 2), dt=dt)
+
+
+@pytest.mark.parametrize("rtol", [np.nan, np.inf, 0.0, -1e-6])
+def test_bad_rtol_raises(rtol):
+    with pytest.raises(ValueError, match="rtol must be finite and positive"):
+        clamped_system(build_cartesian(2, 2), linear_solver="gmres",
+                       rtol=rtol)
+
+
+@pytest.mark.parametrize("maxiter", [0, -5])
+def test_bad_maxiter_raises(maxiter):
+    with pytest.raises(ValueError, match="maxiter must be at least 1"):
+        clamped_system(build_cartesian(2, 2), linear_solver="gmres",
+                       maxiter=maxiter)
+
+
 def test_pressure_where_splits_the_flow_boundary():
     """pressure_where runs once per boundary face and picks the pressure
     faces, ascending; every other boundary face is a flux face."""
@@ -445,12 +467,12 @@ def test_material_admits_negative_lam_above_minus_shear():
     assert np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.p))
 
 
-def clamped_system(mesh, **kwargs):
+def clamped_system(mesh, dt=1.0, **kwargs):
     """Unit-modulus system clamped on the whole boundary."""
     bcs = BoundaryConditions(
         displacement=[(lambda x: True, (True, True),
                        lambda x, t: (0.0, 0.0))])
-    return DiscreteSystem(mesh, Material(shear=1.0, lam=1.0), bcs, dt=1.0,
+    return DiscreteSystem(mesh, Material(shear=1.0, lam=1.0), bcs, dt,
                           **kwargs)
 
 

@@ -1,5 +1,10 @@
 """Mesh construction, geometry, generators and file round-trips."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -406,7 +411,7 @@ def test_voronoi_retriangulates_until_exact(seed, monkeypatch):
         generators, "_clipped_cells",
         lambda pts, candidates: clipped_cells(pts, np.zeros_like(candidates)))
     calls = []
-    monkeypatch.setattr(generators, "Delaunay",
+    monkeypatch.setattr("scipy.spatial.Delaunay",
                         lambda points: calls.append(len(points))
                         or Delaunay(points))
     mesh = build_voronoi(200, lloyd_iters=20, seed=seed)
@@ -466,12 +471,28 @@ def test_voronoi_give_up_raises_mesh_error(monkeypatch):
         calls.append(len(points))
         raise QhullError("forced failure")
 
-    monkeypatch.setattr(generators, "Delaunay", failing_delaunay)
+    monkeypatch.setattr("scipy.spatial.Delaunay", failing_delaunay)
     with pytest.raises(MeshError, match="too degenerate"):
         build_voronoi(50, 2, seed=0)
     # five attempts, two passes each: the bare generators, then every
     # generator reflected
     assert calls == [50, 250] * 5
+
+
+def test_scipy_spatial_loads_with_the_first_voronoi_build():
+    """Importing the package and its command line leaves scipy.spatial
+    unloaded (this test module imports it, so a fresh process checks);
+    build_voronoi loads it."""
+    code = ("import sys, poromech, poromech.cli\n"
+            "print('scipy.spatial' in sys.modules)\n"
+            "poromech.mesh.build_voronoi(10)\n"
+            "print('scipy.spatial' in sys.modules)\n")
+    src = str(Path(generators.__file__).parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["False", "True"]
 
 
 # ----- k-orthogonality ----------------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 
 from helpers import dart_mesh
 from poromech.assembly import Material
-from poromech.mesh import PolyMesh, build_cartesian
+from poromech.mesh import (PolyMesh, build_cartesian, build_hybrid,
+                           build_voronoi)
 from poromech.problems import cantilever, mandel, manufactured, studies
 from poromech.problems.norms import ErrorNorms
 
@@ -200,6 +201,38 @@ def test_run_profiles_structure():
         assert profile["p"].shape == profile["p_exact"].shape
         # midline pressure decays monotonically toward the drained edge
         assert np.all(np.diff(profile["p_point"]) < 0)
+
+
+MANDEL_MESHES = {
+    "cart20": lambda: build_cartesian(20, 20),
+    "hybrid20": lambda: build_hybrid(20, 20),
+    "voronoi-seed2": lambda: build_voronoi(400, lloyd_iters=10, seed=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MANDEL_MESHES))
+def test_exact_cell_means_evaluate_only_the_profile_cells(name,
+                                                          monkeypatch):
+    """The series is evaluated at the quadrature points of the requested
+    cells only, and the means are the bits of evaluating it at every
+    quadrature point of the mesh."""
+    mesh = MANDEL_MESHES[name]()
+    system, solution, _ = mandel.setup(mesh, dt=0.01 * 899928005.7595392)
+    cells = mandel.profile_cells(mesh, mesh.vertices[:, 1].max())
+    cells = cells[np.argsort(mesh.cell_centroid[cells, 0])]
+    x_all = system.quad_points[:, 0]
+    x_cells = x_all[np.isin(system.quad_cells, cells)]
+    pressure, seen = solution.pressure, []
+    monkeypatch.setattr(solution, "pressure",
+                        lambda x, t: seen.append(x) or pressure(x, t))
+    for frac in (0.01, 0.05, 0.1, 1.0):
+        t = frac * solution.t_char
+        want = (system.cell_integral[cells] @ pressure(x_all, t)
+                / mesh.cell_area[cells])
+        assert np.array_equal(
+            mandel.exact_cell_means(solution, system, cells, t), want)
+        assert np.array_equal(np.sort(seen.pop()), np.sort(x_cells))
+    assert seen == []
 
 
 def test_run_profiles_rejects_unaligned_times():
@@ -397,6 +430,25 @@ def test_norms_vanish_on_reproducible_fields():
     assert e_p <= 1e-13
     assert e_u <= 1e-13
     assert e_s <= 1e-12
+
+
+def test_norms_reuse_one_read_only_vertex_array():
+    """Every step passes the displacement field the same read-only copy
+    of the vertices, one that owns its data, so the manufactured factors
+    of the vertices are computed once."""
+    system, state = manufactured.setup(build_cartesian(4, 4), dt=0.1)
+    seen = []
+    norms = ErrorNorms(system, manufactured.pressure,
+                       lambda pts, t: seen.append(pts)
+                       or manufactured.displacement(pts, t))
+    norms.instantaneous(state)
+    norms.instantaneous(state)
+    vertices = [pts for pts in seen if pts is not system.quad_points]
+    assert len(vertices) == 2 and vertices[0] is vertices[1]
+    assert vertices[0] is not system.mesh.vertices
+    assert np.array_equal(vertices[0], system.mesh.vertices)
+    assert vertices[0].flags.owndata and not vertices[0].flags.writeable
+    assert manufactured._trig(vertices[0]) is manufactured._trig(vertices[0])
 
 
 def test_pressure_norm_measures_constant_offset():
