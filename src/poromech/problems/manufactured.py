@@ -87,7 +87,10 @@ def pressure(points, t: float):
 
 
 def displacement(points, t: float):
-    return np.column_stack(_displacement(*_trig(points), np.sin(PI * t)))
+    trig = _trig(points)
+    u = np.empty((trig[0].size, 2))
+    u[:, 0], u[:, 1] = _displacement(*trig, np.sin(PI * t))
+    return u
 
 
 def boundary_pressure(point, t: float) -> float:

@@ -3,9 +3,18 @@ preconditioner of the condensed displacement-pressure-trace system.
 
 Entry points: ``factorize(matrix)`` is the one sparse LU of the package,
 used for the condensed matrix, the blocks of the initial state and the
-preconditioner's two direct solves; ``gmres`` solves with any matvec and
-optional right preconditioner, orthogonalizing by classical Gram-Schmidt
-run twice through BLAS in Krylov storage that grows in chunks;
+preconditioner's two direct solves.  It factors A^T and solves with
+SuperLU's transposed triangular path, (A^T)^T x = b.  Against a solve
+with the factor of A (same ordering, same fill), that returns A^-1 b in
+0.72-0.84x the time on factors of 0.14M-0.79M fill: the cantilever
+preconditioner's Auu~ and Cpi~ at n = 40 (0.73x) and n = 80 (0.78-0.80x)
+and Mandel's cart20 condensed matrix (0.77-0.84x).  On factors of
+2.7M-4M fill it is about as fast: the n = 160 preconditioner blocks
+0.94-0.98x, the cart80 condensed matrix 0.97x and the Voronoi40 ones
+1.03-1.06x (medians over 150-280 alternating solves, one BLAS thread).
+Factoring A^T takes 0.87-1.04x the time of A.  ``gmres`` solves with any
+matvec and optional right preconditioner, orthogonalizing by classical
+Gram-Schmidt run twice through BLAS in Krylov storage that grows in chunks;
 ``BlockPreconditioner(matrix, u_components, n_p)`` builds the
 preconditioner from slices of the condensed free-dof matrix that GMRES
 solves, so no block is assembled twice.  The preconditioner is the inverse
@@ -50,9 +59,19 @@ class SolverError(RuntimeError):
     Krylov breakdown or preconditioner build failure."""
 
 
-def factorize(matrix: sp.spmatrix):
-    """Sparse LU factor (a SuperLU object) of a structurally symmetric
-    matrix.
+class LUFactor:
+    """Solves with A through a SuperLU factor of A^T."""
+
+    def __init__(self, lu_t):
+        self._lu_t = lu_t
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^-1 b."""
+        return self._lu_t.solve(b, trans="T")
+
+
+def factorize(matrix: sp.spmatrix) -> LUFactor:
+    """Sparse LU factor of a structurally symmetric matrix A.
 
     Every matrix factorized here is structurally symmetric, and its
     symmetric part is positive (semi)definite up to a row scaling, so an LU
@@ -60,11 +79,19 @@ def factorize(matrix: sp.spmatrix):
     columns are ordered by minimum degree on the pattern of A^T + A and the
     diagonal is always taken as the pivot.  Partial pivoting would break
     the symmetric ordering and multiply the fill.
+
+    The factor is that of A^T, whose CSC arrays are those of A in CSR, so
+    no format conversion is made, and ``solve`` takes SuperLU's transposed
+    triangular path: faster than solving with the factor of A on factors
+    of up to 0.8M fill and about as fast on those of 2.7M-4M fill (the
+    module docstring gives the times per factor), so every factor takes
+    it.
     """
     try:
-        return spla.splu(sp.csc_matrix(matrix),
-                         permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True})
+        return LUFactor(spla.splu(sp.csr_matrix(matrix).T,
+                                  permc_spec="MMD_AT_PLUS_A",
+                                  diag_pivot_thresh=0.0,
+                                  options={"SymmetricMode": True}))
     except RuntimeError as exc:
         raise SolverError(f"sparse LU factorization failed: {exc}") from exc
 

@@ -1,6 +1,7 @@
 """Module boundaries of the package: each module's private names (a
-leading underscore) stay inside it, and each object's private attributes
-are read only through self or cls."""
+leading underscore) stay inside it, each object's private attributes
+are read only through self or cls, and only the solver module reaches
+SuperLU's splu, so every factor takes its one path."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,35 @@ def test_private_attribute_check_sees_other_objects(tmp_path):
     assert private_attributes(probe) == [(3, "mesh._check_tags"),
                                          (4, "self.mesh._tags"),
                                          (4, "system.solver._lu")]
+
+
+def splu_references(path):
+    """(line, expression) of every name, attribute or import of splu."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name == "splu"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "splu"
+              or isinstance(node, ast.Name) and node.id == "splu"):
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_only_the_solver_calls_splu():
+    offenders = [f"{path.relative_to(PACKAGE)}:{line} {expr}"
+                 for path in sorted(PACKAGE.rglob("*.py"))
+                 if path != PACKAGE / "solver.py"
+                 for line, expr in splu_references(path)]
+    assert offenders == []
+
+
+def test_splu_check_sees_calls_and_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import scipy.sparse.linalg as spla\n"
+                     "lu = spla.splu(a, permc_spec='NATURAL')\n"
+                     "from scipy.sparse.linalg import splu as lu_of\n"
+                     "lu = scipy.sparse.linalg.splu(a)\n"
+                     "x = spla.spsolve(a, b)\n")
+    assert splu_references(probe) == [(2, "spla.splu"), (3, "splu"),
+                                      (4, "scipy.sparse.linalg.splu")]

@@ -355,6 +355,20 @@ def test_factorize_singular_matrix_raises():
         factorize(sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]])))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_factor_solves_with_the_matrix_not_its_transpose(seed):
+    """The factor of A^T solved transposed returns A^-1 b.  The condensed
+    matrix is nonsymmetric, so A^-T b is far from it, which the symmetric
+    preconditioner blocks could not show."""
+    a = condensed(random_blocks(seed))
+    b = np.random.default_rng(seed).standard_normal(a.shape[0])
+    x_ref = np.linalg.solve(a.toarray(), b)
+    tol = 1e-12 * np.linalg.norm(x_ref)
+    assert np.linalg.norm(factorize(a).solve(b) - x_ref) <= tol
+    assert np.linalg.norm(np.linalg.solve(a.toarray().T, b) - x_ref) \
+        > 1e6 * tol
+
+
 @pytest.mark.parametrize("case", DIRECT_CASES)
 def test_direct_step_matches_reference_in_two_solves(case):
     system, state = direct_case(case)
