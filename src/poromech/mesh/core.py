@@ -332,23 +332,6 @@ class PolyMesh:
         mask[self.faces[self.boundary_mask].ravel()] = True
         return mask
 
-    def cells_of_vertex(self) -> list[np.ndarray]:
-        """Cells adjacent to each vertex, ascending cell index."""
-        adj = [[] for _ in range(self.num_vertices)]
-        for k, cell in enumerate(self.cells):
-            for v in cell:
-                adj[v].append(k)
-        return [np.array(a, dtype=int) for a in adj]
-
-    def face_neighbors(self) -> list[np.ndarray]:
-        """Face-adjacent neighbor cells of each cell."""
-        nbr = [[] for _ in range(self.num_cells)]
-        for kk, ll in self.face_cells:
-            if ll >= 0:
-                nbr[kk].append(ll)
-                nbr[ll].append(kk)
-        return [np.array(sorted(n), dtype=int) for n in nbr]
-
     # -- local views --------------------------------------------------------
 
     def cell_polygon(self, k: int) -> np.ndarray:

@@ -80,6 +80,8 @@ class MandelSolution:
 
     def __init__(self, material: Material, width: float = 1.0,
                  force: float = 2.0e2, n_terms: int = 200):
+        if n_terms < 1:
+            raise ValueError(f"n_terms must be at least 1, got {n_terms}")
         if material.storage != 0.0 or material.alpha != 1.0:
             raise ValueError("series solution assumes zero storage and "
                              "unit pressure coupling")
@@ -239,7 +241,8 @@ def run_profiles(system: DiscreteSystem, solution: MandelSolution,
                  state0: State, sample_times) -> dict:
     """March in time and collect midline pressure profiles.
 
-    sample_times must be (close to) multiples of the system time step.
+    sample_times must be finite and positive, as the series is valid only
+    for t > 0, and (close to) multiples of the system time step.
     Returns the sampled profiles, the exact profile cell means, and the
     full normalized pressure history at the cell nearest the sealed edge.
     """
@@ -252,6 +255,11 @@ def run_profiles(system: DiscreteSystem, solution: MandelSolution,
     p0 = solution.undrained_pressure()
 
     sample_times = np.asarray(sorted(sample_times), dtype=float)
+    bad = ~(np.isfinite(sample_times) & (sample_times > 0.0))
+    if bad.any():
+        raise ValueError("sample times must be finite and positive, the "
+                         "series is valid only for t > 0; got "
+                         f"{sample_times[bad].tolist()}")
     steps = np.rint(sample_times / system.dt).astype(int)
     if np.any(np.abs(steps * system.dt - sample_times)
               > 1e-8 * sample_times):

@@ -4,7 +4,8 @@ pressures.
 A macro-element partition groups cells so that pressure jumps across faces
 internal to a macro-element can be penalized without losing mass
 conservation at the macro-element level: the jump term telescopes, so the
-net flux over each macro-element boundary is untouched.
+net flux over each macro-element boundary is untouched.  The partition is
+one array, the macro id of each cell, built on CSR adjacency of the mesh.
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ from .mesh.core import MeshError, PolyMesh
 @dataclass
 class MacroPartition:
     """Disjoint cover of the cells by macro-elements."""
-    cell_macro: np.ndarray          # (nt,) macro id of each cell
-    macros: list[np.ndarray]        # cell ids of each macro-element
-
-    @property
-    def num_macros(self) -> int:
-        return len(self.macros)
+    cell_macro: np.ndarray          # (nt,) macro id 0, 1, ... of each cell
 
 
 def build_macro_elements(mesh: PolyMesh) -> MacroPartition:
@@ -38,37 +34,41 @@ def build_macro_elements(mesh: PolyMesh) -> MacroPartition:
     with a FIFO queue in ascending cell index: a cell face-adjacent to at
     least one macro-element joins the neighboring macro-element with the
     fewest cells (ties to the lowest macro id); otherwise it is requeued.
+    Both steps read CSR adjacency built from the flat edge arrays and the
+    interior face_cells pairs.
     """
-    nt = mesh.num_cells
+    nt, nv = mesh.num_cells, mesh.num_vertices
     internal = np.flatnonzero(~mesh.boundary_vertex_mask)
     if internal.size == 0:
         raise MeshError("mesh has no internal vertices; macro-element "
                         "partition is impossible")
-    cells_of_vertex = mesh.cells_of_vertex()
+    # row v of `around`: the cells at vertex v; of `reach`: their vertices
+    around = sp.csr_matrix((np.ones(mesh.edge_cells.size),
+                            (mesh.edge_vertices, mesh.edge_cells)),
+                           shape=(nv, nt))
+    reach = (around @ around.T).tocsr()
     cell_macro = np.full(nt, -1, dtype=int)
-    macros: list[list[int]] = []
-
-    visited = np.zeros(mesh.num_vertices, dtype=bool)
+    sizes: list[int] = []
+    covered = np.zeros(nv, dtype=bool)
     for v in internal:
-        if visited[v]:
-            continue
-        members = cells_of_vertex[v]
-        macro_id = len(macros)
-        macros.append(list(members))
-        for k in members:
-            cell_macro[k] = macro_id
-            visited[mesh.cells[k]] = True
+        if not covered[v]:
+            members = around.indices[around.indptr[v]:around.indptr[v + 1]]
+            cell_macro[members] = len(sizes)
+            sizes.append(members.size)
+            covered[reach.indices[reach.indptr[v]:reach.indptr[v + 1]]] = True
 
-    neighbors = mesh.face_neighbors()
-    queue = deque(int(k) for k in range(nt) if cell_macro[k] < 0)
+    ka, kb = mesh.face_cells[~mesh.boundary_mask].T
+    faces = sp.csr_matrix((np.ones(ka.size), (ka, kb)), shape=(nt, nt))
+    neighbors = (faces + faces.T).tocsr()
+    queue = deque(np.flatnonzero(cell_macro < 0).tolist())
     stall = 0
     while queue:
         k = queue.popleft()
-        adjacent = {int(cell_macro[n]) for n in neighbors[k]
-                    if cell_macro[n] >= 0}
+        adjacent = set(cell_macro[neighbors.indices[
+            neighbors.indptr[k]:neighbors.indptr[k + 1]]].tolist()) - {-1}
         if adjacent:
-            macro_id = min(adjacent, key=lambda m: (len(macros[m]), m))
-            macros[macro_id].append(k)
+            macro_id = min(adjacent, key=lambda m: (sizes[m], m))
+            sizes[macro_id] += 1
             cell_macro[k] = macro_id
             stall = 0
         else:
@@ -77,9 +77,7 @@ def build_macro_elements(mesh: PolyMesh) -> MacroPartition:
             if stall > len(queue):
                 raise MeshError("macro-element assignment stalled; cell "
                                 f"{k} is not connected to any macro-element")
-    return MacroPartition(cell_macro=cell_macro,
-                          macros=[np.array(sorted(m), dtype=int)
-                                  for m in macros])
+    return MacroPartition(cell_macro=cell_macro)
 
 
 def corner_areas(mesh: PolyMesh) -> np.ndarray:
@@ -135,11 +133,10 @@ def assemble_jump_matrix(mesh: PolyMesh, partition: MacroPartition,
                          beta: float) -> sp.csr_matrix:
     """Pressure-jump penalty J, (nt, nt): beta sum over faces internal to a
     macro-element of Upsilon_f [[p]]_f [[chi]]_f."""
-    interior = np.flatnonzero(~mesh.boundary_mask)
-    ka, kb = mesh.face_cells[interior].T
+    ka, kb, ups = _interior_faces(mesh)
     same = partition.cell_macro[ka] == partition.cell_macro[kb]
     ka, kb = ka[same], kb[same]
-    w = beta * upsilon_weights(mesh)[interior[same]]
+    w = beta * ups[same]
     return sp.csr_matrix(
         (np.concatenate([w, -w, -w, w]),
          (np.concatenate([ka, ka, kb, kb]), np.concatenate([ka, kb, ka, kb]))),
@@ -157,9 +154,13 @@ def checkerboard_indicator(mesh: PolyMesh, p: np.ndarray) -> float:
     denom = float(mesh.cell_area @ (p ** 2))
     if denom == 0.0:
         return 0.0
-    ups = upsilon_weights(mesh)
+    ka, kb, ups = _interior_faces(mesh)
+    return float((ups * (p[ka] - p[kb]) ** 2).sum() / denom)
+
+
+def _interior_faces(mesh: PolyMesh):
+    """The two cells ka, kb and the weight Upsilon_f of every interior
+    face, in face order."""
     interior = np.flatnonzero(~mesh.boundary_mask)
-    ka = mesh.face_cells[interior, 0]
-    kb = mesh.face_cells[interior, 1]
-    jumps = p[ka] - p[kb]
-    return float((ups[interior] * jumps ** 2).sum() / denom)
+    ka, kb = mesh.face_cells[interior].T
+    return ka, kb, upsilon_weights(mesh)[interior]

@@ -231,6 +231,20 @@ def test_mandel_command_profiles(tmp_path, capsys):
     assert "peak sealed-edge pressure" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("option, value, error", [
+    # a t = 0 sample is refused, not written as a mislabelled 0 T_c profile
+    ("--times", "0,0.05", "error: sample times must be finite and positive"),
+    ("--n-terms", "0", "error: n_terms must be at least 1"),
+], ids=["time-zero", "no-series-terms"])
+def test_mandel_command_rejects_bad_series_input(tmp_path, capsys, option,
+                                                 value, error):
+    outdir = tmp_path / "out"
+    assert main(["mandel", "--n", "5", "--dt-frac", "0.01", option, value,
+                 "--outdir", str(outdir)]) == 1
+    assert capsys.readouterr().err.startswith(error)
+    assert not list(outdir.glob("profile_*"))
+
+
 def test_cantilever_command_indicator_table(tmp_path):
     outdir = tmp_path / "out"
     assert main(["cantilever", "--families", "cartesian", "--n", "4",

@@ -127,6 +127,12 @@ def test_series_truncation_converged(solution):
                   - fine.pressure(x, t)).max() <= 1e-8 * p0
 
 
+@pytest.mark.parametrize("n_terms", [0, -3])
+def test_series_needs_a_term(n_terms):
+    with pytest.raises(ValueError, match=f"n_terms .*got {n_terms}"):
+        mandel.MandelSolution(mandel.default_material(), n_terms=n_terms)
+
+
 def test_series_rejects_compressible_material():
     with pytest.raises(ValueError, match="storage"):
         mandel.MandelSolution(Material(shear=1.0, lam=1.0, alpha=1.0,
@@ -241,6 +247,21 @@ def test_run_profiles_rejects_unaligned_times():
     with pytest.raises(ValueError, match="multiples"):
         mandel.run_profiles(system, solution, state0,
                             [0.025 * solution.t_char])
+
+
+def test_run_profiles_rejects_times_without_a_series():
+    """The series holds only for t > 0, so a time 0 (or earlier, or not
+    finite) sample has no profile; it is refused, not dropped."""
+    mesh = build_cartesian(3, 3)
+    system, solution, state0 = mandel.setup(mesh, dt=0.01 * 899928005.7595392)
+    early = float(-0.01 * solution.t_char)
+    for times, bad in (([0.0, 0.02 * solution.t_char], [0.0]),
+                       ([early, 0.02 * solution.t_char], [early]),
+                       ([float("nan")], [float("nan")]),
+                       ([float("inf")], [float("inf")])):
+        with pytest.raises(ValueError) as info:
+            mandel.run_profiles(system, solution, state0, times)
+        assert str(info.value).endswith(f"t > 0; got {bad}")
 
 
 # ----- smooth reference problem ---------------------------------------------------

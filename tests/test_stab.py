@@ -4,23 +4,33 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from poromech.mesh import MeshError, build_cartesian
+from poromech.mesh import MeshError, PolyMesh, build_cartesian, build_voronoi
 from poromech.stab import (MacroPartition, assemble_jump_matrix,
                            beta_coefficient, build_macro_elements,
                            checkerboard_indicator, corner_areas,
                            upsilon_weights)
 
+from helpers import dart_mesh
+
 RNG = np.random.default_rng(42)
 
 
-def assert_partition_valid(mesh, partition, min_cells=3):
-    counts = np.zeros(mesh.num_cells, dtype=int)
-    for cells in partition.macros:
-        counts[cells] += 1
-        assert cells.size >= min_cells
-    assert np.all(counts == 1)                      # coverage, disjoint
-    for macro, cells in enumerate(partition.macros):
-        assert np.all(partition.cell_macro[cells] == macro)
+def assert_partition_valid(mesh, partition, name="", min_cells=3):
+    """Every cell is in a macro-element, the macro ids are 0, 1, ...
+    without a gap, and every macro-element has at least min_cells cells."""
+    cell_macro = partition.cell_macro
+    assert cell_macro.shape == (mesh.num_cells,), name
+    assert cell_macro.min() == 0, name
+    sizes = np.bincount(cell_macro)
+    assert sizes.min() >= min_cells, \
+        f"{name}: macro {sizes.argmin()} has {sizes.min()} cells"
+
+
+def assert_macro_indicators_in_kernel(mesh, partition, jmat, name=""):
+    """J annihilates the indicator of every macro-element."""
+    for macro in range(partition.cell_macro.max() + 1):
+        ind = (partition.cell_macro == macro).astype(float)
+        assert np.abs(jmat @ ind).max() <= 1e-14, f"{name}: macro {macro}"
 
 
 # ----- partition -------------------------------------------------------------
@@ -28,8 +38,7 @@ def assert_partition_valid(mesh, partition, min_cells=3):
 def test_partition_2x2_single_macro():
     mesh = build_cartesian(2, 2)
     partition = build_macro_elements(mesh)
-    assert partition.num_macros == 1
-    assert np.array_equal(np.sort(partition.macros[0]), [0, 1, 2, 3])
+    assert np.array_equal(partition.cell_macro, [0, 0, 0, 0])
 
 
 def test_partition_3x3_absorbs_into_first_macro():
@@ -38,8 +47,7 @@ def test_partition_3x3_absorbs_into_first_macro():
     # the four cells around the first internal vertex (1/3, 1/3) seed the
     # only step-1 macro-element (its cells touch every internal vertex);
     # step 2 absorbs the remaining five cells into it
-    assert partition.num_macros == 1
-    assert np.array_equal(np.sort(partition.macros[0]), np.arange(9))
+    assert np.array_equal(partition.cell_macro, np.zeros(9, dtype=int))
     assert_partition_valid(mesh, partition)
 
 
@@ -47,21 +55,27 @@ def test_partition_10x10_coverage():
     mesh = build_cartesian(10, 10)
     partition = build_macro_elements(mesh)
     assert_partition_valid(mesh, partition)
-    assert sum(c.size for c in partition.macros) == 100
+    # step 1 tiles the grid with 2x2 blocks; step 2 has nothing left
+    assert np.array_equal(np.bincount(partition.cell_macro), np.full(25, 4))
 
 
 def test_partition_deterministic(cart10):
     first = build_macro_elements(cart10)
     second = build_macro_elements(cart10)
     assert np.array_equal(first.cell_macro, second.cell_macro)
-    assert all(np.array_equal(a, b)
-               for a, b in zip(first.macros, second.macros))
 
 
 def test_partition_all_families(family_meshes_level0):
-    for family, mesh in family_meshes_level0.items():
+    meshes = dict(family_meshes_level0)
+    # distorted cell classes: darts, tiny edges, aspect ratio 16
+    meshes["dart_0.97"] = dart_mesh(10, 0.97)
+    meshes["voronoi_unrelaxed"] = build_voronoi(100, lloyd_iters=0, seed=0)
+    meshes["cartesian_aspect16"] = build_cartesian(10, 160)
+    for name, mesh in meshes.items():
         partition = build_macro_elements(mesh)
-        assert_partition_valid(mesh, partition), family
+        assert_partition_valid(mesh, partition, name)
+        assert_macro_indicators_in_kernel(
+            mesh, partition, assemble_jump_matrix(mesh, partition, 1.0), name)
 
 
 def test_partition_needs_internal_vertices():
@@ -69,6 +83,16 @@ def test_partition_needs_internal_vertices():
         build_macro_elements(build_cartesian(1, 1))
     with pytest.raises(MeshError):
         build_macro_elements(build_cartesian(2, 1))
+
+
+def test_partition_stalls_on_a_disconnected_cell():
+    """A triangle apart from a 2x2 grid touches no macro-element."""
+    grid = build_cartesian(2, 2)
+    vertices = np.vstack([grid.vertices, [[2.0, 0.0], [3.0, 0.0],
+                                          [2.0, 1.0]]])
+    mesh = PolyMesh(vertices, grid.cells + [np.array([9, 10, 11])])
+    with pytest.raises(MeshError, match="cell 4 is not connected"):
+        build_macro_elements(mesh)
 
 
 # ----- face weights ------------------------------------------------------------
@@ -179,8 +203,7 @@ def test_jump_matrix_single_face_by_hand():
     """Two-cell macro-element: the quadratic form of p = (+1, -1) across
     the single internal face is beta * Upsilon_f * 4."""
     mesh = build_cartesian(2, 1)
-    partition = MacroPartition(cell_macro=np.zeros(2, dtype=int),
-                               macros=[np.array([0, 1])])
+    partition = MacroPartition(cell_macro=np.zeros(2, dtype=int))
     beta = 0.3
     jmat = assemble_jump_matrix(mesh, partition, beta).toarray()
     interior = np.flatnonzero(mesh.face_cells[:, 1] >= 0)
@@ -203,10 +226,7 @@ def test_jump_matrix_invariants(cart10):
         x = RNG.standard_normal(cart10.num_cells)
         assert x @ (jmat @ x) >= -1e-12 * np.abs(x).max() ** 2
     # macro-element indicators span the kernel direction by direction
-    for cells in partition.macros:
-        ind = np.zeros(cart10.num_cells)
-        ind[cells] = 1.0
-        assert np.abs(jmat @ ind).max() <= 1e-14
+    assert_macro_indicators_in_kernel(cart10, partition, jmat)
     # no coupling across macro-elements
     coo = jmat.tocoo()
     same = partition.cell_macro[coo.row] == partition.cell_macro[coo.col]
