@@ -239,10 +239,10 @@ class DiscreteSystem:
             dofs = np.empty((m, 2 * nv), dtype=int)
             dofs[:, 0::2], dofs[:, 1::2] = ux, uy
             uu.append(_block_pairs(dofs) + (stiffness,))
-            div_rows = grad.transpose(0, 2, 1).reshape(m, 2 * nv)
+            divergence = grad.transpose(0, 2, 1).reshape(m, 2 * nv)
             up.append((dofs, np.repeat(group.cells, 2 * nv),
                        mat.alpha * mesh.cell_area[group.cells, None]
-                       * div_rows))
+                       * divergence))
             owner = np.broadcast_to(group.cells[:, None], (m, nv))
             mean += [(2 * owner, ux, mean_row), (2 * owner + 1, uy, mean_row)]
             dx, dy = grad[:, 0], grad[:, 1]
@@ -472,15 +472,14 @@ class DiscreteSystem:
 
     # ----- stepping -----------------------------------------------------------
 
-    def step(self, state: State, t_new: float | None = None) -> State:
+    def step(self, state: State) -> State:
         """Advance one time level of length dt from the given state."""
-        if t_new is None:
-            t_new = state.time + self.dt
-        rhs = np.concatenate([self.mech_rhs(t_new),
-                              self.mass_rhs(state, t_new),
-                              self.trace_rhs(t_new)])
-        x = self._solve(rhs, t_new)
-        return State(time=t_new, u=x[:self.n_u],
+        t = state.time + self.dt
+        rhs = np.concatenate([self.mech_rhs(t),
+                              self.mass_rhs(state, t),
+                              self.trace_rhs(t)])
+        x = self._solve(rhs, t)
+        return State(time=t, u=x[:self.n_u],
                      p=x[self.n_u:self.n_u + self.n_p],
                      pi=x[self.n_u + self.n_p:])
 

@@ -154,12 +154,9 @@ def cmd_converge(ns, parser) -> int:
         x_key = "h"
     for i, row in enumerate(rows):
         row["level"] = i
-        for key in ("e_p", "e_u", "e_s"):
-            if i == 0:
-                row[f"rate_{key}"] = None
-            else:
-                row[f"rate_{key}"] = studies.observed_rates(
-                    rows[i - 1:i + 1], x_key, (key,))[key]
+        rates = (studies.observed_rates(rows[i - 1:i + 1], x_key) if i
+                 else dict.fromkeys(("e_p", "e_u", "e_s")))
+        row.update({f"rate_{key}": rate for key, rate in rates.items()})
     header = ["level", "cells", "unknowns", "h", "dt", "steps",
               "e_p", "e_u", "e_s", "rate_e_p", "rate_e_u", "rate_e_s"]
     name = ("time_refinement" if ns.time_refinement else "convergence")

@@ -379,7 +379,3 @@ def k_orthogonality_defect(mesh: PolyMesh, kappa) -> float:
     cross = np.abs(kn[:, 0] * c[:, 1] - kn[:, 1] * c[:, 0])
     scale = np.hypot(kn[:, 0], kn[:, 1]) * np.hypot(c[:, 0], c[:, 1])
     return float((cross / scale).max())
-
-
-def is_k_orthogonal(mesh: PolyMesh, kappa, tol: float = 1e-10) -> bool:
-    return k_orthogonality_defect(mesh, kappa) <= tol

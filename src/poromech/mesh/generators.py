@@ -49,24 +49,20 @@ def build_cartesian(nx: int, ny: int, width: float = 1.0,
     return PolyMesh(vertices, cells)
 
 
-def apply_skew(mesh: PolyMesh) -> PolyMesh:
-    """Distort a unit-square mesh by the smooth skew map
+def build_skewed(nx: int, ny: int) -> PolyMesh:
+    """Cartesian grid on the unit square distorted by the smooth skew map
 
         g(x, y) = (x, y) + 0.07 sin(4 pi x) cos(4 pi y + pi/2) (1, 1).
 
     The perturbation vanishes on the boundary of the unit square, so the
     domain and its boundary vertices are preserved.
     """
-    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    base = build_cartesian(nx, ny)
+    x, y = base.vertices[:, 0], base.vertices[:, 1]
     bump = SKEW_AMPLITUDE * np.sin(SKEW_FREQUENCY * x) \
         * np.cos(SKEW_FREQUENCY * y + 0.5 * np.pi)
     vertices = np.column_stack([x + bump, y + bump])
-    return PolyMesh(vertices, mesh.cells)
-
-
-def build_skewed(nx: int, ny: int) -> PolyMesh:
-    """Skew-distorted Cartesian grid on the unit square."""
-    return apply_skew(build_cartesian(nx, ny))
+    return PolyMesh(vertices, base.cells)
 
 
 def build_hybrid(nx: int, ny: int, width: float = 1.0,
@@ -74,8 +70,6 @@ def build_hybrid(nx: int, ny: int, width: float = 1.0,
     """Cartesian grid with one anti-diagonal band of cells split into
     triangles along their SW-NE diagonals, mixing element shapes while
     keeping the mesh conforming."""
-    if nx < 1 or ny < 1:
-        raise MeshError("grid must have at least one cell per direction")
     base = build_cartesian(nx, ny, width, height)
     band = (nx + ny) // 2 - 1
     cells = []

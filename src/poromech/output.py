@@ -37,18 +37,17 @@ def write_csv(path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def write_vtk(path, mesh: PolyMesh, *, cell_data=None, point_data=None,
-              title: str = "poromech snapshot") -> None:
+def write_vtk(path, mesh: PolyMesh, *, cell_data=None,
+              point_data=None) -> None:
     """Legacy ASCII VTK polygon snapshot.
 
-    cell_data maps names to (num_cells,) arrays; point_data maps names to
-    (num_vertices,) scalars or (num_vertices, 2) vectors (padded with a
-    zero third component).
+    cell_data maps names to (num_cells,) scalar arrays; point_data maps
+    names to (num_vertices, 2) vectors, written with a zero third
+    component.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(f"{title}\n")
-        fh.write("ASCII\nDATASET POLYDATA\n")
+        fh.write("poromech snapshot\nASCII\nDATASET POLYDATA\n")
         fh.write(f"POINTS {mesh.num_vertices} double\n")
         for x, y in mesh.vertices:
             fh.write(f"{float(x)!r} {float(y)!r} 0.0\n")
@@ -67,16 +66,9 @@ def write_vtk(path, mesh: PolyMesh, *, cell_data=None, point_data=None,
         if point_data:
             fh.write(f"POINT_DATA {mesh.num_vertices}\n")
             for name, values in point_data.items():
-                values = np.asarray(values)
-                if values.ndim == 1:
-                    fh.write(f"SCALARS {name} double 1\n"
-                             "LOOKUP_TABLE default\n")
-                    for v in values:
-                        fh.write(f"{float(v)!r}\n")
-                else:
-                    fh.write(f"VECTORS {name} double\n")
-                    for vx, vy in values:
-                        fh.write(f"{float(vx)!r} {float(vy)!r} 0.0\n")
+                fh.write(f"VECTORS {name} double\n")
+                for vx, vy in values:
+                    fh.write(f"{float(vx)!r} {float(vy)!r} 0.0\n")
 
 
 def write_partition_csv(path, partition) -> None:

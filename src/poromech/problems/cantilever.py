@@ -1,5 +1,5 @@
-"""Poroelastic cantilever: unit square clamped on the left, unit downward
-traction on top, sealed (no-flow) everywhere.
+"""Poroelastic cantilever: unit square clamped on the left, a uniform
+downward traction of unit total load on top, sealed (no-flow) everywhere.
 
 With zero storage the fluid cannot escape, so small time steps drive the
 discretization toward the undrained limit where cell pressures on
@@ -23,16 +23,15 @@ def default_material() -> Material:
 
 
 def setup(mesh: PolyMesh, dt: float, *, stabilize: bool = False,
-          material: Material | None = None, force: float = 1.0,
           linear_solver: str = "direct", rtol: float = 1e-6,
           maxiter: int = 500) -> tuple[DiscreteSystem, State]:
-    """Assemble the cantilever and its zero initial state.
+    """Assemble the cantilever with default_material() and its zero
+    initial state.
 
-    The load enters at the first step, so the initial state is identically
-    zero rather than solved for.
+    The top traction is spread evenly over the width so that the total
+    downward load is 1.  It enters at the first step, so the initial state
+    is identically zero rather than solved for.
     """
-    if material is None:
-        material = default_material()
     lo = mesh.vertices.min(axis=0)
     hi = mesh.vertices.max(axis=0)
     width, height = hi - lo
@@ -41,10 +40,10 @@ def setup(mesh: PolyMesh, dt: float, *, stabilize: bool = False,
         displacement=[(lambda x: x[0] < lo[0] + tol, (True, True),
                        lambda x, t: (0.0, 0.0))],
         traction=[(lambda x: x[1] > hi[1] - tol,
-                   lambda x, t: (0.0, -force / width))])
-    system = DiscreteSystem(mesh, material, bcs, dt, stabilize=stabilize,
-                            linear_solver=linear_solver, rtol=rtol,
-                            maxiter=maxiter)
+                   lambda x, t: (0.0, -1.0 / width))])
+    system = DiscreteSystem(mesh, default_material(), bcs, dt,
+                            stabilize=stabilize, linear_solver=linear_solver,
+                            rtol=rtol, maxiter=maxiter)
     state0 = State(time=0.0, u=np.zeros(system.n_u),
                    p=np.zeros(system.n_p), pi=np.zeros(system.n_pi))
     return system, state0

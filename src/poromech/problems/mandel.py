@@ -167,26 +167,24 @@ class MandelSolution:
         return u_x, u_y
 
 
-def setup(mesh: PolyMesh, dt: float, *, force: float = 2.0e2,
-          material: Material | None = None, n_terms: int = 200,
+def setup(mesh: PolyMesh, dt: float, *, n_terms: int = 200,
           linear_solver: str = "direct",
           stabilize: bool = False) -> tuple[DiscreteSystem, MandelSolution,
                                             State]:
     """Discrete Mandel problem on a quarter-domain mesh.
 
-    Returns the assembled system, the series solution and the undrained
-    initial state.  The mesh must cover (0, a) x (0, b) with the drained
-    edge at x = a.
+    The sample is default_material() under MandelSolution's default platen
+    force.  Returns the assembled system, the series solution and the
+    undrained initial state.  The mesh must cover (0, a) x (0, b) with the
+    drained edge at x = a.
     """
-    if material is None:
-        material = default_material()
+    material = default_material()
     lo = mesh.vertices.min(axis=0)
     hi = mesh.vertices.max(axis=0)
     if not np.allclose(lo, 0.0, atol=1e-9):
         raise ValueError("quarter-domain mesh must start at the origin")
     width, height = hi
-    solution = MandelSolution(material, width=width, force=force,
-                              n_terms=n_terms)
+    solution = MandelSolution(material, width=width, n_terms=n_terms)
     tol = 1e-9 * max(width, height)
 
     # Only u_y is prescribed on the top edge, and it is the same at every
@@ -241,8 +239,9 @@ def run_profiles(system: DiscreteSystem, solution: MandelSolution,
                  state0: State, sample_times) -> dict:
     """March in time and collect midline pressure profiles.
 
-    sample_times must be finite and positive, as the series is valid only
-    for t > 0, and (close to) multiples of the system time step.
+    sample_times must be non-empty, finite and positive, as the series is
+    valid only for t > 0, and (close to) multiples of the system time
+    step.
     Returns the sampled profiles, the exact profile cell means, and the
     full normalized pressure history at the cell nearest the sealed edge.
     """
@@ -255,6 +254,8 @@ def run_profiles(system: DiscreteSystem, solution: MandelSolution,
     p0 = solution.undrained_pressure()
 
     sample_times = np.asarray(sorted(sample_times), dtype=float)
+    if sample_times.size == 0:
+        raise ValueError("at least one sample time is needed")
     bad = ~(np.isfinite(sample_times) & (sample_times > 0.0))
     if bad.any():
         raise ValueError("sample times must be finite and positive, the "

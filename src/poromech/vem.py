@@ -43,11 +43,6 @@ class VemCell:
         that of its projection)."""
         return self.proj[0]
 
-    @property
-    def div_row(self) -> np.ndarray:
-        """Cell-mean divergence row (2 nv,) on interleaved vector dofs."""
-        return self.grad.T.ravel()
-
 
 def vem_cell(cell: CellGeometry, shear: float, lam: float) -> VemCell:
     """All VEM operators of one counterclockwise polygon, from its

@@ -51,7 +51,7 @@ def mixed_problem(n, dt, stabilize=False):
     return system, state
 
 
-def dense_four_field_solve(system, state, t_new):
+def dense_four_field_solve(system, state, t):
     """Dense solve of the uncondensed (u, w, p, pi) block system with the
     same Dirichlet elimination; the condensation oracle."""
     blocks = four_field_blocks(system)
@@ -72,12 +72,12 @@ def dense_four_field_solve(system, state, t_new):
     a[o_pi:, o_w:o_p] = blocks.a_wpi.T.toarray()
 
     b = np.zeros(n)
-    b[:n_u] = system.mech_rhs(t_new)
-    b[o_p:o_pi] = system.mass_rhs(state, t_new)
-    b[o_pi:] = system.trace_rhs(t_new)
+    b[:n_u] = system.mech_rhs(t)
+    b[o_p:o_pi] = system.mass_rhs(state, t)
+    b[o_pi:] = system.trace_rhs(t)
 
     fixed = np.concatenate([system.fixed_u, o_pi + system.fixed_pi])
-    values = system.dirichlet_values(t_new)
+    values = system.dirichlet_values(t)
     free = np.setdiff1d(np.arange(n), fixed)
     x = np.empty(n)
     x[fixed] = values

@@ -83,6 +83,16 @@ def test_run_manufactured_gmres_reports_iterations(tmp_path):
     assert float(rows[0]["residual_reduction"]) <= 1e-6
 
 
+def test_run_mandel_writes_report_and_snapshot(tmp_path):
+    outdir = tmp_path / "out"
+    assert main(["run", "--problem", "mandel", "--n", "3", "--steps", "2",
+                 "--outdir", str(outdir)]) == 0
+    header, rows = read_table(outdir / "report.csv")
+    assert header == REPORT_HEADER
+    assert [row["step"] for row in rows] == ["1", "2"]
+    assert (outdir / "state_final.vtk").is_file()
+
+
 def test_run_outputs_are_deterministic(tmp_path):
     args = ["run", "--n", "3", "--steps", "2", "--stabilize"]
     for name in ("a", "b"):
@@ -153,6 +163,18 @@ def test_config_boolean_overridden_by_negated_flag(tmp_path):
                      "--outdir", str(outdir)] + extra) == 0
         # only a stabilized run has macro elements to write
         assert (outdir / "partition.csv").is_file() == partition
+
+
+def test_config_unknown_problem_fails_cleanly(tmp_path, capsys):
+    """argparse checks choices only on the command line, so a config value
+    reaches the problem dispatch in cmd_run."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"problem": "beam"}')
+    assert main(["run", "--n", "2", "--config", str(cfg),
+                 "--outdir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: unknown problem 'beam'")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_not_an_object_exits_with_usage_error(tmp_path):
@@ -235,7 +257,8 @@ def test_mandel_command_profiles(tmp_path, capsys):
     # a t = 0 sample is refused, not written as a mislabelled 0 T_c profile
     ("--times", "0,0.05", "error: sample times must be finite and positive"),
     ("--n-terms", "0", "error: n_terms must be at least 1"),
-], ids=["time-zero", "no-series-terms"])
+    ("--times", "", "error: at least one sample time"),
+], ids=["time-zero", "no-series-terms", "no-sample-time"])
 def test_mandel_command_rejects_bad_series_input(tmp_path, capsys, option,
                                                  value, error):
     outdir = tmp_path / "out"

@@ -11,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay, QhullError
 
-from poromech.mesh import (MeshError, MeshFormatError, PolyMesh, apply_skew,
+from poromech.mesh import (MeshError, MeshFormatError, PolyMesh,
                            build_cartesian, build_hybrid, build_skewed,
-                           build_voronoi, is_k_orthogonal,
-                           k_orthogonality_defect, kappa_as_tensor,
-                           polygon_area_centroid,
+                           build_voronoi, k_orthogonality_defect,
+                           kappa_as_tensor, polygon_area_centroid,
                            polygon_diameter, polygon_edge_geometry,
                            polygon_quadrature, read_mesh, write_mesh)
 from poromech.assembly import BoundaryConditions, DiscreteSystem, Material
@@ -250,6 +249,10 @@ def test_constructor_rejects_bad_cells():
         PolyMesh(verts, [[0, 3, 2, 1]])               # clockwise
     with pytest.raises(MeshError):
         PolyMesh(verts, [[0, 1, 2], [0, 1, 3]])       # same traversal twice
+    with pytest.raises(MeshError, match=r"\(nv, 2\) array"):
+        PolyMesh(np.zeros((4, 3)), [[0, 1, 2, 3]])    # 3-D vertices
+    with pytest.raises(MeshError, match="cell 0 references a missing vertex"):
+        PolyMesh(verts, [[0, 1, 4]])                  # no vertex 4
 
 
 def test_constructor_rejects_non_finite_vertex():
@@ -289,13 +292,13 @@ def test_bad_input_names_cell_or_face(case):
 
 def test_skew_is_identity_on_quarter_lattice():
     base = build_cartesian(4, 4)
-    skewed = apply_skew(base)
+    skewed = build_skewed(4, 4)
     assert np.allclose(skewed.vertices, base.vertices, atol=1e-15)
 
 
 def test_skew_frozen_interior_point():
     base = build_cartesian(10, 10)
-    skewed = apply_skew(base)
+    skewed = build_skewed(10, 10)
     v = np.flatnonzero(np.all(np.isclose(base.vertices, 0.1), axis=1))[0]
     # g(0.1, 0.1) = 0.1 - 0.07 sin^2(0.4 pi) in both components
     expected = 0.036684405196876840156
@@ -305,7 +308,7 @@ def test_skew_frozen_interior_point():
 
 def test_skew_preserves_boundary():
     base = build_cartesian(10, 10)
-    skewed = apply_skew(base)
+    skewed = build_skewed(10, 10)
     on_boundary = base.boundary_vertex_mask
     assert np.allclose(skewed.vertices[on_boundary],
                        base.vertices[on_boundary], atol=1e-15)
@@ -325,6 +328,8 @@ def test_hybrid_counts():
     assert build_hybrid(2, 2).num_cells == 6
     assert build_hybrid(10, 10).num_cells == 110
     assert abs(build_hybrid(10, 11).num_cells - 110) <= 0.15 * 110
+    with pytest.raises(MeshError, match="at least one cell per direction"):
+        build_hybrid(0, 3)
 
 
 def test_hybrid_mixes_shapes():
@@ -499,11 +504,10 @@ def test_scipy_spatial_loads_with_the_first_voronoi_build():
 
 def test_k_orthogonality():
     cart = build_cartesian(5, 5)
-    assert is_k_orthogonal(cart, 1.0)
-    assert is_k_orthogonal(cart, np.diag([2.0, 1.0]))
     assert k_orthogonality_defect(cart, 1.0) <= 1e-10
+    assert k_orthogonality_defect(cart, np.diag([2.0, 1.0])) <= 1e-10
     skew = build_skewed(5, 5)
-    assert not is_k_orthogonal(skew, 1.0)
+    assert k_orthogonality_defect(skew, 1.0) > 1e-10
 
 
 def test_k_orthogonality_matches_cell_loop():
@@ -613,6 +617,14 @@ def test_io_missing_vertex_is_parse_error(tmp_path):
     path.write_text("4 1\n0 0\n1 0\n1 1\n0 1\n"
                     "4 0 1 2 9\n")
     with pytest.raises(MeshFormatError, match="line 6"):
+        read_mesh(path)
+
+
+def test_io_rejects_two_vertex_cell(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("4 1\n0 0\n1 0\n1 1\n0 1\n2 0 1\n")
+    with pytest.raises(MeshFormatError,
+                       match="line 6: cell with fewer than 3 vertices"):
         read_mesh(path)
 
 

@@ -1,12 +1,17 @@
 """Module boundaries of the package: each module's private names (a
 leading underscore) stay inside it, each object's private attributes
-are read only through self or cls, and only the solver module reaches
-SuperLU's splu, so every factor takes its one path."""
+are read only through self or cls, only the solver module reaches
+SuperLU's splu, so every factor takes its one path, and every exported
+name exists."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import poromech
+import poromech.mesh
+import poromech.problems
 
 PACKAGE = Path(poromech.__file__).parent
 
@@ -115,3 +120,12 @@ def test_splu_check_sees_calls_and_imports(tmp_path):
                      "x = spla.spsolve(a, b)\n")
     assert splu_references(probe) == [(2, "spla.splu"), (3, "splu"),
                                       (4, "scipy.sparse.linalg.splu")]
+
+
+@pytest.mark.parametrize("module", [poromech, poromech.mesh,
+                                    poromech.problems],
+                         ids=lambda module: module.__name__)
+def test_every_exported_name_exists(module):
+    """A stale string in __all__ breaks only `from module import *`."""
+    assert [name for name in module.__all__
+            if not hasattr(module, name)] == []

@@ -511,7 +511,6 @@ def test_manufactured_case_row():
                                     t_end=0.5)
     assert row["cells"] == 9 and row["steps"] == 2
     assert row["h"] == pytest.approx(np.sqrt(2.0) / 3.0, rel=1e-12)
-    assert row["iterations"] == 0
     assert row["e_p"] > 0 and row["e_u"] > 0 and row["e_s"] > 0
 
 

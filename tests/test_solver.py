@@ -411,6 +411,15 @@ def test_gmres_cantilever_matches_direct(family):
         assert np.abs(got - ref).max() <= 1e-4 * np.abs(ref).max(), field
 
 
+def test_gmres_cantilever_step_raises_when_not_converged():
+    """The SolverError that a failed GMRES cantilever step raises."""
+    system, state = cantilever.setup(build_cartesian(6, 6), 1e-5,
+                                     stabilize=True, linear_solver="gmres",
+                                     maxiter=2)
+    with pytest.raises(SolverError, match="did not converge in 2 iterations"):
+        system.step(state)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_gmres_cantilever_matches_modified_gram_schmidt(family, monkeypatch):
     """Ten stabilized cantilever steps at n = 10 take the same iterations

@@ -204,7 +204,7 @@ def test_stability_ignores_linear_interpolants():
 def test_divergence_examples():
     for n_verts in (3, 4, 6, 8):
         verts = random_convex_polygon(RNG, n_verts)
-        div = cell(verts).div_row
+        div = cell(verts).grad.T.ravel()
         assert div @ linear_dofs(verts, np.eye(2)) == \
             pytest.approx(2.0, rel=1e-12)
         assert div @ linear_dofs(verts, np.zeros((2, 2)), (0.7, -1.2)) == \
@@ -213,7 +213,7 @@ def test_divergence_examples():
 
 def test_divergence_of_quadratic_interpolant():
     dofs = interleave(UNIT_SQUARE[:, 0] ** 2, np.zeros(4))
-    assert cell(UNIT_SQUARE).div_row @ dofs == \
+    assert cell(UNIT_SQUARE).grad.T.ravel() @ dofs == \
         pytest.approx(1.0, rel=1e-13)
 
 
