@@ -367,8 +367,9 @@ class DiscreteSystem:
             [[self.a_uu, -self.a_up, None],
              [self.a_up_t, self.a_pp, self.dt * self.a_ppi],
              [None, self.a_ppi.T, self.a_pipi]], format="csr")
-        self._a_ff = full[self.free][:, self.free].tocsr()
-        self._a_fd = full[self.free][:, self.fixed].tocsr()
+        rows = full[self.free]
+        self._a_ff = rows[:, self.free].tocsr()
+        self._a_fd = rows[:, self.fixed].tocsr()
         if self.linear_solver == "direct":
             self._lu = factorize(self._a_ff)
             self._abs_a_ff = abs(self._a_ff)
@@ -381,9 +382,7 @@ class DiscreteSystem:
 
     def _solve(self, rhs: np.ndarray, t: float) -> np.ndarray:
         x_d = self.dirichlet_values(t)
-        b_f = rhs[self.free]
-        if self.fixed.size:
-            b_f = b_f - self._a_fd @ x_d
+        b_f = rhs[self.free] - self._a_fd @ x_d
         if self._lu is not None:
             # The coupled blocks span many orders of magnitude (stiffness
             # versus dt-scaled mobility), so the first solve can leave a
@@ -483,17 +482,20 @@ class DiscreteSystem:
                      p=x[self.n_u:self.n_u + self.n_p],
                      pi=x[self.n_u + self.n_p:])
 
-    def initial_state(self, p0=0.0, u0: np.ndarray | None = None,
-                      t0: float = 0.0) -> State:
-        """Consistent initial state for a given initial pressure.
+    def initial_state(self, p0=0.0, u0: np.ndarray | None = None) -> State:
+        """Consistent state at t = 0 for a given initial pressure.
 
         p0 may be a scalar, a per-cell array, or a vectorized callable of
         the quadrature points.  Displacements solve the momentum equation
         against p0 unless u0 is given; traces always solve the flow
-        problem against p0.  Each solve factorizes its block afresh.
+        problem against p0.  Both blocks are contiguous slices of the
+        condensed matrices, free dofs ordered (u, p, pi) and fixed ones
+        (u, pi); each solve factorizes its block afresh.
         """
-        x_d = self.dirichlet_values(t0)
-        u_d, pi_d = x_d[:self.fixed_u.size], x_d[self.fixed_u.size:]
+        n_fu, n_du = self.free_u.size, self.fixed_u.size
+        trace = slice(n_fu + self.n_p, None)       # free trace rows
+        x_d = self.dirichlet_values(0.0)
+        u_d, pi_d = x_d[:n_du], x_d[n_du:]
         if callable(p0):
             p_cells = (self._integrate("p0", p0(self.quad_points))
                        / self.mesh.cell_area)
@@ -502,26 +504,20 @@ class DiscreteSystem:
                                       (self.n_p,)).copy()
 
         if u0 is None:
-            b_u = self.mech_rhs(t0) + self.a_up @ p_cells
-            b_f = b_u[self.free_u]
-            if self.fixed_u.size:
-                b_f = b_f - self.a_uu[self.free_u][:, self.fixed_u] @ u_d
+            b_u = self.mech_rhs(0.0) + self.a_up @ p_cells
             u0 = np.empty(self.n_u)
-            u0[self.free_u] = factorize(
-                self.a_uu[self.free_u][:, self.free_u]).solve(b_f)
+            u0[self.free_u] = factorize(self._a_ff[:n_fu, :n_fu]).solve(
+                b_u[self.free_u] - self._a_fd[:n_fu, :n_du] @ u_d)
             u0[self.fixed_u] = u_d
         else:
             u0 = np.asarray(u0, dtype=float)
 
-        r_pi = self.trace_rhs(t0) - self.a_ppi.T @ p_cells
-        b_f = r_pi[self.free_pi]
-        if self.fixed_pi.size:
-            b_f = b_f - self.a_pipi[self.free_pi][:, self.fixed_pi] @ pi_d
+        r_pi = self.trace_rhs(0.0) - self.a_ppi.T @ p_cells
         pi0 = np.empty(self.n_pi)
-        pi0[self.free_pi] = factorize(
-            self.a_pipi[self.free_pi][:, self.free_pi]).solve(b_f)
+        pi0[self.free_pi] = factorize(self._a_ff[trace, trace]).solve(
+            r_pi[self.free_pi] - self._a_fd[trace, n_du:] @ pi_d)
         pi0[self.fixed_pi] = pi_d
-        return State(time=t0, u=u0, p=p_cells, pi=pi0)
+        return State(time=0.0, u=u0, p=p_cells, pi=pi0)
 
     def recover_velocity(self, state: State) -> np.ndarray:
         """One-sided face velocities from the cell-local flow equations.

@@ -34,13 +34,12 @@ BOX_MARGIN = 1e-9
 VERTEX_MERGE = 1e-9
 
 
-def build_cartesian(nx: int, ny: int, width: float = 1.0,
-                    height: float = 1.0) -> PolyMesh:
-    """Uniform nx-by-ny quadrilateral grid on [0, width] x [0, height]."""
+def build_cartesian(nx: int, ny: int) -> PolyMesh:
+    """Uniform nx-by-ny quadrilateral grid on the unit square."""
     if nx < 1 or ny < 1:
         raise MeshError("grid must have at least one cell per direction")
-    xs = np.linspace(0.0, width, nx + 1)
-    ys = np.linspace(0.0, height, ny + 1)
+    xs = np.linspace(0.0, 1.0, nx + 1)
+    ys = np.linspace(0.0, 1.0, ny + 1)
     xx, yy = np.meshgrid(xs, ys)               # row-major: vertex j*(nx+1)+i
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
     # cell j*nx+i has its south-west corner at vertex j*(nx+1)+i
@@ -65,12 +64,11 @@ def build_skewed(nx: int, ny: int) -> PolyMesh:
     return PolyMesh(vertices, base.cells)
 
 
-def build_hybrid(nx: int, ny: int, width: float = 1.0,
-                 height: float = 1.0) -> PolyMesh:
-    """Cartesian grid with one anti-diagonal band of cells split into
-    triangles along their SW-NE diagonals, mixing element shapes while
-    keeping the mesh conforming."""
-    base = build_cartesian(nx, ny, width, height)
+def build_hybrid(nx: int, ny: int) -> PolyMesh:
+    """Cartesian grid on the unit square with one anti-diagonal band of
+    cells split into triangles along their SW-NE diagonals, mixing element
+    shapes while keeping the mesh conforming."""
+    base = build_cartesian(nx, ny)
     band = (nx + ny) // 2 - 1
     cells = []
     for j in range(ny):

@@ -211,7 +211,7 @@ def setup(mesh: PolyMesh, dt: float, *, n_terms: int = 200,
     system = DiscreteSystem(mesh, material, bcs, dt,
                             linear_solver=linear_solver,
                             stabilize=stabilize)
-    state0 = system.initial_state(p0=solution.undrained_pressure(), t0=0.0)
+    state0 = system.initial_state(p0=solution.undrained_pressure())
     return system, solution, state0
 
 

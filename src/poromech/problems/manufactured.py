@@ -137,5 +137,5 @@ def setup(mesh: PolyMesh, dt: float, *, stabilize: bool = False,
                             linear_solver=linear_solver,
                             body_force=body_force, mass_source=mass_source)
     state0 = system.initial_state(p0=lambda pts: pressure(pts, 0.0),
-                                  u0=np.zeros(system.n_u), t0=0.0)
+                                  u0=np.zeros(system.n_u))
     return system, state0

@@ -104,27 +104,25 @@ def convergence_study(family: str = "cartesian", levels: int = 5, *,
 
 
 def time_refinement_study(family: str = "cartesian", n: int = 40, *,
-                          dts=None, t_end: float = 1.0,
-                          stabilize: bool = False, seed: int = 0,
-                          lloyd_iters: int = 20,
+                          t_end: float = 1.0, stabilize: bool = False,
+                          seed: int = 0, lloyd_iters: int = 20,
                           workers: int | None = None) -> list[dict]:
-    """Halve the time step on one fixed mesh."""
-    if dts is None:
-        dts = [0.1 / 2**k for k in range(5)]
-    tasks = [(family, n, dt, t_end, stabilize, seed, lloyd_iters)
-             for dt in dts]
+    """Halve the time step on one fixed mesh: the fixed ladder
+    dt = 0.1 / 2^k for k = 0, ..., 4."""
+    tasks = [(family, n, 0.1 / 2**k, t_end, stabilize, seed, lloyd_iters)
+             for k in range(5)]
     return _run_cases(_manufactured_task, tasks, workers)
 
 
-def observed_rates(rows: list[dict], x_key: str = "h",
-                   keys=("e_p", "e_u", "e_s")) -> dict:
-    """Convergence rates from the two finest cases of a ladder."""
+def observed_rates(rows: list[dict], x_key: str = "h") -> dict:
+    """Rates of the three error norms e_p, e_u and e_s from the two finest
+    cases of a ladder."""
     if len(rows) < 2:
         raise ValueError("need at least two cases to observe a rate")
     prev, last = rows[-2], rows[-1]
     ratio = np.log(prev[x_key] / last[x_key])
     return {key: float(np.log(prev[key] / last[key]) / ratio)
-            for key in keys}
+            for key in ("e_p", "e_u", "e_s")}
 
 
 def stabilization_study(families=STABILIZED_FAMILIES + ("voronoi",),

@@ -21,9 +21,8 @@ from poromech.assembly import BoundaryConditions, DiscreteSystem, Material
 from poromech.mesh import build_cartesian, build_voronoi, polygon_geometry
 from poromech.problems import mandel
 from poromech.problems.studies import (convergence_study, family_mesh,
-                                       observed_rates, solver_study,
-                                       stabilization_study,
-                                       time_refinement_study)
+                                       manufactured_case, observed_rates,
+                                       solver_study, stabilization_study)
 
 from helpers import random_convex_polygon, random_spd_tensor
 from test_assembly import dense_four_field_solve, mixed_problem
@@ -177,13 +176,12 @@ def test_criterion_4_condensation_oracle():
 def test_criterion_5_convergence():
     t0 = time.perf_counter()
     cart = observed_rates(convergence_study("cartesian", 5, base=5,
-                                            dt0=0.1),
-                          keys=("e_p", "e_u", "e_s"))
-    vor = observed_rates(convergence_study("voronoi", 3, base=20, dt0=0.1),
-                         keys=("e_p", "e_u", "e_s"))
+                                            dt0=0.1))
+    vor = observed_rates(convergence_study("voronoi", 3, base=20, dt0=0.1))
 
-    rows = time_refinement_study("cartesian", n=80,
-                                 dts=[0.5 / 2**k for k in range(10)])
+    # a longer dt ladder than time_refinement_study's, down to the plateau
+    mesh = family_mesh("cartesian", 80)
+    rows = [manufactured_case(mesh, 0.5 / 2**k) for k in range(10)]
     dts = np.array([r["dt"] for r in rows])
     es = {k: np.array([r[k] for r in rows]) for k in ("e_p", "e_u", "e_s")}
     slope = {k: np.log(es[k][0] / es[k][2]) / np.log(dts[0] / dts[2])

@@ -322,7 +322,7 @@ def test_initial_state_zero_pressure_zero_loads():
 
 def test_initial_state_balances_momentum():
     system, _ = mixed_problem(3, dt=0.1)
-    state = system.initial_state(p0=lambda pts: pts[:, 0], t0=0.0)
+    state = system.initial_state(p0=lambda pts: pts[:, 0])
     b_u = system.mech_rhs(0.0) + system.a_up @ state.p
     residual = (system.a_uu @ state.u - b_u)[system.free_u]
     assert np.abs(residual).max() <= 1e-9 * np.abs(b_u).max()

@@ -65,8 +65,6 @@ def test_cartesian_counts():
 def test_cartesian_invalid_dimensions():
     with pytest.raises(MeshError):
         build_cartesian(0, 5)
-    with pytest.raises(MeshError):
-        build_cartesian(5, 5, width=-1.0)
 
 
 def test_single_cell_geometry():

@@ -523,9 +523,12 @@ def test_observed_rates_on_synthetic_ladder():
     assert rates["e_s"] == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError, match="two cases"):
         studies.observed_rates(rows[:1])
-    rows = [{"dt": 0.1, "e_p": 0.1}, {"dt": 0.05, "e_p": 0.05}]
-    assert studies.observed_rates(rows, x_key="dt", keys=("e_p",))["e_p"] \
-        == pytest.approx(1.0, rel=1e-12)
+    rows = [{"dt": 0.1, "e_p": 0.1, "e_u": 0.4, "e_s": 0.2},
+            {"dt": 0.05, "e_p": 0.05, "e_u": 0.1, "e_s": 0.2}]
+    rates = studies.observed_rates(rows, x_key="dt")
+    assert rates["e_p"] == pytest.approx(1.0, rel=1e-12)
+    assert rates["e_u"] == pytest.approx(2.0, rel=1e-12)
+    assert rates["e_s"] == 0.0
 
 
 def test_worker_count_env_cap(monkeypatch):
