@@ -11,9 +11,10 @@ couples displacements, pressures and traces:
 
 Volume callables (body force, fluid source, initial pressure) take the
 (n, 2) quadrature points (and a time); their values must broadcast to
-(n, 2) for the body force and to (n,) otherwise, else a ValueError names
-the callable.  Every call from a system passes the same read-only array,
-its quad_points, so a callable may keep per-point work for it.
+(n, 2) for the body force and to (n,) otherwise, and their cell integrals
+must be finite, else a ValueError names the callable.  Every call from a
+system passes the same read-only array, its quad_points, so a callable
+may keep per-point work for it.
 Boundary callables (displacement, traction, pressure, flux) take a single
 point, a (2,) array, and a time.  They run once per step for each item
 they prescribe: displacement once per fixed dof (twice at a vertex with both
@@ -426,14 +427,20 @@ class DiscreteSystem:
 
     def _integrate(self, name: str, values, *shape) -> np.ndarray:
         """Cell integrals of the values that the volume callable `name`
-        returned at quad_points, broadcast to (n_q, *shape)."""
+        returned at quad_points, broadcast to (n_q, *shape); a ValueError
+        names the callable and a cell whose integral is not finite."""
         shape = (len(self.quad_points),) + shape
         try:
             values = np.broadcast_to(np.asarray(values, dtype=float), shape)
         except ValueError:
             raise ValueError(f"{name} returned shape {np.shape(values)}, "
                              f"expected {shape}") from None
-        return self.cell_integral @ values
+        integrals = self.cell_integral @ values
+        if not np.isfinite(integrals).all():
+            cell = np.argwhere(~np.isfinite(integrals))[0, 0]
+            raise ValueError(f"{name} has a non-finite integral over "
+                             f"cell {cell}")
+        return integrals
 
     def mech_rhs(self, t: float) -> np.ndarray:
         """Momentum right-hand side: body force and traction terms."""

@@ -98,6 +98,9 @@ def convergence_study(family: str = "cartesian", levels: int = 5, *,
                       lloyd_iters: int = 20,
                       workers: int | None = None) -> list[dict]:
     """Simultaneous space-time ladder: 4x the cells, half the step."""
+    if levels < 1:
+        raise ValueError(f"at least one level is needed, got levels = "
+                         f"{levels}")
     tasks = [(family, base * 2**level, dt0 / 2**level, t_end, stabilize,
               seed, lloyd_iters) for level in range(levels)]
     return _run_cases(_manufactured_task, tasks, workers)
@@ -134,6 +137,8 @@ def stabilization_study(families=STABILIZED_FAMILIES + ("voronoi",),
     Each row keeps the stepped (system, state) pairs under "runs", keyed
     "unstabilized" and "stabilized" like the indicators, for snapshots.
     """
+    if not families:
+        raise ValueError("at least one mesh family is needed")
     rows = []
     for family in families:
         mesh = family_mesh(family, n, seed=seed, lloyd_iters=lloyd_iters)
@@ -153,6 +158,8 @@ def solver_study(levels=(0, 1, 2), *, family: str = "cartesian",
                  stabilize: bool = True, rtol: float = 1e-6,
                  seed: int = 0, lloyd_iters: int = 20) -> list[dict]:
     """GMRES iteration counts of one cantilever step across refinements."""
+    if not levels:
+        raise ValueError("at least one refinement level is needed")
     rows = []
     for level in levels:
         mesh = level_mesh(family, level, base=base, seed=seed,

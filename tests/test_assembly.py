@@ -11,6 +11,7 @@ from poromech.assembly import (BoundaryConditions, DiscreteSystem, Material,
                                State)
 from poromech.mesh import (PolyMesh, build_cartesian, build_voronoi,
                            polygon_geometry)
+from poromech.problems import mandel, manufactured
 from poromech.problems.studies import FAMILIES, family_mesh
 
 from helpers import dart_mesh, four_field_blocks, polygon_moments
@@ -326,6 +327,56 @@ def test_initial_state_balances_momentum():
     b_u = system.mech_rhs(0.0) + system.a_up @ state.p
     residual = (system.a_uu @ state.u - b_u)[system.free_u]
     assert np.abs(residual).max() <= 1e-9 * np.abs(b_u).max()
+
+
+@pytest.mark.parametrize("name", FAMILIES + ("mandel",))
+def test_initial_state_blocks_are_condensed_slices(name):
+    """initial_state reads its displacement and trace blocks as contiguous
+    slices of the condensed matrices: free dofs ordered (u, p, pi), fixed
+    ones (u, pi).  Those slices must be the free/fixed blocks of a_uu and
+    a_pipi, so that a reordering of either dof list fails here."""
+    if name == "mandel":
+        system = mandel.setup(build_cartesian(10, 10), 1.0)[0]
+    else:
+        system = manufactured.setup(family_mesh(name, 6), 0.1)[0]
+    free_u, fixed_u = system.free_u, system.fixed_u
+    free_pi, fixed_pi = system.free_pi, system.fixed_pi
+    n_fu, n_du = free_u.size, fixed_u.size
+    trace = slice(n_fu + system.n_p, None)
+    a_ff, a_fd = system.condensed_matrix(), system._a_fd
+    assert fixed_pi.size and a_fd.shape[1] == n_du + fixed_pi.size
+    for got, want in [
+            (a_ff[:n_fu, :n_fu], system.a_uu[free_u][:, free_u]),
+            (a_fd[:n_fu, :n_du], system.a_uu[free_u][:, fixed_u]),
+            (a_ff[trace, trace], system.a_pipi[free_pi][:, free_pi]),
+            (a_fd[trace, n_du:], system.a_pipi[free_pi][:, fixed_pi])]:
+        assert np.array_equal(got.toarray(), want.toarray())
+    # no displacement row couples to a fixed trace, nor a trace row to a
+    # fixed displacement
+    assert a_fd[:n_fu, n_du:].nnz == 0 and a_fd[trace, :n_du].nnz == 0
+
+
+@pytest.mark.parametrize("name", ["body_force", "mass_source", "p0"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_volume_data_is_named(name, bad):
+    """A volume callable that is not finite on cell 5 is named, with the
+    cell, before its values reach a solve."""
+    shape = (2,) if name == "body_force" else ()
+
+    def data(pts, t=0.0):
+        values = np.ones((len(pts),) + shape)
+        values[system.quad_cells == 5] = bad
+        return values
+
+    system = clamped_system(build_cartesian(4, 4),
+                            **({} if name == "p0" else {name: data}))
+    state = State(time=0.0, u=np.zeros(system.n_u), p=np.zeros(system.n_p),
+                  pi=np.zeros(system.n_pi))
+    with pytest.raises(ValueError, match=f"{name} .*cell 5"):
+        if name == "p0":
+            system.initial_state(p0=data)
+        else:
+            system.step(state)
 
 
 def test_all_neumann_mechanics_raises():

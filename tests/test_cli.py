@@ -268,6 +268,19 @@ def test_mandel_command_rejects_bad_series_input(tmp_path, capsys, option,
     assert not list(outdir.glob("profile_*"))
 
 
+@pytest.mark.parametrize("args, error", [
+    (["converge", "--levels", "0"], "error: at least one level"),
+    (["cantilever", "--families", ""], "error: at least one mesh family"),
+    (["solver-bench", "--levels", ""],
+     "error: at least one refinement level"),
+], ids=["converge", "cantilever", "solver-bench"])
+def test_empty_study_command_is_rejected(tmp_path, capsys, args, error):
+    outdir = tmp_path / "out"
+    assert main(args + ["--outdir", str(outdir)]) == 1
+    assert capsys.readouterr().err.startswith(error)
+    assert not list(outdir.glob("*.csv"))
+
+
 def test_cantilever_command_indicator_table(tmp_path):
     outdir = tmp_path / "out"
     assert main(["cantilever", "--families", "cartesian", "--n", "4",

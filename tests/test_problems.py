@@ -548,6 +548,17 @@ def test_stabilization_study_reduces_indicator():
     assert row["stabilized"] < row["unstabilized"]
 
 
+@pytest.mark.parametrize("family", studies.FAMILIES)
+def test_solver_study_iterations_scale_on_every_family(family):
+    """Criterion 8's rule on each family: with stabilization the GMRES
+    count of one cantilever step at level 2 (n = 40) is at most twice the
+    count at level 0 (n = 10)."""
+    rows = studies.solver_study((0, 1, 2), family=family)
+    iters = [row["iterations"] for row in rows]
+    assert all(row["stabilized"] for row in rows)
+    assert iters[2] <= 2 * iters[0], iters
+
+
 # ----- cantilever -----------------------------------------------------------------------
 
 def test_cantilever_bends_downward():
