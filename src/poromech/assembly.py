@@ -364,13 +364,16 @@ class DiscreteSystem:
     # ----- global system ----------------------------------------------------
 
     def _build_system(self) -> None:
-        full = sp.bmat(
+        # the free rows of the full matrix, split into free and fixed
+        # columns; released before the factorization, the peak of set-up
+        # memory
+        rows = sp.bmat(
             [[self.a_uu, -self.a_up, None],
              [self.a_up_t, self.a_pp, self.dt * self.a_ppi],
-             [None, self.a_ppi.T, self.a_pipi]], format="csr")
-        rows = full[self.free]
+             [None, self.a_ppi.T, self.a_pipi]], format="csr")[self.free]
         self._a_ff = rows[:, self.free].tocsr()
         self._a_fd = rows[:, self.fixed].tocsr()
+        del rows
         if self.linear_solver == "direct":
             self._lu = factorize(self._a_ff)
             self._abs_a_ff = abs(self._a_ff)

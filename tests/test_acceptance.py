@@ -182,11 +182,11 @@ def test_criterion_5_convergence():
     # a longer dt ladder than time_refinement_study's, down to the plateau
     mesh = family_mesh("cartesian", 80)
     rows = [manufactured_case(mesh, 0.5 / 2**k) for k in range(10)]
-    dts = np.array([r["dt"] for r in rows])
+    dt = np.array([r["dt"] for r in rows])
     es = {k: np.array([r[k] for r in rows]) for k in ("e_p", "e_u", "e_s")}
-    slope = {k: np.log(es[k][0] / es[k][2]) / np.log(dts[0] / dts[2])
+    slope = {k: np.log(es[k][0] / es[k][2]) / np.log(dt[0] / dt[2])
              for k in ("e_p", "e_u")}
-    tail = np.log(es["e_s"][-2] / es["e_s"][-1]) / np.log(dts[-2] / dts[-1])
+    tail = np.log(es["e_s"][-2] / es["e_s"][-1]) / np.log(dt[-2] / dt[-1])
     plateau = tail <= 0.4 and es["e_s"][-1] >= 0.5 * es["e_s"][-3]
     elapsed = time.perf_counter() - t0
 

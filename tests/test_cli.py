@@ -234,8 +234,8 @@ def test_converge_time_refinement_table(tmp_path, monkeypatch):
     _, rows = read_table(outdir / "time_refinement_cartesian.csv")
     assert len(rows) == 5
     assert int(rows[0]["cells"]) == 9
-    dts = [float(row["dt"]) for row in rows]
-    assert dts == [0.1 / 2**k for k in range(5)]
+    ladder = [float(row["dt"]) for row in rows]
+    assert ladder == [0.1 / 2**k for k in range(5)]
 
 
 def test_mandel_command_profiles(tmp_path, capsys):
