@@ -150,6 +150,15 @@ def _matches(name: str, selectors: list, faces: np.ndarray,
     return zip(faces[rows], cols)
 
 
+def _finite(name: str, values: np.ndarray, what: str) -> np.ndarray:
+    """Return values; a NaN or an infinity is a ValueError naming name
+    and the leading index, a `what`, of the first such entry."""
+    if not np.isfinite(values).all():
+        first = np.argwhere(~np.isfinite(values))[0, 0]
+        raise ValueError(f"{name} is not finite at {what} {first}")
+    return values
+
+
 def _csr(parts, shape) -> sp.csr_matrix:
     """One CSR matrix from (rows, cols, vals) array triples of equal
     shapes; duplicate entries add up."""
@@ -438,12 +447,8 @@ class DiscreteSystem:
         except ValueError:
             raise ValueError(f"{name} returned shape {np.shape(values)}, "
                              f"expected {shape}") from None
-        integrals = self.cell_integral @ values
-        if not np.isfinite(integrals).all():
-            cell = np.argwhere(~np.isfinite(integrals))[0, 0]
-            raise ValueError(f"{name} has a non-finite integral over "
-                             f"cell {cell}")
-        return integrals
+        return _finite(f"the integral of {name}",
+                       self.cell_integral @ values, "cell")
 
     def mech_rhs(self, t: float) -> np.ndarray:
         """Momentum right-hand side: body force and traction terms."""
@@ -495,10 +500,12 @@ class DiscreteSystem:
     def initial_state(self, p0=0.0, u0: np.ndarray | None = None) -> State:
         """Consistent state at t = 0 for a given initial pressure.
 
-        p0 may be a scalar, a per-cell array, or a vectorized callable of
-        the quadrature points.  Displacements solve the momentum equation
-        against p0 unless u0 is given; traces always solve the flow
-        problem against p0.  Both blocks are contiguous slices of the
+        p0 may be a scalar, an array of n_p cell values, or a vectorized
+        callable of the quadrature points; a given u0 holds n_u vertex
+        displacements.  A ValueError names p0 or u0 if its shape is wrong
+        or a value is not finite.  Displacements solve the momentum
+        equation against p0 unless u0 is given; traces always solve the
+        flow problem against p0.  Both blocks are contiguous slices of the
         condensed matrices, free dofs ordered (u, p, pi) and fixed ones
         (u, pi); each solve factorizes its block afresh.
         """
@@ -510,8 +517,12 @@ class DiscreteSystem:
             p_cells = (self._integrate("p0", p0(self.quad_points))
                        / self.mesh.cell_area)
         else:
-            p_cells = np.broadcast_to(np.asarray(p0, dtype=float),
-                                      (self.n_p,)).copy()
+            p_cells = np.asarray(p0, dtype=float)
+            if p_cells.shape not in ((), (self.n_p,)):
+                raise ValueError(f"p0 has shape {p_cells.shape}, expected a "
+                                 f"scalar or n_p = {self.n_p} cell values")
+            p_cells = _finite("p0", np.broadcast_to(p_cells, (self.n_p,)),
+                              "cell").copy()
 
         if u0 is None:
             b_u = self.mech_rhs(0.0) + self.a_up @ p_cells
@@ -521,6 +532,10 @@ class DiscreteSystem:
             u0[self.fixed_u] = u_d
         else:
             u0 = np.asarray(u0, dtype=float)
+            if u0.shape != (self.n_u,):
+                raise ValueError(f"u0 has shape {u0.shape}, expected "
+                                 f"n_u = {self.n_u} vertex displacements")
+            u0 = _finite("u0", u0, "dof")
 
         r_pi = self.trace_rhs(0.0) - self.a_ppi.T @ p_cells
         pi0 = np.empty(self.n_pi)

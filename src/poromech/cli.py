@@ -27,6 +27,10 @@ from .solver import SolverError
 
 BoolFlag = argparse.BooleanOptionalAction
 
+# set-up of each `run --problem`
+PROBLEMS = {"mandel": mandel.setup, "manufactured": manufactured.setup,
+            "cantilever": cantilever.setup}
+
 
 def _apply_config(sub: argparse.ArgumentParser, path: str) -> None:
     """Make the JSON object in the file path the defaults of sub."""
@@ -62,8 +66,7 @@ def _resolve_mesh(ns, parser):
             return read_mesh(path)
         except MeshFormatError as exc:
             parser.error(f"mesh file {path}: {exc}")
-    n = ns.n if ns.n is not None else 10 * 2**ns.level
-    return studies.family_mesh(ns.family, n, seed=ns.seed,
+    return studies.family_mesh(ns.family, ns.n, seed=ns.seed,
                                lloyd_iters=ns.lloyd_iters)
 
 
@@ -102,24 +105,23 @@ def cmd_mesh(ns, parser) -> int:
 
 
 def cmd_run(ns, parser) -> int:
-    mesh = _resolve_mesh(ns, parser)
-    if ns.steps is None and ns.t_end is None:
-        ns.steps = 1
-    elif ns.steps is None:
-        ns.steps = max(1, int(round(ns.t_end / ns.dt)))
-
-    if ns.problem == "cantilever":
-        system, state = cantilever.setup(
-            mesh, ns.dt, stabilize=ns.stabilize, linear_solver=ns.solver,
-            rtol=ns.rtol, maxiter=ns.maxit)
-    elif ns.problem == "manufactured":
-        system, state = manufactured.setup(
-            mesh, ns.dt, stabilize=ns.stabilize, linear_solver=ns.solver)
-    elif ns.problem == "mandel":
-        system, _, state = mandel.setup(
-            mesh, ns.dt, linear_solver=ns.solver, stabilize=ns.stabilize)
-    else:
+    if ns.problem not in PROBLEMS:
         raise ValueError(f"unknown problem '{ns.problem}'")
+    if ns.steps is not None and ns.steps < 1:
+        raise ValueError(f"steps must be at least 1, got {ns.steps}")
+    # the chained comparison is False for nan as well
+    if ns.t_end is not None and not 0.0 < ns.t_end < np.inf:
+        raise ValueError(f"t_end must be finite and positive, got "
+                         f"{ns.t_end}")
+    mesh = _resolve_mesh(ns, parser)
+    # a set-up returns (system, state), Mandel's (system, solution, state)
+    system, *_, state = PROBLEMS[ns.problem](
+        mesh, ns.dt, stabilize=ns.stabilize, linear_solver=ns.solver,
+        rtol=ns.rtol, maxiter=ns.maxit)
+    if ns.steps is None:
+        # the system has checked dt
+        ns.steps = (1 if ns.t_end is None
+                    else max(1, int(round(ns.t_end / system.dt))))
 
     out = _outdir(ns)
     report = []
@@ -140,7 +142,6 @@ def cmd_run(ns, parser) -> int:
 
 
 def cmd_converge(ns, parser) -> int:
-    out = _outdir(ns)
     if ns.time_refinement:
         rows = studies.time_refinement_study(
             ns.family, ns.n_fixed, t_end=ns.t_end, stabilize=ns.stabilize,
@@ -160,7 +161,7 @@ def cmd_converge(ns, parser) -> int:
     header = ["level", "cells", "unknowns", "h", "dt", "steps",
               "e_p", "e_u", "e_s", "rate_e_p", "rate_e_u", "rate_e_s"]
     name = ("time_refinement" if ns.time_refinement else "convergence")
-    write_csv(out / f"{name}_{ns.family}.csv", header, rows)
+    write_csv(_outdir(ns) / f"{name}_{ns.family}.csv", header, rows)
     for row in rows:
         rates = "  ".join(
             "rate=." if row[f"rate_{k}"] is None
@@ -259,10 +260,8 @@ def _subcommand(subs, name, func, help, *, family=True, outdir=True):
 
 
 def _add_mesh_options(sub, with_file=True):
-    sub.add_argument("--n", type=int, help="subdivisions per side "
-                     "(Voronoi: side count, n^2 cells)")
-    sub.add_argument("--level", type=int, default=0,
-                     help="refinement level, n = 10 * 2^level, if no --n")
+    sub.add_argument("--n", type=int, default=10, help="subdivisions per "
+                     "side (Voronoi: side count, n^2 cells)")
     if with_file:
         sub.add_argument("--mesh-file",
                          help="read the mesh from a text file instead")
@@ -287,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = _subcommand(subs, "run", cmd_run, "run one simulation")
     sub.add_argument("--problem", default="cantilever", help="problem",
-                     choices=("mandel", "manufactured", "cantilever"))
+                     choices=tuple(PROBLEMS))
     _add_mesh_options(sub)
     sub.add_argument("--dt", type=float, default=1.0e-5, help="time step")
     sub.add_argument("--steps", type=int,

@@ -175,9 +175,8 @@ class PolyMesh:
         start vertex of every cell edge and the flat index of the next
         edge of the same cell
     edge_faces, edge_lengths, edge_normals : flat edge arrays, the face,
-        length and outward unit normal of every cell edge; cell_faces,
-        cell_face_lengths and cell_normals are their per-cell views, made
-        on first use
+        length and outward unit normal of every cell edge; cell_faces and
+        cell_normals are their per-cell views, made on first use
     cell_groups : list of CellGroup, one per vertex count, ascending, each
         with the batched CellGeometry of its cells
     """
@@ -294,11 +293,6 @@ class PolyMesh:
     def cell_faces(self) -> list[np.ndarray]:
         """Faces of each cell aligned with its edges."""
         return np.split(self.edge_faces, self.cell_offsets[1:-1])
-
-    @cached_property
-    def cell_face_lengths(self) -> list[np.ndarray]:
-        """Edge lengths of each cell."""
-        return np.split(self.edge_lengths, self.cell_offsets[1:-1])
 
     @cached_property
     def cell_normals(self) -> list[np.ndarray]:

@@ -8,7 +8,9 @@ vertical displacement of the top edge taken from the series solution.
 
 The classical series solution is implemented for incompressible
 constituents (vanishing storage, unit pressure coupling), the regime whose
-early-time pressure rise above the undrained value is strongest.
+early-time pressure rise above the undrained value is strongest.  It gives
+the two fields the problem uses: the pore pressure, against which the cell
+pressures are checked, and the vertical displacement that moves the platen.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ def series_roots(ratio: float, count: int) -> np.ndarray:
 
 
 class MandelSolution:
-    """Series solution: pressure and displacements on the quarter domain.
+    """Series solution: the pore pressure and the vertical displacement
+    on the quarter domain.
 
     Valid for t > 0; the t -> 0 limits are available in closed form through
     undrained_pressure and undrained_displacement.
@@ -101,7 +104,6 @@ class MandelSolution:
         denom = self.roots - sin * cos
         self._coef_p = sin / denom
         self._coef_sc = sin * cos / denom
-        self._coef_c = cos / denom
 
     def _decay(self, t: float) -> np.ndarray:
         return np.exp(-self.roots**2 * self.consolidation * t
@@ -119,22 +121,6 @@ class MandelSolution:
         scale = (2.0 * self.force * self.skempton * (1.0 + self.nu_u)
                  / (3.0 * self.width))
         return scale * ((np.cos(arg) - np.cos(self.roots)) @ decay)
-
-    def displacement(self, x, y, t: float):
-        """Displacement components at (x, y) and time t > 0.
-
-        As in pressure, memory is O(len(x) * n_terms).
-        """
-        x = np.asarray(x, dtype=float)
-        force, shear, a = self.force, self.material.shear, self.width
-        decay = self._decay(t)
-        u_x = ((force * self.nu / (2.0 * shear * a)
-                - force * self.nu_u / (shear * a) * (self._coef_sc @ decay))
-               * x
-               + force / shear
-               * (np.sin(np.multiply.outer(x, self.roots) / a)
-                  @ (self._coef_c * decay)))
-        return u_x, self.vertical_displacement(y, t)
 
     def vertical_displacement(self, y, t: float):
         """Vertical displacement at height y and time t > 0; it does not
@@ -158,19 +144,11 @@ class MandelSolution:
                * np.asarray(y))
         return u_x, u_y
 
-    def drained_displacement(self, x, y):
-        """Displacement after full consolidation."""
-        shear, a = self.material.shear, self.width
-        u_x = self.force * self.nu / (2.0 * shear * a) * np.asarray(x)
-        u_y = (-self.force * (1.0 - self.nu) / (2.0 * shear * a)
-               * np.asarray(y))
-        return u_x, u_y
-
 
 def setup(mesh: PolyMesh, dt: float, *, n_terms: int = 200,
-          linear_solver: str = "direct",
-          stabilize: bool = False) -> tuple[DiscreteSystem, MandelSolution,
-                                            State]:
+          linear_solver: str = "direct", stabilize: bool = False,
+          rtol: float = 1e-6, maxiter: int = 500) -> tuple[
+              DiscreteSystem, MandelSolution, State]:
     """Discrete Mandel problem on a quarter-domain mesh.
 
     The sample is default_material() under MandelSolution's default platen
@@ -210,7 +188,7 @@ def setup(mesh: PolyMesh, dt: float, *, n_terms: int = 200,
         pressure=lambda x, t: 0.0)
     system = DiscreteSystem(mesh, material, bcs, dt,
                             linear_solver=linear_solver,
-                            stabilize=stabilize)
+                            stabilize=stabilize, rtol=rtol, maxiter=maxiter)
     state0 = system.initial_state(p0=solution.undrained_pressure())
     return system, solution, state0
 

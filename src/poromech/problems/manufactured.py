@@ -122,7 +122,8 @@ def mass_source(points, t: float):
 
 
 def setup(mesh: PolyMesh, dt: float, *, stabilize: bool = False,
-          linear_solver: str = "direct") -> tuple[DiscreteSystem, State]:
+          linear_solver: str = "direct", rtol: float = 1e-6,
+          maxiter: int = 500) -> tuple[DiscreteSystem, State]:
     """Discrete problem with exact Dirichlet data and consistent start.
 
     The initial displacement vanishes identically (the exact field does),
@@ -135,7 +136,8 @@ def setup(mesh: PolyMesh, dt: float, *, stabilize: bool = False,
     system = DiscreteSystem(mesh, material, bcs, dt,
                             stabilize=stabilize,
                             linear_solver=linear_solver,
-                            body_force=body_force, mass_source=mass_source)
+                            body_force=body_force, mass_source=mass_source,
+                            rtol=rtol, maxiter=maxiter)
     state0 = system.initial_state(p0=lambda pts: pressure(pts, 0.0),
                                   u0=np.zeros(system.n_u))
     return system, state0

@@ -45,13 +45,6 @@ def family_mesh(family: str, n: int, *, seed: int = 0,
                      f"{FAMILIES}")
 
 
-def level_mesh(family: str, level: int, *, base: int = 10, seed: int = 0,
-               lloyd_iters: int = 20) -> PolyMesh:
-    """Refinement level of a family: resolution doubles per level."""
-    return family_mesh(family, base * 2**level, seed=seed,
-                       lloyd_iters=lloyd_iters)
-
-
 def _worker_count(workers: int | None, n_tasks: int) -> int:
     if workers is None:
         workers = os.cpu_count() or 1
@@ -72,11 +65,16 @@ def _run_cases(worker, tasks, workers):
 def manufactured_case(mesh: PolyMesh, dt: float, t_end: float = 1.0, *,
                       stabilize: bool = False) -> dict:
     """March the smooth reference problem with the direct solver and
-    accumulate its error norms."""
+    accumulate its error norms over round(t_end / dt) >= 1 steps."""
+    # the chained comparisons are False for nan as well
+    if not (0.0 < dt < np.inf and 0.0 < t_end < np.inf
+            and round(t_end / dt) >= 1):
+        raise ValueError(f"t_end = {t_end} and dt = {dt} must be finite "
+                         f"and positive with round(t_end / dt) >= 1")
+    steps = int(round(t_end / dt))
     system, state = manufactured.setup(mesh, dt, stabilize=stabilize)
     norms = ErrorNorms(system, manufactured.pressure,
                        manufactured.displacement)
-    steps = int(round(t_end / dt))
     for _ in range(steps):
         state = system.step(state)
         norms.accumulate(state)
@@ -162,8 +160,8 @@ def solver_study(levels=(0, 1, 2), *, family: str = "cartesian",
         raise ValueError("at least one refinement level is needed")
     rows = []
     for level in levels:
-        mesh = level_mesh(family, level, base=base, seed=seed,
-                          lloyd_iters=lloyd_iters)
+        mesh = family_mesh(family, base * 2**level, seed=seed,
+                           lloyd_iters=lloyd_iters)
         system, state = cantilever.setup(mesh, dt, stabilize=stabilize,
                                          linear_solver="gmres", rtol=rtol)
         state = system.step(state)

@@ -379,6 +379,25 @@ def test_non_finite_volume_data_is_named(name, bad):
             system.step(state)
 
 
+@pytest.mark.parametrize("kwargs, error", [
+    ({"p0": np.nan}, "p0 is not finite at cell 0"),
+    ({"p0": np.where(np.arange(16) == 7, np.inf, 1.0)},
+     "p0 is not finite at cell 7"),
+    ({"p0": np.ones(15)}, r"p0 has shape \(15,\), .*n_p = 16"),
+    ({"u0": np.zeros(3)}, r"u0 has shape \(3,\), .*n_u = 50"),
+    ({"u0": np.zeros((25, 2))}, r"u0 has shape \(25, 2\), .*n_u = 50"),
+    ({"u0": np.where(np.arange(50) == 9, np.nan, 0.0)},
+     "u0 is not finite at dof 9"),
+], ids=["p0-nan", "p0-cell-inf", "p0-length", "u0-length", "u0-shape",
+        "u0-nan"])
+def test_initial_state_rejects_bad_start(kwargs, error):
+    """A scalar or per-cell p0 and a given u0 are checked like a callable
+    p0: a wrong shape or a non-finite value is a ValueError naming it."""
+    system = clamped_system(build_cartesian(4, 4))
+    with pytest.raises(ValueError, match=error):
+        system.initial_state(**kwargs)
+
+
 def test_all_neumann_mechanics_raises():
     """Displacement data that leave a rigid mode free are rejected: none at
     all, u_x on the left edge only (y-translation free), u_y on the bottom

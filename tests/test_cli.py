@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from poromech import cli
 from poromech.cli import build_parser, main
 from poromech.mesh import read_mesh
 from poromech.problems import cantilever
@@ -81,6 +82,33 @@ def test_run_manufactured_gmres_reports_iterations(tmp_path):
     _, rows = read_table(outdir / "report.csv")
     assert int(rows[0]["iterations"]) >= 1
     assert float(rows[0]["residual_reduction"]) <= 1e-6
+
+
+@pytest.mark.parametrize("problem", ["cantilever", "manufactured", "mandel"])
+def test_run_gmres_settings_reach_every_problem(tmp_path, monkeypatch,
+                                                problem):
+    systems = []
+    setup = cli.PROBLEMS[problem]
+
+    def spy(*args, **kwargs):
+        out = setup(*args, **kwargs)
+        systems.append(out[0])
+        return out
+
+    monkeypatch.setitem(cli.PROBLEMS, problem, spy)
+    assert main(["run", "--problem", problem, "--n", "3", "--steps", "1",
+                 "--solver", "gmres", "--rtol", "1e-3", "--maxit", "321",
+                 "--outdir", str(tmp_path / "out")]) == 0
+    assert [(s.rtol, s.maxiter) for s in systems] == [(1e-3, 321)]
+
+
+def test_run_rtol_sets_the_gmres_reduction(tmp_path):
+    outdir = tmp_path / "out"
+    assert main(["run", "--problem", "manufactured", "--n", "6",
+                 "--dt", "0.1", "--steps", "1", "--solver", "gmres",
+                 "--rtol", "1e-12", "--outdir", str(outdir)]) == 0
+    _, rows = read_table(outdir / "report.csv")
+    assert float(rows[0]["residual_reduction"]) <= 1e-12
 
 
 def test_run_mandel_writes_report_and_snapshot(tmp_path):
@@ -273,12 +301,29 @@ def test_mandel_command_rejects_bad_series_input(tmp_path, capsys, option,
     (["cantilever", "--families", ""], "error: at least one mesh family"),
     (["solver-bench", "--levels", ""],
      "error: at least one refinement level"),
-], ids=["converge", "cantilever", "solver-bench"])
+    (["run", "--n", "2", "--steps", "-2"],
+     "error: steps must be at least 1, got -2"),
+    (["run", "--n", "2", "--t-end", "-5"],
+     "error: t_end must be finite and positive"),
+    (["run", "--n", "2", "--t-end", "nan"],
+     "error: t_end must be finite and positive"),
+    (["converge", "--workers", "1", "--t-end", "-1"],
+     "error: t_end = -1.0 and dt = 0.1 must be finite and positive"),
+    (["converge", "--workers", "1", "--t-end", "inf"],
+     "error: t_end = inf and dt = 0.1 must be finite and positive"),
+    (["converge", "--workers", "1", "--t-end", "0.01", "--dt0", "0.1"],
+     "error: t_end = 0.01 and dt = 0.1 must be finite and positive with "
+     "round(t_end / dt) >= 1"),
+], ids=["converge", "cantilever", "solver-bench", "run-steps", "run-t-end",
+        "run-t-end-nan", "converge-t-end", "converge-t-end-inf",
+        "converge-t-end-below-dt"])
 def test_empty_study_command_is_rejected(tmp_path, capsys, args, error):
+    """A command left with nothing to compute (no level, family or time
+    step) exits 1 before it writes any output."""
     outdir = tmp_path / "out"
     assert main(args + ["--outdir", str(outdir)]) == 1
     assert capsys.readouterr().err.startswith(error)
-    assert not list(outdir.glob("*.csv"))
+    assert not outdir.exists()
 
 
 def test_cantilever_command_indicator_table(tmp_path):

@@ -193,8 +193,7 @@ def test_mesh_matches_per_cell_reference():
         for got, want in [(mesh.cell_area, area),
                           (mesh.cell_centroid, centroid),
                           (mesh.cell_diam, diam),
-                          (np.concatenate(mesh.cell_face_lengths),
-                           np.concatenate(lengths)),
+                          (mesh.edge_lengths, np.concatenate(lengths)),
                           (np.concatenate(mesh.cell_normals),
                            np.concatenate(normals))]:
             assert got.shape == want.shape, name
@@ -224,7 +223,8 @@ def test_mesh_invariants_all_families(family_meshes_level0):
         assert np.array_equal(counts, np.where(interior, 2, 1)), family
         # closure identity per cell
         for k in range(mesh.num_cells):
-            lengths = mesh.cell_face_lengths[k]
+            edges = slice(*mesh.cell_offsets[k:k + 2])
+            lengths = mesh.edge_lengths[edges]
             normals = mesh.cell_normals[k]
             residual = np.linalg.norm(lengths @ normals)
             assert residual <= 1e-12 * lengths.sum(), family

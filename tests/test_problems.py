@@ -30,10 +30,10 @@ CENTER_PRESSURE = {1e-4: 1.0042455241452888,
                    0.1: 1.0954137423071,
                    0.5: 0.59278538295739}
 
-# (t/t_char, u_x(0.7), u_y at y=1) from the same evaluation.
-DISPLACEMENTS = [(0.01, 8.7510970685926209e-5, -0.00012524131868280082),
-                 (0.1, 8.3353194627207627e-5, -0.00013789682350162525),
-                 (0.5, 5.937050368690155e-5, -0.00016436771676278973)]
+# (t/t_char, u_y at y=1) from the same evaluation.
+DISPLACEMENTS = [(0.01, -0.00012524131868280082),
+                 (0.1, -0.00013789682350162525),
+                 (0.5, -0.00016436771676278973)]
 
 
 @pytest.fixture(scope="module")
@@ -94,9 +94,8 @@ def test_center_pressure_overshoot(solution):
 
 
 def test_displacement_frozen_values(solution):
-    for frac, ux_ref, uy_ref in DISPLACEMENTS:
-        u_x, u_y = solution.displacement(0.7, 1.0, frac * solution.t_char)
-        assert u_x == pytest.approx(ux_ref, rel=1e-10)
+    for frac, uy_ref in DISPLACEMENTS:
+        u_y = solution.vertical_displacement(1.0, frac * solution.t_char)
         assert u_y == pytest.approx(uy_ref, rel=1e-10)
 
 
@@ -104,16 +103,12 @@ def test_series_limits_match_closed_forms(solution):
     ux0, uy0 = solution.undrained_displacement(0.7, 1.0)
     assert ux0 == pytest.approx(8.39932805376e-5, rel=1e-9)
     assert uy0 == pytest.approx(-0.000119990400768, rel=1e-9)
-    u_x, u_y = solution.displacement(0.7, 1.0, 1e-7 * solution.t_char)
-    assert u_x == pytest.approx(ux0, rel=1e-3)
+    u_y = solution.vertical_displacement(1.0, 1e-7 * solution.t_char)
     assert u_y == pytest.approx(uy0, rel=1e-3)
 
-    uxd, uyd = solution.drained_displacement(0.7, 1.0)
-    assert uxd == pytest.approx(3.3597312215e-5, rel=1e-9)
-    assert uyd == pytest.approx(-0.0001919846412287017, rel=1e-9)
-    u_x, u_y = solution.displacement(0.7, 1.0, 20.0 * solution.t_char)
-    assert u_x == pytest.approx(uxd, rel=1e-9)
-    assert u_y == pytest.approx(uyd, rel=1e-9)
+    # drained: -F (1 - nu) / (2 G a) y at y = 1
+    u_y = solution.vertical_displacement(1.0, 20.0 * solution.t_char)
+    assert u_y == pytest.approx(-0.0001919846412287017, rel=1e-9)
     assert solution.pressure(0.0, 20.0 * solution.t_char) == pytest.approx(
         0.0, abs=1e-10 * solution.undrained_pressure())
 
@@ -181,7 +176,7 @@ def test_top_edge_displacement_follows_series():
     for frac in (1e-4, 0.01, 0.1, 0.5, 2.0):
         t = frac * solution.t_char
         assert system.dirichlet_values(t)[rows] == pytest.approx(
-            solution.displacement(x, 1.0, t)[1], rel=1e-15)
+            solution.vertical_displacement(1.0, t), rel=1e-15)
 
 
 def test_profile_cells_pick_midline():
@@ -501,9 +496,10 @@ def test_family_mesh_validation():
         studies.family_mesh("triangular", 4)
 
 
-def test_level_mesh_doubles_resolution():
-    assert studies.level_mesh("cartesian", 0, base=5).num_cells == 25
-    assert studies.level_mesh("cartesian", 1, base=5).num_cells == 100
+def test_solver_study_levels_double_resolution():
+    rows = studies.solver_study((0, 1), base=5)
+    assert [row["level"] for row in rows] == [0, 1]
+    assert [row["cells"] for row in rows] == [25, 100]
 
 
 def test_manufactured_case_row():
