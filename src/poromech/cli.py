@@ -145,13 +145,12 @@ def cmd_converge(ns, parser) -> int:
     if ns.time_refinement:
         rows = studies.time_refinement_study(
             ns.family, ns.n_fixed, t_end=ns.t_end, stabilize=ns.stabilize,
-            seed=ns.seed, lloyd_iters=ns.lloyd_iters, workers=ns.workers)
+            seed=ns.seed, lloyd_iters=ns.lloyd_iters)
         x_key = "dt"
     else:
         rows = studies.convergence_study(
             ns.family, ns.levels, base=ns.base, dt0=ns.dt0, t_end=ns.t_end,
-            stabilize=ns.stabilize, seed=ns.seed,
-            lloyd_iters=ns.lloyd_iters, workers=ns.workers)
+            stabilize=ns.stabilize, seed=ns.seed, lloyd_iters=ns.lloyd_iters)
         x_key = "h"
     for i, row in enumerate(rows):
         row["level"] = i
@@ -307,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--t-end", type=float, default=1.0, help="final time")
     sub.add_argument("--stabilize", action=BoolFlag, default=False,
                      help=stabilize)
-    sub.add_argument("--workers", type=int,
-                     help="worker processes; if unset, the CPU count")
     sub.add_argument("--time-refinement", action=BoolFlag, default=False,
                      help="halve dt on one fixed mesh instead")
     sub.add_argument("--n-fixed", type=int, default=40,

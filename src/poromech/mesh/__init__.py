@@ -1,7 +1,6 @@
 """Polygonal meshes: data structure, generators, and text I/O."""
 
-from .core import (CellGeometry, MeshError, PolyMesh,
-                   k_orthogonality_defect, kappa_as_tensor,
+from .core import (CellGeometry, MeshError, PolyMesh, kappa_as_tensor,
                    polygon_area_centroid, polygon_diameter,
                    polygon_edge_geometry, polygon_geometry,
                    polygon_quadrature)
@@ -12,7 +11,7 @@ from .io import MeshFormatError, read_mesh, write_mesh
 __all__ = [
     "CellGeometry", "MeshError", "MeshFormatError", "PolyMesh",
     "build_cartesian", "build_hybrid", "build_skewed", "build_voronoi",
-    "k_orthogonality_defect", "kappa_as_tensor", "polygon_area_centroid",
-    "polygon_diameter", "polygon_edge_geometry", "polygon_geometry",
-    "polygon_quadrature", "read_mesh", "write_mesh",
+    "kappa_as_tensor", "polygon_area_centroid", "polygon_diameter",
+    "polygon_edge_geometry", "polygon_geometry", "polygon_quadrature",
+    "read_mesh", "write_mesh",
 ]

@@ -358,18 +358,3 @@ def kappa_as_tensor(kappa) -> np.ndarray:
     if kxx <= 0.0 or kxx * kyy - kxy * kyx <= 0.0:
         raise ValueError(f"kappa must be positive definite, got {entries}")
     return kt
-
-
-def k_orthogonality_defect(mesh: PolyMesh, kappa) -> float:
-    """Largest angular defect between kappa * n_{K,f} and c_{K,f}.
-
-    Zero for kappa-orthogonal meshes, where the two-point flux variant of the
-    flow inner product is consistent.
-    """
-    kt = kappa_as_tensor(kappa)
-    geo = [group.geometry for group in mesh.cell_groups]
-    kn = np.concatenate([g.normals.reshape(-1, 2) for g in geo]) @ kt.T
-    c = np.concatenate([g.face_vectors.reshape(-1, 2) for g in geo])
-    cross = np.abs(kn[:, 0] * c[:, 1] - kn[:, 1] * c[:, 0])
-    scale = np.hypot(kn[:, 0], kn[:, 1]) * np.hypot(c[:, 0], c[:, 1])
-    return float((cross / scale).max())

@@ -194,9 +194,15 @@ def setup(mesh: PolyMesh, dt: float, *, n_terms: int = 200,
 
 
 def profile_cells(mesh: PolyMesh, height: float) -> np.ndarray:
-    """Cells whose centroids lie nearest the horizontal midline."""
-    dist = np.abs(mesh.cell_centroid[:, 1] - 0.5 * height)
-    return np.flatnonzero(dist <= dist.min() + 1e-12)
+    """Cells whose vertical extent contains the horizontal midline (to
+    within 1e-12 height), in ascending order: one full row of cells on
+    any mesh, and both rows beside the midline when it runs along faces.
+    """
+    y = mesh.vertices[mesh.edge_vertices, 1]
+    first = mesh.cell_offsets[:-1]
+    mid, tol = 0.5 * height, 1e-12 * height
+    return np.flatnonzero((np.minimum.reduceat(y, first) <= mid + tol)
+                          & (np.maximum.reduceat(y, first) >= mid - tol))
 
 
 def exact_cell_means(solution: MandelSolution, system: DiscreteSystem,

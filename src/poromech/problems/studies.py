@@ -1,14 +1,17 @@
 """Study protocols: mesh families, refinement ladders, stabilization and
 solver-iteration comparisons.
 
-Independent cases of a study may run in separate processes; the worker
-count is capped by the POROMECH_THREADS environment variable.  All cases
-are deterministic for fixed seeds, so results do not depend on the worker
+The cases of a refinement ladder run in a process pool of one worker per
+usable CPU (the CPUs this process may run on, so `taskset` or a cpuset
+limits it), at most one per case, and serially when that is one.  Every
+case of a ladder is checked before a worker starts.  All cases are
+deterministic for fixed seeds, so results do not depend on the worker
 count.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -20,10 +23,6 @@ from . import cantilever, manufactured
 from .norms import ErrorNorms
 
 FAMILIES = ("cartesian", "skewed", "hybrid", "voronoi")
-
-# Quadrilateral-based families on which cell pressures can checkerboard in
-# the undrained limit; Voronoi meshes do not need stabilization.
-STABILIZED_FAMILIES = ("cartesian", "skewed", "hybrid")
 
 
 def family_mesh(family: str, n: int, *, seed: int = 0,
@@ -45,33 +44,21 @@ def family_mesh(family: str, n: int, *, seed: int = 0,
                      f"{FAMILIES}")
 
 
-def _worker_count(workers: int | None, n_tasks: int) -> int:
-    if workers is None:
-        workers = os.cpu_count() or 1
-    cap = os.environ.get("POROMECH_THREADS")
-    if cap:
-        workers = min(workers, max(1, int(cap)))
-    return max(1, min(workers, n_tasks))
-
-
-def _run_cases(worker, tasks, workers):
-    workers = _worker_count(workers, len(tasks))
-    if workers == 1:
-        return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
+def _step_count(dt: float, t_end: float) -> int:
+    """round(t_end / dt), checked to be at least 1."""
+    # the chained comparisons are False for nan as well
+    if not (0.0 < dt < np.inf and 0.0 < t_end < np.inf
+            and round(t_end / dt) >= 1):
+        raise ValueError(f"t_end = {t_end} and dt = {dt} must be finite "
+                         f"and positive with round(t_end / dt) >= 1")
+    return int(round(t_end / dt))
 
 
 def manufactured_case(mesh: PolyMesh, dt: float, t_end: float = 1.0, *,
                       stabilize: bool = False) -> dict:
     """March the smooth reference problem with the direct solver and
     accumulate its error norms over round(t_end / dt) >= 1 steps."""
-    # the chained comparisons are False for nan as well
-    if not (0.0 < dt < np.inf and 0.0 < t_end < np.inf
-            and round(t_end / dt) >= 1):
-        raise ValueError(f"t_end = {t_end} and dt = {dt} must be finite "
-                         f"and positive with round(t_end / dt) >= 1")
-    steps = int(round(t_end / dt))
+    steps = _step_count(dt, t_end)
     system, state = manufactured.setup(mesh, dt, stabilize=stabilize)
     norms = ErrorNorms(system, manufactured.pressure,
                        manufactured.displacement)
@@ -84,35 +71,54 @@ def manufactured_case(mesh: PolyMesh, dt: float, t_end: float = 1.0, *,
     return row
 
 
-def _manufactured_task(task: tuple) -> dict:
-    family, n, dt, t_end, stabilize, seed, lloyd_iters = task
+def _ladder_case(family: str, n: int, dt: float, *, t_end: float,
+                 stabilize: bool, seed: int, lloyd_iters: int) -> dict:
     mesh = family_mesh(family, n, seed=seed, lloyd_iters=lloyd_iters)
     return manufactured_case(mesh, dt, t_end, stabilize=stabilize)
+
+
+def _run_cases(ladder: list[tuple[int, float]], family: str, *,
+               t_end: float, **options) -> list[dict]:
+    """Manufactured-case rows of the (n, dt) pairs of ladder, in order.
+
+    Every pair is checked before a case runs; the cases then run in
+    min(usable CPUs, cases) worker processes, or here when that is one.
+    """
+    for _, dt in ladder:
+        _step_count(dt, t_end)
+    case = functools.partial(_ladder_case, family, t_end=t_end, **options)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(ladder))
+    if workers <= 1:
+        return [case(n, dt) for n, dt in ladder]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(case, *zip(*ladder)))
 
 
 def convergence_study(family: str = "cartesian", levels: int = 5, *,
                       base: int = 5, dt0: float = 0.1, t_end: float = 1.0,
                       stabilize: bool = False, seed: int = 0,
-                      lloyd_iters: int = 20,
-                      workers: int | None = None) -> list[dict]:
+                      lloyd_iters: int = 20) -> list[dict]:
     """Simultaneous space-time ladder: 4x the cells, half the step."""
     if levels < 1:
         raise ValueError(f"at least one level is needed, got levels = "
                          f"{levels}")
-    tasks = [(family, base * 2**level, dt0 / 2**level, t_end, stabilize,
-              seed, lloyd_iters) for level in range(levels)]
-    return _run_cases(_manufactured_task, tasks, workers)
+    ladder = [(base * 2**level, dt0 / 2**level) for level in range(levels)]
+    return _run_cases(ladder, family, t_end=t_end, stabilize=stabilize,
+                      seed=seed, lloyd_iters=lloyd_iters)
 
 
 def time_refinement_study(family: str = "cartesian", n: int = 40, *,
                           t_end: float = 1.0, stabilize: bool = False,
-                          seed: int = 0, lloyd_iters: int = 20,
-                          workers: int | None = None) -> list[dict]:
+                          seed: int = 0, lloyd_iters: int = 20) -> list[dict]:
     """Halve the time step on one fixed mesh: the fixed ladder
     dt = 0.1 / 2^k for k = 0, ..., 4."""
-    tasks = [(family, n, 0.1 / 2**k, t_end, stabilize, seed, lloyd_iters)
-             for k in range(5)]
-    return _run_cases(_manufactured_task, tasks, workers)
+    ladder = [(n, 0.1 / 2**k) for k in range(5)]
+    return _run_cases(ladder, family, t_end=t_end, stabilize=stabilize,
+                      seed=seed, lloyd_iters=lloyd_iters)
 
 
 def observed_rates(rows: list[dict], x_key: str = "h") -> dict:
@@ -126,8 +132,8 @@ def observed_rates(rows: list[dict], x_key: str = "h") -> dict:
             for key in ("e_p", "e_u", "e_s")}
 
 
-def stabilization_study(families=STABILIZED_FAMILIES + ("voronoi",),
-                        *, n: int = 10, dt: float = 1.0e-5, seed: int = 0,
+def stabilization_study(families=FAMILIES, *, n: int = 10,
+                        dt: float = 1.0e-5, seed: int = 0,
                         lloyd_iters: int = 20) -> list[dict]:
     """Single undrained-limit cantilever step with and without the
     pressure-jump terms; reports the checkerboard indicator of both.

@@ -394,6 +394,21 @@ def reference_inner_product_tpfa(verts: np.ndarray, kappa) -> np.ndarray:
     return np.diag(lengths * (cvec ** 2).sum(axis=1) / denom)
 
 
+def k_orthogonality_defect(mesh: PolyMesh, kappa) -> float:
+    """Largest angular defect between kappa * n_{K,f} and c_{K,f}.
+
+    Zero for kappa-orthogonal meshes, where the two-point flux variant of the
+    flow inner product is consistent.
+    """
+    kt = kappa_as_tensor(kappa)
+    geo = [group.geometry for group in mesh.cell_groups]
+    kn = np.concatenate([g.normals.reshape(-1, 2) for g in geo]) @ kt.T
+    c = np.concatenate([g.face_vectors.reshape(-1, 2) for g in geo])
+    cross = np.abs(kn[:, 0] * c[:, 1] - kn[:, 1] * c[:, 0])
+    scale = np.hypot(kn[:, 0], kn[:, 1]) * np.hypot(c[:, 0], c[:, 1])
+    return float((cross / scale).max())
+
+
 # ----- uncondensed four-field blocks -----------------------------------------
 
 @dataclass

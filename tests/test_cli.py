@@ -1,6 +1,7 @@
 """Command-line driver: subcommand smoke runs, config merging, exit codes
 and deterministic outputs."""
 
+import os
 import re
 import shlex
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from poromech import cli
 from poromech.cli import build_parser, main
 from poromech.mesh import read_mesh
-from poromech.problems import cantilever
+from poromech.problems import cantilever, studies
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -241,8 +242,7 @@ def test_readme_examples_parse():
 
 # ----- studies ---------------------------------------------------------------------
 
-def test_converge_command_writes_rate_table(tmp_path, monkeypatch):
-    monkeypatch.setenv("POROMECH_THREADS", "1")
+def test_converge_command_writes_rate_table(tmp_path):
     outdir = tmp_path / "out"
     assert main(["converge", "--levels", "2", "--base", "3",
                  "--dt0", "0.5", "--outdir", str(outdir)]) == 0
@@ -254,8 +254,7 @@ def test_converge_command_writes_rate_table(tmp_path, monkeypatch):
     assert int(rows[1]["cells"]) == 36
 
 
-def test_converge_time_refinement_table(tmp_path, monkeypatch):
-    monkeypatch.setenv("POROMECH_THREADS", "1")
+def test_converge_time_refinement_table(tmp_path):
     outdir = tmp_path / "out"
     assert main(["converge", "--time-refinement", "--n-fixed", "3",
                  "--outdir", str(outdir)]) == 0
@@ -307,23 +306,31 @@ def test_mandel_command_rejects_bad_series_input(tmp_path, capsys, option,
      "error: t_end must be finite and positive"),
     (["run", "--n", "2", "--t-end", "nan"],
      "error: t_end must be finite and positive"),
-    (["converge", "--workers", "1", "--t-end", "-1"],
+    (["converge", "--t-end", "-1"],
      "error: t_end = -1.0 and dt = 0.1 must be finite and positive"),
-    (["converge", "--workers", "1", "--t-end", "inf"],
+    (["converge", "--t-end", "inf"],
      "error: t_end = inf and dt = 0.1 must be finite and positive"),
-    (["converge", "--workers", "1", "--t-end", "0.01", "--dt0", "0.1"],
+    (["converge", "--t-end", "0.01", "--dt0", "0.1"],
      "error: t_end = 0.01 and dt = 0.1 must be finite and positive with "
      "round(t_end / dt) >= 1"),
 ], ids=["converge", "cantilever", "solver-bench", "run-steps", "run-t-end",
         "run-t-end-nan", "converge-t-end", "converge-t-end-inf",
         "converge-t-end-below-dt"])
-def test_empty_study_command_is_rejected(tmp_path, capsys, args, error):
+def test_empty_study_command_is_rejected(tmp_path, capsys, monkeypatch,
+                                         args, error):
     """A command left with nothing to compute (no level, family or time
-    step) exits 1 before it writes any output."""
+    step) exits 1 before it writes any output or starts a worker process,
+    also where the ladder would run in a pool."""
+    pools = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(studies, "ProcessPoolExecutor",
+                        lambda **kwargs: pools.append(kwargs))
     outdir = tmp_path / "out"
     assert main(args + ["--outdir", str(outdir)]) == 1
     assert capsys.readouterr().err.startswith(error)
     assert not outdir.exists()
+    assert pools == []
 
 
 def test_cantilever_command_indicator_table(tmp_path):

@@ -13,18 +13,19 @@ from scipy.spatial import Delaunay, QhullError
 
 from poromech.mesh import (MeshError, MeshFormatError, PolyMesh,
                            build_cartesian, build_hybrid, build_skewed,
-                           build_voronoi, k_orthogonality_defect,
-                           kappa_as_tensor, polygon_area_centroid,
-                           polygon_diameter, polygon_edge_geometry,
-                           polygon_quadrature, read_mesh, write_mesh)
+                           build_voronoi, kappa_as_tensor,
+                           polygon_area_centroid, polygon_diameter,
+                           polygon_edge_geometry, polygon_quadrature,
+                           read_mesh, write_mesh)
 from poromech.assembly import BoundaryConditions, DiscreteSystem, Material
 from poromech.mesh import generators
 
 from helpers import (RIGHT_TRIANGLE, UNIT_SQUARE, four_edge_mirror,
-                     polygon_moments, random_convex_polygon,
-                     random_spd_tensor, random_star_polygon,
-                     random_u_polygon, reference_faces, reference_geometry,
-                     reference_quadrature, reference_voronoi)
+                     k_orthogonality_defect, polygon_moments,
+                     random_convex_polygon, random_spd_tensor,
+                     random_star_polygon, random_u_polygon, reference_faces,
+                     reference_geometry, reference_quadrature,
+                     reference_voronoi)
 from poromech.problems.studies import FAMILIES, family_mesh
 
 # A conforming mesh of one hexagon (two merged unit squares), two

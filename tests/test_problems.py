@@ -3,7 +3,9 @@ reference values, smooth reference fields against finite-difference PDE
 residuals, error norms, and study protocols."""
 
 import gc
+import os
 import weakref
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -185,6 +187,32 @@ def test_profile_cells_pick_midline():
     assert cells.size == 5
     assert mesh.cell_centroid[cells, 1] == pytest.approx(
         np.full(5, 0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [10, 11, 20, 21])
+def test_profile_cells_on_grids_are_the_rows_nearest_the_midline(n):
+    """On a Cartesian grid the cells whose extent contains the midline are
+    the row (odd n) or the two rows (even n) whose centroids lie nearest
+    it."""
+    mesh = build_cartesian(n, n)
+    dist = np.abs(mesh.cell_centroid[:, 1] - 0.5)
+    nearest = np.flatnonzero(dist <= dist.min() + 1e-12)
+    assert np.array_equal(mandel.profile_cells(mesh, 1.0), nearest)
+
+
+@pytest.mark.parametrize("n", [10, 20])
+@pytest.mark.parametrize("family", studies.FAMILIES)
+def test_profile_cells_span_the_sample(family, n):
+    """On every family the profile crosses the sample: its cells cover the
+    midline, and their centroids reach within h of both vertical edges."""
+    mesh = studies.family_mesh(family, n)
+    cells = mandel.profile_cells(mesh, 1.0)
+    h = mesh.cell_diam.max()
+    x = mesh.cell_centroid[cells, 0]
+    assert x.min() < h and x.max() > 1.0 - h
+    for k in cells:
+        y = mesh.cell_polygon(k)[:, 1]
+        assert y.min() <= 0.5 <= y.max()
 
 
 def test_run_profiles_structure():
@@ -527,12 +555,29 @@ def test_observed_rates_on_synthetic_ladder():
     assert rates["e_s"] == 0.0
 
 
-def test_worker_count_env_cap(monkeypatch):
-    monkeypatch.setenv("POROMECH_THREADS", "1")
-    assert studies._worker_count(None, 99) == 1
-    monkeypatch.delenv("POROMECH_THREADS")
-    assert studies._worker_count(4, 2) == 2
-    assert studies._worker_count(4, 0) == 1
+@pytest.mark.parametrize("study, options", [
+    (studies.convergence_study,
+     {"family": "voronoi", "levels": 3, "base": 3, "dt0": 0.5}),
+    (studies.time_refinement_study, {"family": "skewed", "n": 3}),
+], ids=["convergence", "time-refinement"])
+def test_worker_count_does_not_change_rows(monkeypatch, study, options):
+    """A ladder gives the same rows run here (one usable CPU) as in a pool
+    of two worker processes (two usable CPUs)."""
+    pools = []
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(studies, "ProcessPoolExecutor", Pool)
+    rows = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        rows[cpus] = study(**options)
+    assert pools == [2]
+    assert rows[1] == rows[2]
 
 
 def test_stabilization_study_reduces_indicator():
