@@ -45,7 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import mfd, vem
-from .mesh import PolyMesh, kappa_as_tensor
+from .mesh import PolyMesh
 from .mesh.core import CellGeometry, polygon_quadrature
 from .solver import BlockPreconditioner, SolverError, factorize, gmres
 from .stab import (assemble_jump_matrix, beta_coefficient,
@@ -69,7 +69,10 @@ class Material:
     diagonal or full) permeability over viscosity.  The scalars must be
     finite with shear > 0, lam > -shear (so that the plane-strain elasticity
     tensor is positive definite) and storage >= 0, else a ValueError names
-    the field; DiscreteSystem checks kappa.
+    the field.  kappa is stored as a 2x2 tensor, which must be finite,
+    symmetric (to 1e-12 of its largest entry) and positive definite,
+    checked in closed form: k_xx > 0 and det > 0; else a ValueError says
+    which.
     """
     shear: float
     lam: float
@@ -87,6 +90,21 @@ class Material:
                 raise ValueError(
                     f"Material.{name} = {value} is not admissible (finite "
                     "values with shear > 0, lam > -shear, storage >= 0)")
+        kappa = np.array(self.kappa, dtype=float)
+        if kappa.shape in ((), (2,)):
+            kappa = np.diag(np.broadcast_to(kappa, (2,)))
+        if kappa.shape != (2, 2):
+            raise ValueError("kappa must be a scalar, a 2-vector, or a 2x2 "
+                             "tensor")
+        (kxx, kxy), (kyx, kyy) = entries = kappa.tolist()
+        if not np.isfinite(kappa).all():
+            raise ValueError(f"kappa must be finite, got {entries}")
+        # a rotated tensor q D q^T is symmetric only to a few ulps
+        if abs(kxy - kyx) > 1e-12 * np.abs(kappa).max():
+            raise ValueError(f"kappa must be symmetric, got {entries}")
+        if kxx <= 0.0 or kxx * kyy - kxy * kyx <= 0.0:
+            raise ValueError(f"kappa must be positive definite, got {entries}")
+        self.kappa = kappa
 
 
 @dataclass
@@ -215,12 +233,11 @@ class DiscreteSystem:
 
     def _build_operators(self, tpfa: bool) -> None:
         mesh, mat = self.mesh, self.material
-        kappa = kappa_as_tensor(mat.kappa)
         if tpfa:
-            inner, tensors = mfd.local_inner_product_tpfa, (kappa,)
+            inner, tensors = mfd.local_inner_product_tpfa, (mat.kappa,)
         else:
             inner = mfd.local_inner_product
-            tensors = (kappa, np.linalg.inv(kappa))
+            tensors = (mat.kappa, np.linalg.inv(mat.kappa))
         uu, up, ppi, pipi, mean, strain = [], [], [], [], [], []
         points, integral, n_q = [], [], 0
         self.velocity_inverse = []

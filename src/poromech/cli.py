@@ -109,19 +109,15 @@ def cmd_run(ns, parser) -> int:
         raise ValueError(f"unknown problem '{ns.problem}'")
     if ns.steps is not None and ns.steps < 1:
         raise ValueError(f"steps must be at least 1, got {ns.steps}")
-    # the chained comparison is False for nan as well
-    if ns.t_end is not None and not 0.0 < ns.t_end < np.inf:
-        raise ValueError(f"t_end must be finite and positive, got "
-                         f"{ns.t_end}")
+    # --steps takes precedence over --t-end, which is checked either way
+    steps = 1 if ns.t_end is None else studies.step_count(ns.dt, ns.t_end)
+    if ns.steps is None:
+        ns.steps = steps
     mesh = _resolve_mesh(ns, parser)
     # a set-up returns (system, state), Mandel's (system, solution, state)
     system, *_, state = PROBLEMS[ns.problem](
         mesh, ns.dt, stabilize=ns.stabilize, linear_solver=ns.solver,
         rtol=ns.rtol, maxiter=ns.maxit)
-    if ns.steps is None:
-        # the system has checked dt
-        ns.steps = (1 if ns.t_end is None
-                    else max(1, int(round(ns.t_end / system.dt))))
 
     out = _outdir(ns)
     report = []

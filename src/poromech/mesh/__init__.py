@@ -1,8 +1,7 @@
 """Polygonal meshes: data structure, generators, and text I/O."""
 
-from .core import (CellGeometry, MeshError, PolyMesh, kappa_as_tensor,
-                   polygon_area_centroid, polygon_diameter,
-                   polygon_edge_geometry, polygon_geometry,
+from .core import (CellGeometry, MeshError, PolyMesh, polygon_area_centroid,
+                   polygon_diameter, polygon_edge_geometry, polygon_geometry,
                    polygon_quadrature)
 from .generators import (build_cartesian, build_hybrid, build_skewed,
                          build_voronoi)
@@ -11,7 +10,6 @@ from .io import MeshFormatError, read_mesh, write_mesh
 __all__ = [
     "CellGeometry", "MeshError", "MeshFormatError", "PolyMesh",
     "build_cartesian", "build_hybrid", "build_skewed", "build_voronoi",
-    "kappa_as_tensor", "polygon_area_centroid", "polygon_diameter",
-    "polygon_edge_geometry", "polygon_geometry", "polygon_quadrature",
-    "read_mesh", "write_mesh",
+    "polygon_area_centroid", "polygon_diameter", "polygon_edge_geometry",
+    "polygon_geometry", "polygon_quadrature", "read_mesh", "write_mesh",
 ]

@@ -12,7 +12,6 @@ same code serves a single polygon.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from typing import NamedTuple
 
@@ -20,9 +19,6 @@ import numpy as np
 
 # (t_y, t_x) * _ROTATE = (t_y, -t_x): tangent rotated by -90 degrees
 _ROTATE = np.array([1.0, -1.0])
-# relative asymmetry |k_xy - k_yx| / max |k_ij| that a permeability tensor
-# may carry from round-off (q D q^T is symmetric only to a few ulps)
-KAPPA_SYMMETRY_TOL = 1e-12
 
 
 class MeshError(ValueError):
@@ -331,30 +327,3 @@ class PolyMesh:
     def cell_polygon(self, k: int) -> np.ndarray:
         return self.vertices[self.cells[k]]
 
-
-def kappa_as_tensor(kappa) -> np.ndarray:
-    """Normalize a permeability-mobility spec to a 2x2 SPD tensor.
-
-    Raises ValueError unless the tensor is finite, symmetric (to
-    KAPPA_SYMMETRY_TOL of its largest entry) and positive definite, checked
-    in closed form: k_xx > 0 and det > 0.
-    """
-    arr = np.asarray(kappa, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(2, float(arr))
-    if arr.shape == (2,):
-        kt = np.diag(arr)
-    elif arr.shape == (2, 2):
-        kt = arr
-    else:
-        raise ValueError("kappa must be a scalar, a 2-vector, or a 2x2 "
-                         "tensor")
-    (kxx, kxy), (kyx, kyy) = entries = kt.tolist()
-    if not all(map(math.isfinite, entries[0] + entries[1])):
-        raise ValueError(f"kappa must be finite, got {entries}")
-    scale = max(abs(kxx), abs(kxy), abs(kyx), abs(kyy))
-    if abs(kxy - kyx) > KAPPA_SYMMETRY_TOL * scale:
-        raise ValueError(f"kappa must be symmetric, got {entries}")
-    if kxx <= 0.0 or kxx * kyy - kxy * kyx <= 0.0:
-        raise ValueError(f"kappa must be positive definite, got {entries}")
-    return kt

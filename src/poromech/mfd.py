@@ -8,9 +8,9 @@ consistent only when kappa n_{K,f} is parallel to the centroid-to-face
 vector c_{K,f}.
 
 Every function takes the CellGeometry record of one cell (face i on edge i)
-and a 2x2 permeability tensor that the caller has already checked with
-mesh.kappa_as_tensor; local_inner_product also takes its inverse, which the
-caller computes once for all cells.
+and a 2x2 permeability tensor, such as the one a Material has checked;
+local_inner_product also takes its inverse, which the caller computes once
+for all cells.
 """
 
 from __future__ import annotations

@@ -23,6 +23,9 @@ from ..assembly import BoundaryConditions, DiscreteSystem, Material, State
 from ..mesh import PolyMesh
 
 
+# platen force F: the platens squeeze the full sample with 2F
+FORCE = 2.0e2
+
 # Newton steps converge in a handful of iterations; bisection alone takes
 # about 55 to shrink a bracket of width pi/2 to machine precision
 _ROOT_ITERATIONS = 100
@@ -82,7 +85,7 @@ class MandelSolution:
     """
 
     def __init__(self, material: Material, width: float = 1.0,
-                 force: float = 2.0e2, n_terms: int = 200):
+                 n_terms: int = 200):
         if n_terms < 1:
             raise ValueError(f"n_terms must be at least 1, got {n_terms}")
         if material.storage != 0.0 or material.alpha != 1.0:
@@ -90,13 +93,11 @@ class MandelSolution:
                              "unit pressure coupling")
         self.material = material
         self.width = width
-        self.force = force
         lam, shear = material.lam, material.shear
         self.nu = lam / (2.0 * (lam + shear))
         self.nu_u = 0.5
         self.skempton = 1.0
-        kappa = float(np.asarray(material.kappa).ravel()[0])
-        self.consolidation = kappa * (lam + 2.0 * shear)
+        self.consolidation = float(material.kappa[0, 0]) * (lam + 2.0 * shear)
         self.t_char = width**2 / self.consolidation
         ratio = (1.0 - self.nu) / (self.nu_u - self.nu)
         self.roots = series_roots(ratio, n_terms)
@@ -118,29 +119,29 @@ class MandelSolution:
         x = np.asarray(x, dtype=float)
         decay = self._coef_p * self._decay(t)
         arg = np.multiply.outer(x, self.roots) / self.width
-        scale = (2.0 * self.force * self.skempton * (1.0 + self.nu_u)
+        scale = (2.0 * FORCE * self.skempton * (1.0 + self.nu_u)
                  / (3.0 * self.width))
         return scale * ((np.cos(arg) - np.cos(self.roots)) @ decay)
 
     def vertical_displacement(self, y, t: float):
         """Vertical displacement at height y and time t > 0; it does not
         depend on x."""
-        force, shear, a = self.force, self.material.shear, self.width
+        shear, a = self.material.shear, self.width
         s_sc = self._coef_sc @ self._decay(t)
-        return (-force * (1.0 - self.nu) / (2.0 * shear * a)
-                + force * (1.0 - self.nu_u) / (shear * a) * s_sc) \
+        return (-FORCE * (1.0 - self.nu) / (2.0 * shear * a)
+                + FORCE * (1.0 - self.nu_u) / (shear * a) * s_sc) \
             * np.asarray(y, dtype=float)
 
     def undrained_pressure(self) -> float:
         """Uniform pressure right after load application."""
-        return (self.skempton * (1.0 + self.nu_u) * self.force
+        return (self.skempton * (1.0 + self.nu_u) * FORCE
                 / (3.0 * self.width))
 
     def undrained_displacement(self, x, y):
         """Displacement right after load application."""
         shear, a = self.material.shear, self.width
-        u_x = self.force * self.nu_u / (2.0 * shear * a) * np.asarray(x)
-        u_y = (-self.force * (1.0 - self.nu_u) / (2.0 * shear * a)
+        u_x = FORCE * self.nu_u / (2.0 * shear * a) * np.asarray(x)
+        u_y = (-FORCE * (1.0 - self.nu_u) / (2.0 * shear * a)
                * np.asarray(y))
         return u_x, u_y
 
@@ -151,10 +152,10 @@ def setup(mesh: PolyMesh, dt: float, *, n_terms: int = 200,
               DiscreteSystem, MandelSolution, State]:
     """Discrete Mandel problem on a quarter-domain mesh.
 
-    The sample is default_material() under MandelSolution's default platen
-    force.  Returns the assembled system, the series solution and the
-    undrained initial state.  The mesh must cover (0, a) x (0, b) with the
-    drained edge at x = a.
+    The sample is default_material() under the platen force FORCE.
+    Returns the assembled system, the series solution and the undrained
+    initial state.  The mesh must cover (0, a) x (0, b) with the drained
+    edge at x = a.
     """
     material = default_material()
     lo = mesh.vertices.min(axis=0)

@@ -1,6 +1,10 @@
 """Study protocols: mesh families, refinement ladders, stabilization and
 solver-iteration comparisons.
 
+Every study takes the Voronoi settings as keywords, `**mesh`, and passes
+them unchanged to family_mesh, which alone declares them and their
+defaults; any other keyword is a TypeError.
+
 The cases of a refinement ladder run in a process pool of one worker per
 usable CPU (the CPUs this process may run on, so `taskset` or a cpuset
 limits it), at most one per case, and serially when that is one.  Every
@@ -44,7 +48,7 @@ def family_mesh(family: str, n: int, *, seed: int = 0,
                      f"{FAMILIES}")
 
 
-def _step_count(dt: float, t_end: float) -> int:
+def step_count(dt: float, t_end: float) -> int:
     """round(t_end / dt), checked to be at least 1."""
     # the chained comparisons are False for nan as well
     if not (0.0 < dt < np.inf and 0.0 < t_end < np.inf
@@ -58,7 +62,7 @@ def manufactured_case(mesh: PolyMesh, dt: float, t_end: float = 1.0, *,
                       stabilize: bool = False) -> dict:
     """March the smooth reference problem with the direct solver and
     accumulate its error norms over round(t_end / dt) >= 1 steps."""
-    steps = _step_count(dt, t_end)
+    steps = step_count(dt, t_end)
     system, state = manufactured.setup(mesh, dt, stabilize=stabilize)
     norms = ErrorNorms(system, manufactured.pressure,
                        manufactured.displacement)
@@ -72,9 +76,9 @@ def manufactured_case(mesh: PolyMesh, dt: float, t_end: float = 1.0, *,
 
 
 def _ladder_case(family: str, n: int, dt: float, *, t_end: float,
-                 stabilize: bool, seed: int, lloyd_iters: int) -> dict:
-    mesh = family_mesh(family, n, seed=seed, lloyd_iters=lloyd_iters)
-    return manufactured_case(mesh, dt, t_end, stabilize=stabilize)
+                 stabilize: bool, **mesh) -> dict:
+    return manufactured_case(family_mesh(family, n, **mesh), dt, t_end,
+                             stabilize=stabilize)
 
 
 def _run_cases(ladder: list[tuple[int, float]], family: str, *,
@@ -85,7 +89,7 @@ def _run_cases(ladder: list[tuple[int, float]], family: str, *,
     min(usable CPUs, cases) worker processes, or here when that is one.
     """
     for _, dt in ladder:
-        _step_count(dt, t_end)
+        step_count(dt, t_end)
     case = functools.partial(_ladder_case, family, t_end=t_end, **options)
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -100,25 +104,24 @@ def _run_cases(ladder: list[tuple[int, float]], family: str, *,
 
 def convergence_study(family: str = "cartesian", levels: int = 5, *,
                       base: int = 5, dt0: float = 0.1, t_end: float = 1.0,
-                      stabilize: bool = False, seed: int = 0,
-                      lloyd_iters: int = 20) -> list[dict]:
+                      stabilize: bool = False, **mesh) -> list[dict]:
     """Simultaneous space-time ladder: 4x the cells, half the step."""
     if levels < 1:
         raise ValueError(f"at least one level is needed, got levels = "
                          f"{levels}")
     ladder = [(base * 2**level, dt0 / 2**level) for level in range(levels)]
     return _run_cases(ladder, family, t_end=t_end, stabilize=stabilize,
-                      seed=seed, lloyd_iters=lloyd_iters)
+                      **mesh)
 
 
 def time_refinement_study(family: str = "cartesian", n: int = 40, *,
                           t_end: float = 1.0, stabilize: bool = False,
-                          seed: int = 0, lloyd_iters: int = 20) -> list[dict]:
+                          **mesh) -> list[dict]:
     """Halve the time step on one fixed mesh: the fixed ladder
     dt = 0.1 / 2^k for k = 0, ..., 4."""
     ladder = [(n, 0.1 / 2**k) for k in range(5)]
     return _run_cases(ladder, family, t_end=t_end, stabilize=stabilize,
-                      seed=seed, lloyd_iters=lloyd_iters)
+                      **mesh)
 
 
 def observed_rates(rows: list[dict], x_key: str = "h") -> dict:
@@ -133,8 +136,7 @@ def observed_rates(rows: list[dict], x_key: str = "h") -> dict:
 
 
 def stabilization_study(families=FAMILIES, *, n: int = 10,
-                        dt: float = 1.0e-5, seed: int = 0,
-                        lloyd_iters: int = 20) -> list[dict]:
+                        dt: float = 1.0e-5, **mesh) -> list[dict]:
     """Single undrained-limit cantilever step with and without the
     pressure-jump terms; reports the checkerboard indicator of both.
 
@@ -145,11 +147,11 @@ def stabilization_study(families=FAMILIES, *, n: int = 10,
         raise ValueError("at least one mesh family is needed")
     rows = []
     for family in families:
-        mesh = family_mesh(family, n, seed=seed, lloyd_iters=lloyd_iters)
-        row = {"family": family, "cells": mesh.num_cells, "dt": dt,
+        grid = family_mesh(family, n, **mesh)
+        row = {"family": family, "cells": grid.num_cells, "dt": dt,
                "runs": {}}
         for label, flag in (("unstabilized", False), ("stabilized", True)):
-            system, state = cantilever.setup(mesh, dt, stabilize=flag)
+            system, state = cantilever.setup(grid, dt, stabilize=flag)
             state = system.step(state)
             row[label] = system.jump_indicator(state)
             row["runs"][label] = system, state
@@ -160,21 +162,23 @@ def stabilization_study(families=FAMILIES, *, n: int = 10,
 def solver_study(levels=(0, 1, 2), *, family: str = "cartesian",
                  base: int = 10, dt: float = 1.0e-5,
                  stabilize: bool = True, rtol: float = 1e-6,
-                 seed: int = 0, lloyd_iters: int = 20) -> list[dict]:
+                 **mesh) -> list[dict]:
     """GMRES iteration counts of one cantilever step across refinements."""
     if not levels:
         raise ValueError("at least one refinement level is needed")
+    if min(levels) < 0:
+        raise ValueError(f"refinement levels must be non-negative, got "
+                         f"{list(levels)}")
     rows = []
     for level in levels:
-        mesh = family_mesh(family, base * 2**level, seed=seed,
-                           lloyd_iters=lloyd_iters)
-        system, state = cantilever.setup(mesh, dt, stabilize=stabilize,
+        grid = family_mesh(family, base * 2**level, **mesh)
+        system, state = cantilever.setup(grid, dt, stabilize=stabilize,
                                          linear_solver="gmres", rtol=rtol)
         state = system.step(state)
         report = system.last_report
         rows.append({"level": level, "family": family,
-                     "cells": mesh.num_cells,
-                     "unknowns": mesh.num_unknowns, "dt": dt,
+                     "cells": grid.num_cells,
+                     "unknowns": grid.num_unknowns, "dt": dt,
                      "stabilized": stabilize,
                      "iterations": report.iterations,
                      "residual_reduction": report.reduction})

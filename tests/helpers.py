@@ -7,8 +7,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from poromech.mesh import PolyMesh, build_cartesian
-from poromech.mesh.core import (kappa_as_tensor, polygon_area_centroid,
-                                polygon_diameter, polygon_edge_geometry)
+from poromech.assembly import Material
+from poromech.mesh.core import (polygon_area_centroid, polygon_diameter,
+                                polygon_edge_geometry)
 from poromech.solver import BREAKDOWN_TOL, KrylovReport, SolverError
 from poromech.vem import VemCell
 
@@ -363,6 +364,11 @@ def reference_vem_cell(verts: np.ndarray, shear: float,
     return VemCell(proj=proj, mono=mono, grad=grad, stiffness=stiffness)
 
 
+def kappa_tensor(kappa) -> np.ndarray:
+    """The checked 2x2 permeability tensor that a Material stores."""
+    return Material(shear=1.0, lam=1.0, kappa=kappa).kappa
+
+
 def _reference_face_geometry(verts: np.ndarray):
     verts = np.asarray(verts, dtype=float)
     area, centroid = polygon_area_centroid(verts)
@@ -373,7 +379,7 @@ def _reference_face_geometry(verts: np.ndarray):
 
 def reference_inner_product(verts: np.ndarray, kappa) -> np.ndarray:
     """Mimetic velocity inner product M_K (m, m)."""
-    kt = kappa_as_tensor(kappa)
+    kt = kappa_tensor(kappa)
     area, lengths, normals, cvec = _reference_face_geometry(verts)
     nmat = normals @ kt
     rmat = lengths[:, None] * cvec
@@ -385,7 +391,7 @@ def reference_inner_product(verts: np.ndarray, kappa) -> np.ndarray:
 
 def reference_inner_product_tpfa(verts: np.ndarray, kappa) -> np.ndarray:
     """Diagonal two-point variant, entries |f| ||c||^2 / (n . kappa c)."""
-    kt = kappa_as_tensor(kappa)
+    kt = kappa_tensor(kappa)
     _, lengths, normals, cvec = _reference_face_geometry(verts)
     denom = np.einsum("fi,ij,fj->f", normals, kt, cvec)
     if np.any(denom <= 0.0):
@@ -400,7 +406,7 @@ def k_orthogonality_defect(mesh: PolyMesh, kappa) -> float:
     Zero for kappa-orthogonal meshes, where the two-point flux variant of the
     flow inner product is consistent.
     """
-    kt = kappa_as_tensor(kappa)
+    kt = kappa_tensor(kappa)
     geo = [group.geometry for group in mesh.cell_groups]
     kn = np.concatenate([g.normals.reshape(-1, 2) for g in geo]) @ kt.T
     c = np.concatenate([g.face_vectors.reshape(-1, 2) for g in geo])

@@ -75,6 +75,19 @@ def test_run_step_count_from_t_end(tmp_path):
     assert len(rows) == 3
 
 
+def test_run_steps_take_precedence_over_t_end(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    assert main(["run", "--n", "2", "--dt", "1e-5", "--t-end", "3e-5",
+                 "--steps", "2", "--outdir", str(outdir)]) == 0
+    _, rows = read_table(outdir / "report.csv")
+    assert len(rows) == 2
+    # a --t-end that --steps overrides is still checked
+    assert main(["run", "--n", "2", "--t-end", "-1", "--steps", "2",
+                 "--outdir", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err.startswith("error: t_end = -1.0 and dt")
+    assert not (tmp_path / "bad").exists()
+
+
 def test_run_manufactured_gmres_reports_iterations(tmp_path):
     outdir = tmp_path / "out"
     assert main(["run", "--problem", "manufactured", "--n", "3",
@@ -300,12 +313,17 @@ def test_mandel_command_rejects_bad_series_input(tmp_path, capsys, option,
     (["cantilever", "--families", ""], "error: at least one mesh family"),
     (["solver-bench", "--levels", ""],
      "error: at least one refinement level"),
+    (["solver-bench", "--levels", "-1"],
+     "error: refinement levels must be non-negative, got [-1]"),
     (["run", "--n", "2", "--steps", "-2"],
      "error: steps must be at least 1, got -2"),
     (["run", "--n", "2", "--t-end", "-5"],
-     "error: t_end must be finite and positive"),
+     "error: t_end = -5.0 and dt = 1e-05 must be finite and positive"),
     (["run", "--n", "2", "--t-end", "nan"],
-     "error: t_end must be finite and positive"),
+     "error: t_end = nan and dt = 1e-05 must be finite and positive"),
+    (["run", "--n", "2", "--dt", "1e-5", "--t-end", "1e-6"],
+     "error: t_end = 1e-06 and dt = 1e-05 must be finite and positive with "
+     "round(t_end / dt) >= 1"),
     (["converge", "--t-end", "-1"],
      "error: t_end = -1.0 and dt = 0.1 must be finite and positive"),
     (["converge", "--t-end", "inf"],
@@ -313,9 +331,9 @@ def test_mandel_command_rejects_bad_series_input(tmp_path, capsys, option,
     (["converge", "--t-end", "0.01", "--dt0", "0.1"],
      "error: t_end = 0.01 and dt = 0.1 must be finite and positive with "
      "round(t_end / dt) >= 1"),
-], ids=["converge", "cantilever", "solver-bench", "run-steps", "run-t-end",
-        "run-t-end-nan", "converge-t-end", "converge-t-end-inf",
-        "converge-t-end-below-dt"])
+], ids=["converge", "cantilever", "solver-bench", "solver-bench-negative",
+        "run-steps", "run-t-end", "run-t-end-nan", "run-t-end-below-dt",
+        "converge-t-end", "converge-t-end-inf", "converge-t-end-below-dt"])
 def test_empty_study_command_is_rejected(tmp_path, capsys, monkeypatch,
                                          args, error):
     """A command left with nothing to compute (no level, family or time
@@ -331,6 +349,31 @@ def test_empty_study_command_is_rejected(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err.startswith(error)
     assert not outdir.exists()
     assert pools == []
+
+
+@pytest.mark.parametrize("args", [
+    ["converge", "--levels", "1", "--base", "2"],
+    ["converge", "--time-refinement", "--n-fixed", "2"],
+    ["cantilever", "--families", "voronoi", "--n", "3"],
+    ["solver-bench", "--levels", "0", "--base", "3"],
+], ids=["converge", "converge-time-refinement", "cantilever", "solver-bench"])
+def test_study_commands_pass_voronoi_settings(tmp_path, monkeypatch, args):
+    """--seed and --lloyd-iters reach every mesh that a study builds; one
+    usable CPU keeps the ladders in this process, where the spy sees them."""
+    calls = []
+    build = studies.family_mesh
+
+    def spy(family, n, **mesh):
+        calls.append(mesh)
+        return build(family, n, **mesh)
+
+    monkeypatch.setattr(studies, "family_mesh", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert main(args + ["--seed", "3", "--lloyd-iters", "2",
+                        "--outdir", str(tmp_path)]) == 0
+    assert calls
+    assert all(mesh == {"seed": 3, "lloyd_iters": 2} for mesh in calls)
 
 
 def test_cantilever_command_indicator_table(tmp_path):

@@ -13,15 +13,14 @@ from scipy.spatial import Delaunay, QhullError
 
 from poromech.mesh import (MeshError, MeshFormatError, PolyMesh,
                            build_cartesian, build_hybrid, build_skewed,
-                           build_voronoi, kappa_as_tensor,
-                           polygon_area_centroid, polygon_diameter,
-                           polygon_edge_geometry, polygon_quadrature,
-                           read_mesh, write_mesh)
-from poromech.assembly import BoundaryConditions, DiscreteSystem, Material
+                           build_voronoi, polygon_area_centroid,
+                           polygon_diameter, polygon_edge_geometry,
+                           polygon_quadrature, read_mesh, write_mesh)
+from poromech.assembly import Material
 from poromech.mesh import generators
 
 from helpers import (RIGHT_TRIANGLE, UNIT_SQUARE, four_edge_mirror,
-                     k_orthogonality_defect, polygon_moments,
+                     k_orthogonality_defect, kappa_tensor, polygon_moments,
                      random_convex_polygon, random_spd_tensor,
                      random_star_polygon, random_u_polygon, reference_faces,
                      reference_geometry, reference_quadrature,
@@ -528,11 +527,11 @@ def test_k_orthogonality_matches_cell_loop():
 
 def test_kappa_as_tensor_accepts_spd():
     rng = np.random.default_rng(5)
-    assert np.array_equal(kappa_as_tensor(2.0), 2.0 * np.eye(2))
-    assert np.array_equal(kappa_as_tensor([1.0, 3.0]), np.diag([1.0, 3.0]))
+    assert np.array_equal(kappa_tensor(2.0), 2.0 * np.eye(2))
+    assert np.array_equal(kappa_tensor([1.0, 3.0]), np.diag([1.0, 3.0]))
     for _ in range(100):
         kappa = random_spd_tensor(rng)
-        assert np.array_equal(kappa_as_tensor(kappa), kappa)
+        assert np.array_equal(kappa_tensor(kappa), kappa)
 
 
 @pytest.mark.parametrize("kappa, reason", [
@@ -545,14 +544,11 @@ def test_kappa_as_tensor_accepts_spd():
     ([[-1.0, 0.0], [0.0, -1.0]], "positive definite"),
     ([[1.0, np.nan], [np.nan, 1.0]], "finite"),
     (np.inf, "finite"),
+    ([1.0, 2.0, 3.0], "a 2-vector, or a 2x2 tensor"),
 ])
 def test_kappa_as_tensor_rejects_non_spd(kappa, reason):
     with pytest.raises(ValueError, match=reason):
-        kappa_as_tensor(kappa)
-    with pytest.raises(ValueError, match=reason):
-        DiscreteSystem(build_cartesian(1, 1),
-                       Material(shear=1.0, lam=1.0, kappa=kappa),
-                       BoundaryConditions(), dt=1.0)
+        Material(shear=1.0, lam=1.0, kappa=kappa)
 
 
 # ----- file round trips -----------------------------------------------------------

@@ -139,6 +139,16 @@ def test_series_rejects_compressible_material():
                                        storage=0.0))
 
 
+@pytest.mark.parametrize("kappa", [-1.0, np.nan])
+def test_series_needs_an_admissible_kappa(kappa):
+    """A negative or NaN permeability never reaches the series (it gave a
+    negative characteristic time or NaN pressures): Material rejects it
+    before a MandelSolution can be built on it."""
+    with pytest.raises(ValueError, match="kappa must be"):
+        mandel.MandelSolution(Material(shear=4.167e5, lam=2.778e5,
+                                       kappa=kappa))
+
+
 # ----- set-ups -----------------------------------------------------------------------
 
 @pytest.mark.parametrize("problem", [manufactured, mandel, cantilever],
@@ -262,6 +272,29 @@ def test_exact_cell_means_evaluate_only_the_profile_cells(name,
             mandel.exact_cell_means(solution, system, cells, t), want)
         assert np.array_equal(np.sort(seen.pop()), np.sort(x_cells))
     assert seen == []
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family", studies.FAMILIES)
+def test_mandel_profile_converges_on_every_family(family):
+    """The midline profile error at t = 0.05 T_c (max over the profile
+    cells, normalized by the undrained pressure, dt = 1e-4 T_c) falls with
+    each refinement n = 10, 20, 40, and by at least 4x from n = 10 to 40:
+    first order in h.  Measured: cartesian 2.97e-3, 8.47e-4, 3.88e-4;
+    skewed 6.36e-3, 2.31e-3, 6.91e-4; hybrid 3.24e-3, 8.80e-4, 3.92e-4;
+    voronoi 3.66e-3, 6.89e-4, 3.86e-4."""
+    t_char = mandel.MandelSolution(mandel.default_material()).t_char
+    errors = []
+    for n in (10, 20, 40):
+        mesh = studies.family_mesh(family, n)
+        system, solution, state0 = mandel.setup(mesh, 1e-4 * t_char)
+        result = mandel.run_profiles(system, solution, state0,
+                                     [0.05 * t_char])
+        profile = result["profiles"][0]
+        errors.append(np.abs(profile["p"] - profile["p_exact"]).max()
+                      / result["p_undrained"])
+    assert errors[0] > errors[1] > errors[2], errors
+    assert errors[2] <= errors[0] / 4, errors
 
 
 def test_run_profiles_rejects_unaligned_times():
@@ -522,6 +555,21 @@ def test_pressure_norm_measures_constant_offset():
 def test_family_mesh_validation():
     with pytest.raises(ValueError, match="family"):
         studies.family_mesh("triangular", 4)
+
+
+@pytest.mark.parametrize("study, args", [
+    (studies.convergence_study, ("voronoi", 1)),
+    (studies.time_refinement_study, ("voronoi", 2)),
+    (studies.stabilization_study, (("voronoi",),)),
+    (studies.solver_study, ((0,),)),
+], ids=["convergence", "time-refinement", "stabilization", "solver"])
+def test_studies_take_only_the_mesh_settings(monkeypatch, study, args):
+    """The Voronoi settings pass through to family_mesh, which rejects any
+    other keyword."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    with pytest.raises(TypeError, match="lloyd_iter"):
+        study(*args, lloyd_iter=2)
 
 
 def test_solver_study_levels_double_resolution():
