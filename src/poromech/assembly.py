@@ -243,6 +243,7 @@ class DiscreteSystem:
         self.velocity_inverse = []
         self.velocity_offsets = mesh.cell_offsets
         self.app_diag = np.empty(self.n_p)
+        self.storage_diag = np.empty(self.n_p)
         for group in mesh.cell_groups:
             m, nv = group.vertices.shape
             stiffness = np.empty((m, 2 * nv, 2 * nv))
@@ -267,16 +268,16 @@ class DiscreteSystem:
             dofs[:, 0::2], dofs[:, 1::2] = ux, uy
             uu.append(_block_pairs(dofs) + (stiffness,))
             divergence = grad.transpose(0, 2, 1).reshape(m, 2 * nv)
+            self.storage_diag[group.cells] = mat.storage * group.geometry.area
             up.append((dofs, np.repeat(group.cells, 2 * nv),
-                       mat.alpha * mesh.cell_area[group.cells, None]
-                       * divergence))
+                       mat.alpha * group.geometry.area[:, None] * divergence))
             owner = np.broadcast_to(group.cells[:, None], (m, nv))
             mean += [(2 * owner, ux, mean_row), (2 * owner + 1, uy, mean_row)]
             dx, dy = grad[:, 0], grad[:, 1]
             strain += [(3 * owner, ux, dx), (3 * owner + 1, uy, dy),
                        (3 * owner + 2, ux, dy), (3 * owner + 2, uy, dx)]
 
-            fvec = mesh.face_length[group.faces]
+            fvec = group.geometry.lengths
             minv_f = np.matmul(minv, fvec[..., None])[..., 0]
             self.app_diag[group.cells] = (fvec * minv_f).sum(axis=1)
             ppi.append((np.repeat(group.cells, nv), group.faces,
@@ -302,7 +303,6 @@ class DiscreteSystem:
         self.quad_points.flags.writeable = False
         self.quad_cells = np.concatenate([part[0] for part in integral])
         self.cell_integral = _csr(integral, (self.n_p, n_q))
-        self.storage_diag = mat.storage * mesh.cell_area
 
     def _build_stabilization(self, stabilize: bool) -> None:
         mat = self.material
@@ -570,7 +570,7 @@ class DiscreteSystem:
         """
         w = np.empty(self.velocity_offsets[-1])
         for group, minv in zip(self.mesh.cell_groups, self.velocity_inverse):
-            fvec = self.mesh.face_length[group.faces]
+            fvec = group.geometry.lengths
             rhs = fvec * (state.p[group.cells, None] - state.pi[group.faces])
             w[group.edges] = np.matmul(minv, rhs[..., None])[..., 0]
         return w

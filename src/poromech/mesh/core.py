@@ -185,7 +185,9 @@ class PolyMesh:
         if bad.size:
             raise MeshError(f"vertex {bad[0]} has a non-finite coordinate: "
                             f"{self.vertices[bad[0]].tolist()}")
-        self.cells = [np.asarray(c, dtype=int) for c in cells]
+        self.cells = [np.asarray(c) for c in cells]
+        if not self.cells:
+            raise MeshError("a mesh needs at least one cell")
         sizes = np.fromiter(map(len, self.cells), dtype=int,
                             count=len(self.cells))
         small = np.flatnonzero(sizes < 3)
@@ -194,6 +196,15 @@ class PolyMesh:
         self.cell_offsets = np.concatenate([[0], np.cumsum(sizes)])
         self.edge_cells = np.repeat(np.arange(len(self.cells)), sizes)
         self.edge_vertices = np.concatenate(self.cells)
+        if self.edge_vertices.dtype != int:
+            with np.errstate(invalid="ignore"):   # NaN and inf cast badly
+                index = self.edge_vertices.astype(int)
+            bad = index != self.edge_vertices
+            if bad.any():
+                raise MeshError(f"cell {self.edge_cells[bad][0]} has a "
+                                "non-integral vertex index")
+            self.edge_vertices = index
+            self.cells = np.split(index, self.cell_offsets[1:-1])
         self.edge_next = np.arange(1, self.cell_offsets[-1] + 1)
         self.edge_next[self.cell_offsets[1:] - 1] = self.cell_offsets[:-1]
         self._build_faces()
@@ -264,13 +275,14 @@ class PolyMesh:
                          geometry)
 
     def _compute_geometry(self):
-        """Flat per-cell and per-edge arrays from the group geometry."""
+        """Flat cell, edge and face arrays from the group geometry."""
         nt, n_edges = self.num_cells, self.cell_offsets[-1]
         self.cell_area = np.empty(nt)
         self.cell_centroid = np.empty((nt, 2))
         self.cell_diam = np.empty(nt)
         self.edge_lengths = np.empty(n_edges)
         self.edge_normals = np.empty((n_edges, 2))
+        self.face_length = np.empty(self.num_faces)
         for group in self.cell_groups:
             geo = group.geometry
             self.cell_area[group.cells] = geo.area
@@ -278,9 +290,9 @@ class PolyMesh:
             self.cell_diam[group.cells] = geo.diam
             self.edge_lengths[group.edges] = geo.lengths
             self.edge_normals[group.edges] = geo.normals
-        a = self.vertices[self.faces[:, 0]]
-        b = self.vertices[self.faces[:, 1]]
-        self.face_length = np.hypot(*(b - a).T)
+            # both traversals of a face give it the same length
+            self.face_length[group.faces] = geo.lengths
+        a, b = self.vertices[self.faces[:, 0]], self.vertices[self.faces[:, 1]]
         self.face_midpoint = 0.5 * (a + b)
 
     # -- derived properties -----------------------------------------------

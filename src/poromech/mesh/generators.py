@@ -34,18 +34,22 @@ BOX_MARGIN = 1e-9
 VERTEX_MERGE = 1e-9
 
 
-def build_cartesian(nx: int, ny: int) -> PolyMesh:
-    """Uniform nx-by-ny quadrilateral grid on the unit square."""
+def _grid(nx: int, ny: int):
+    """Vertices (row-major, vertex j*(nx+1)+i) and counterclockwise quads
+    (nx*ny, 4) of the uniform nx-by-ny grid on the unit square; cell
+    j*nx+i has its south-west corner at vertex j*(nx+1)+i."""
     if nx < 1 or ny < 1:
         raise MeshError("grid must have at least one cell per direction")
-    xs = np.linspace(0.0, 1.0, nx + 1)
-    ys = np.linspace(0.0, 1.0, ny + 1)
-    xx, yy = np.meshgrid(xs, ys)               # row-major: vertex j*(nx+1)+i
-    vertices = np.column_stack([xx.ravel(), yy.ravel()])
-    # cell j*nx+i has its south-west corner at vertex j*(nx+1)+i
+    xx, yy = np.meshgrid(np.linspace(0.0, 1.0, nx + 1),
+                         np.linspace(0.0, 1.0, ny + 1))
     sw = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
-    cells = np.column_stack([sw, sw + 1, sw + nx + 2, sw + nx + 1])
-    return PolyMesh(vertices, cells)
+    return (np.column_stack([xx.ravel(), yy.ravel()]),
+            np.column_stack([sw, sw + 1, sw + nx + 2, sw + nx + 1]))
+
+
+def build_cartesian(nx: int, ny: int) -> PolyMesh:
+    """Uniform nx-by-ny quadrilateral grid on the unit square."""
+    return PolyMesh(*_grid(nx, ny))
 
 
 def build_skewed(nx: int, ny: int) -> PolyMesh:
@@ -56,30 +60,26 @@ def build_skewed(nx: int, ny: int) -> PolyMesh:
     The perturbation vanishes on the boundary of the unit square, so the
     domain and its boundary vertices are preserved.
     """
-    base = build_cartesian(nx, ny)
-    x, y = base.vertices[:, 0], base.vertices[:, 1]
+    vertices, cells = _grid(nx, ny)
+    x, y = vertices[:, 0], vertices[:, 1]
     bump = SKEW_AMPLITUDE * np.sin(SKEW_FREQUENCY * x) \
         * np.cos(SKEW_FREQUENCY * y + 0.5 * np.pi)
-    vertices = np.column_stack([x + bump, y + bump])
-    return PolyMesh(vertices, base.cells)
+    return PolyMesh(np.column_stack([x + bump, y + bump]), cells)
 
 
 def build_hybrid(nx: int, ny: int) -> PolyMesh:
     """Cartesian grid on the unit square with one anti-diagonal band of
     cells split into triangles along their SW-NE diagonals, mixing element
     shapes while keeping the mesh conforming."""
-    base = build_cartesian(nx, ny)
+    vertices, quads = _grid(nx, ny)
     band = (nx + ny) // 2 - 1
     cells = []
-    for j in range(ny):
-        for i in range(nx):
-            sw, se, ne, nw = base.cells[j * nx + i]
-            if i + j == band:
-                cells.append([sw, se, ne])
-                cells.append([sw, ne, nw])
-            else:
-                cells.append([sw, se, ne, nw])
-    return PolyMesh(base.vertices, cells)
+    for k, (sw, se, ne, nw) in enumerate(quads):
+        if k % nx + k // nx == band:      # i + j of cell k = j nx + i
+            cells += [[sw, se, ne], [sw, ne, nw]]
+        else:
+            cells.append([sw, se, ne, nw])
+    return PolyMesh(vertices, cells)
 
 
 def build_voronoi(n_cells: int, lloyd_iters: int = 0, seed: int = 0,
@@ -87,18 +87,29 @@ def build_voronoi(n_cells: int, lloyd_iters: int = 0, seed: int = 0,
     """Voronoi tessellation of the unit square, optionally Lloyd-relaxed.
 
     Generators are drawn uniformly with numpy's default PCG64 generator at
-    the given seed (or passed explicitly via ``points``). Each Lloyd
+    the given seed, or passed explicitly via ``points``: n >= 2 finite
+    points in the closed unit square, else MeshError.  Each Lloyd
     iteration replaces every generator by the centroid of its clipped cell.
     Degenerate configurations are retried with a small deterministic jitter;
     when five attempts fail, MeshError is raised (never qhull's error).
     """
     from scipy.spatial import QhullError
 
-    if n_cells < 2 and points is None:
-        raise MeshError("a Voronoi mesh needs at least two generators")
     rng = np.random.default_rng(seed)
-    pts = rng.random((n_cells, 2)) if points is None \
-        else np.asarray(points, dtype=float).copy()
+    try:
+        pts = rng.random((max(n_cells, 0), 2)) if points is None \
+            else np.array(points, dtype=float)
+    except (TypeError, ValueError):
+        pts = np.empty(0)
+    if pts.ndim != 2 or len(pts) < 2 or pts.shape[1] != 2 \
+            or not np.isfinite(pts).all():
+        raise MeshError("a Voronoi mesh needs an (n, 2) array of n >= 2 "
+                        "finite generators")
+    # _clipped_cells reflects correctly only generators inside the box
+    outside = np.flatnonzero(((pts < 0.0) | (pts > 1.0)).any(axis=1))
+    if outside.size:
+        raise MeshError(f"generator {outside[0]} at {pts[outside[0]]}"
+                        " lies outside the unit square")
     for _attempt in range(5):
         try:
             relaxed, candidates = pts, np.zeros(len(pts), dtype=bool)

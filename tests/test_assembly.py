@@ -17,11 +17,11 @@ from poromech.problems.studies import FAMILIES, family_mesh
 from helpers import dart_mesh, four_field_blocks, polygon_moments
 
 
-def mixed_problem(n, dt, stabilize=False):
+def mixed_problem(n, dt, stabilize=False, family="cartesian"):
     """Small driven problem exercising every assembly path: mixed
     displacement masks, traction, pressure and flux boundaries, body force
     and fluid source, anisotropic permeability, nonzero previous state."""
-    mesh = build_cartesian(n, n)
+    mesh = family_mesh(family, n)
     material = Material(shear=2.0, lam=3.0, alpha=0.9, storage=0.3,
                         kappa=np.diag([2.0, 1.0]))
     bcs = BoundaryConditions(
@@ -225,8 +225,10 @@ def test_zero_loads_keep_zero_state():
         assert np.abs(state.pi).max() == 0.0
 
 
-def test_interior_velocity_continuity():
-    system, state = mixed_problem(3, dt=0.2)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_interior_velocity_continuity(family):
+    # n = 5: the skew map moves no vertex of the 4 x 4 grid
+    system, state = mixed_problem(5, dt=0.2, family=family)
     new = system.step(state)
     w = system.recover_velocity(new)
     mesh = system.mesh
@@ -240,17 +242,20 @@ def test_interior_velocity_continuity():
         assert abs(w_k[i_k] + w_l[i_l]) <= 1e-9 * scale
 
 
-def test_per_cell_mass_balance_sealed_incompressible():
-    """With zero storage, no source and no-flow boundaries, each cell
-    balances coupled volume change against its face fluxes."""
-    mesh = build_cartesian(4, 4)
+def sealed_incompressible_residual(family, stabilize):
+    """Per-cell mass residual, coupled volume change plus face fluxes, of
+    one step with zero storage, no source and no-flow boundaries on a
+    5 x 5-sized mesh (on 4 x 4 the skewed grid is the Cartesian one), and
+    the scale of the volume change; also the stepped system and state."""
+    mesh = family_mesh(family, 5)
     material = Material(shear=1.0, lam=10.0, alpha=1.0, storage=0.0)
     bcs = BoundaryConditions(
         displacement=[(lambda x: x[0] < 1e-9, (True, True),
                        lambda x, t: (0.0, 0.0))],
         traction=[(lambda x: x[1] > 1.0 - 1e-9,
                    lambda x, t: (0.0, -1.0))])
-    system = DiscreteSystem(mesh, material, bcs, dt=1e-3)
+    system = DiscreteSystem(mesh, material, bcs, dt=1e-3,
+                            stabilize=stabilize)
     state = State(time=0.0, u=np.zeros(system.n_u),
                   p=np.zeros(system.n_p), pi=np.zeros(system.n_pi))
     new = system.step(state)
@@ -258,8 +263,30 @@ def test_per_cell_mass_balance_sealed_incompressible():
     blocks = four_field_blocks(system)
     residual = (system.a_up.T @ (new.u - state.u)
                 + system.dt * (blocks.a_wp.T @ w))
-    scale = np.abs(system.a_up.T @ new.u).max()
+    return residual, np.abs(system.a_up.T @ new.u).max(), system, new
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_per_cell_mass_balance_sealed_incompressible(family):
+    """Without stabilization each cell balances coupled volume change
+    against its face fluxes."""
+    residual, scale, _, _ = sealed_incompressible_residual(family, False)
     assert np.abs(residual).max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_macro_element_mass_balance_sealed_incompressible_stabilized(
+        family):
+    """With the pressure-jump stabilization the per-cell residual is the
+    jump term -(J p)_K, which telescopes: it sums to zero over every
+    macro-element, so mass is conserved macro-element by macro-element."""
+    residual, scale, system, new = sealed_incompressible_residual(family,
+                                                                  True)
+    jump = system.j_mat @ new.p
+    assert np.abs(jump).max() > 1e-6 * scale     # the term is not void
+    assert np.abs(residual + jump).max() <= 1e-9 * scale
+    macro = system.partition.cell_macro
+    assert np.abs(np.bincount(macro, residual)).max() <= 1e-9 * scale
 
 
 def test_dirichlet_values_held_exactly():
