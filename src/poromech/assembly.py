@@ -19,9 +19,12 @@ Boundary callables (displacement, traction, pressure, flux) take a single
 point, a (2,) array, and a time.  They run once per step for each item
 they prescribe: displacement once per fixed dof (twice at a vertex with both
 components fixed), pressure once per fixed face, traction and flux once per
-matching face.  They should therefore be cheap to call on one point.  The
-selectors (each `where` and pressure_where) run only at set-up, once per
-boundary face.
+matching face.  They should therefore be cheap to call on one point.  Their
+values must be finite: each step checks the assembled vector of each kind
+once, and a NaN or infinity is a ValueError naming the kind, the time and
+the first dof (displacement, traction) or face (pressure, flux) at fault.
+The selectors (each `where` and pressure_where) run only at set-up, once
+per boundary face.
 
 Set-up is one pass over the vertex-count groups of the mesh cells
 (PolyMesh.cell_groups).  Per group, the VEM and mimetic kernels run once
@@ -168,11 +171,15 @@ def _matches(name: str, selectors: list, faces: np.ndarray,
     return zip(faces[rows], cols)
 
 
-def _finite(name: str, values: np.ndarray, what: str) -> np.ndarray:
+def _finite(name: str, values: np.ndarray, what: str,
+            labels: np.ndarray | None = None) -> np.ndarray:
     """Return values; a NaN or an infinity is a ValueError naming name
-    and the leading index, a `what`, of the first such entry."""
+    and the leading index, a `what`, of the first such entry, or that
+    index's entry in labels when given."""
     if not np.isfinite(values).all():
         first = np.argwhere(~np.isfinite(values))[0, 0]
+        if labels is not None:
+            first = labels[first]
         raise ValueError(f"{name} is not finite at {what} {first}")
     return values
 
@@ -382,10 +389,17 @@ class DiscreteSystem:
 
     def dirichlet_values(self, t: float) -> np.ndarray:
         """Prescribed values of the fixed dofs at time t, in self.fixed
-        order."""
+        order; a ValueError names the first displacement dof or pressure
+        face whose value is not finite."""
         vals = [value(x, t)[comp] for comp, x, value in self._u_specs]
         vals += [self.bcs.pressure(x, t) for x in self._pi_points]
-        return np.array(vals, dtype=float)
+        x_d = np.array(vals, dtype=float)
+        n_du = self.fixed_u.size
+        _finite(f"the boundary displacement at t = {t:g}", x_d[:n_du], "dof",
+                self.fixed_u)
+        _finite(f"the boundary pressure at t = {t:g}", x_d[n_du:], "face",
+                self.fixed_pi)
+        return x_d
 
     # ----- global system ----------------------------------------------------
 
@@ -443,7 +457,8 @@ class DiscreteSystem:
                 maxiter=self.maxiter, precond=self._precond)
             if not self.last_report.converged:
                 raise SolverError(
-                    f"GMRES did not converge in {self.maxiter} iterations "
+                    f"GMRES did not converge in "
+                    f"{self.last_report.iterations} iterations "
                     f"(relative residual {self.last_report.reduction:.3e})")
         if not np.all(np.isfinite(x_f)):
             raise SolverError("linear solve produced non-finite values")
@@ -481,6 +496,8 @@ class DiscreteSystem:
             for v in verts:
                 b_u[2 * v] += half[0]
                 b_u[2 * v + 1] += half[1]
+        if self._traction_specs:
+            _finite(f"the boundary traction at t = {t:g}", b_u, "dof")
         return b_u
 
     def mass_rhs(self, state: State, t: float) -> np.ndarray:
@@ -499,6 +516,7 @@ class DiscreteSystem:
             for f in self._flux_faces:
                 b_pi[f] = -mesh.face_length[f] * self.bcs.flux(
                     mesh.face_midpoint[f], t)
+            _finite(f"the boundary flux at t = {t:g}", b_pi, "face")
         return b_pi
 
     # ----- stepping -----------------------------------------------------------

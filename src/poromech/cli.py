@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = _subcommand(subs, "cantilever", cmd_cantilever,
                       "stabilization indicator study", family=False)
-    sub.add_argument("--families", default="cartesian,skewed,hybrid,voronoi",
+    sub.add_argument("--families", default=",".join(studies.FAMILIES),
                      help="comma-separated mesh families")
     sub.add_argument("--n", type=int, default=10, help="subdivisions")
     sub.add_argument("--dt", type=float, default=1.0e-5, help="time step")

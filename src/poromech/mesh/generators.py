@@ -258,12 +258,12 @@ def _voronoi_mesh(pts: np.ndarray, candidates: np.ndarray) -> PolyMesh:
     for ids, index in groups:
         cell = remap[start:start + index.size].reshape(index.shape)
         start += index.size
-        # drop repeats of the previous or the first vertex
+        # drop repeats of the previous or the first vertex; a cell left
+        # with fewer than three is PolyMesh's MeshError, retried by the
+        # caller
         keep = np.ones(cell.shape, dtype=bool)
         keep[:, 1:] = (cell[:, 1:] != cell[:, :-1]) \
             & (cell[:, 1:] != cell[:, :1])
-        if keep.sum(axis=1).min() < 3:
-            raise MeshError("Voronoi cell collapsed during vertex merge")
         for k, row, mask in zip(ids, cell, keep):
             cells[k] = row[mask]
     return PolyMesh(vertices, cells)

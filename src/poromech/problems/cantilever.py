@@ -22,11 +22,12 @@ def default_material() -> Material:
                     kappa=1.0e-7)
 
 
-def setup(mesh: PolyMesh, dt: float, *, stabilize: bool = False,
-          linear_solver: str = "direct", rtol: float = 1e-6,
-          maxiter: int = 500) -> tuple[DiscreteSystem, State]:
+def setup(mesh: PolyMesh, dt: float,
+          **options) -> tuple[DiscreteSystem, State]:
     """Assemble the cantilever with default_material() and its zero
-    initial state.
+    initial state.  The solver keywords, `**options`, pass unchanged to
+    DiscreteSystem, which alone declares them and their defaults; any
+    other keyword is a TypeError.
 
     The top traction is spread evenly over the width so that the total
     downward load is 1.  It enters at the first step, so the initial state
@@ -41,9 +42,7 @@ def setup(mesh: PolyMesh, dt: float, *, stabilize: bool = False,
                        lambda x, t: (0.0, 0.0))],
         traction=[(lambda x: x[1] > hi[1] - tol,
                    lambda x, t: (0.0, -1.0 / width))])
-    system = DiscreteSystem(mesh, default_material(), bcs, dt,
-                            stabilize=stabilize, linear_solver=linear_solver,
-                            rtol=rtol, maxiter=maxiter)
+    system = DiscreteSystem(mesh, default_material(), bcs, dt, **options)
     state0 = State(time=0.0, u=np.zeros(system.n_u),
                    p=np.zeros(system.n_p), pi=np.zeros(system.n_pi))
     return system, state0

@@ -47,8 +47,10 @@ def series_roots(ratio: float, count: int) -> np.ndarray:
     Newton step that leaves the bracket or fails to halve the previous step
     is replaced by the bracket midpoint.
     """
-    if ratio <= 1.0:
-        raise ValueError(f"root equation needs ratio > 1, got {ratio}")
+    # the chained comparison is False for nan as well
+    if not 1.0 < ratio < np.inf:
+        raise ValueError(f"root equation needs a finite ratio > 1, got "
+                         f"{ratio}")
     eps = 1e-9
     k = np.arange(count)
     lo = k * np.pi + eps
@@ -73,7 +75,8 @@ def series_roots(ratio: float, count: int) -> np.ndarray:
         x = new
         if np.all(np.abs(last) <= 2.0 * np.finfo(float).eps * x):
             return x
-    raise RuntimeError("series root iteration did not converge")
+    raise RuntimeError(f"roots of tan(x) = {ratio} x did not converge in "
+                       f"{_ROOT_ITERATIONS} iterations")
 
 
 class MandelSolution:
@@ -147,15 +150,15 @@ class MandelSolution:
 
 
 def setup(mesh: PolyMesh, dt: float, *, n_terms: int = 200,
-          linear_solver: str = "direct", stabilize: bool = False,
-          rtol: float = 1e-6, maxiter: int = 500) -> tuple[
-              DiscreteSystem, MandelSolution, State]:
+          **options) -> tuple[DiscreteSystem, MandelSolution, State]:
     """Discrete Mandel problem on a quarter-domain mesh.
 
     The sample is default_material() under the platen force FORCE.
     Returns the assembled system, the series solution and the undrained
     initial state.  The mesh must cover (0, a) x (0, b) with the drained
-    edge at x = a.
+    edge at x = a.  The solver keywords, `**options`, pass unchanged to
+    DiscreteSystem, which alone declares them and their defaults; any
+    other keyword is a TypeError.
     """
     material = default_material()
     lo = mesh.vertices.min(axis=0)
@@ -187,9 +190,7 @@ def setup(mesh: PolyMesh, dt: float, *, n_terms: int = 200,
         ],
         pressure_where=lambda x: x[0] > width - tol,
         pressure=lambda x, t: 0.0)
-    system = DiscreteSystem(mesh, material, bcs, dt,
-                            linear_solver=linear_solver,
-                            stabilize=stabilize, rtol=rtol, maxiter=maxiter)
+    system = DiscreteSystem(mesh, material, bcs, dt, **options)
     state0 = system.initial_state(p0=solution.undrained_pressure())
     return system, solution, state0
 

@@ -121,23 +121,21 @@ def mass_source(points, t: float):
     return 2.0 * PI**2 * np.cos(PI * t) * sin_x * (cos_y - sin_y)
 
 
-def setup(mesh: PolyMesh, dt: float, *, stabilize: bool = False,
-          linear_solver: str = "direct", rtol: float = 1e-6,
-          maxiter: int = 500) -> tuple[DiscreteSystem, State]:
+def setup(mesh: PolyMesh, dt: float,
+          **options) -> tuple[DiscreteSystem, State]:
     """Discrete problem with exact Dirichlet data and consistent start.
 
     The initial displacement vanishes identically (the exact field does),
-    so only the pressure cell means seed the time loop.
+    so only the pressure cell means seed the time loop.  The solver
+    keywords, `**options`, pass unchanged to DiscreteSystem, which alone
+    declares them and their defaults; any other keyword is a TypeError.
     """
     material = default_material()
     bcs = BoundaryConditions(
         displacement=[(lambda x: True, (True, True), boundary_displacement)],
         pressure_where=lambda x: True, pressure=boundary_pressure)
-    system = DiscreteSystem(mesh, material, bcs, dt,
-                            stabilize=stabilize,
-                            linear_solver=linear_solver,
-                            body_force=body_force, mass_source=mass_source,
-                            rtol=rtol, maxiter=maxiter)
+    system = DiscreteSystem(mesh, material, bcs, dt, body_force=body_force,
+                            mass_source=mass_source, **options)
     state0 = system.initial_state(p0=lambda pts: pressure(pts, 0.0),
                                   u0=np.zeros(system.n_u))
     return system, state0

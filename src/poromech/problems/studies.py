@@ -58,12 +58,13 @@ def step_count(dt: float, t_end: float) -> int:
     return int(round(t_end / dt))
 
 
-def manufactured_case(mesh: PolyMesh, dt: float, t_end: float = 1.0, *,
-                      stabilize: bool = False) -> dict:
-    """March the smooth reference problem with the direct solver and
-    accumulate its error norms over round(t_end / dt) >= 1 steps."""
+def manufactured_case(mesh: PolyMesh, dt: float, t_end: float = 1.0,
+                      **options) -> dict:
+    """March the smooth reference problem over round(t_end / dt) >= 1
+    steps and accumulate its error norms; the solver keywords,
+    `**options`, pass unchanged through manufactured.setup."""
     steps = step_count(dt, t_end)
-    system, state = manufactured.setup(mesh, dt, stabilize=stabilize)
+    system, state = manufactured.setup(mesh, dt, **options)
     norms = ErrorNorms(system, manufactured.pressure,
                        manufactured.displacement)
     for _ in range(steps):

@@ -123,6 +123,9 @@ def gmres(matvec, b: np.ndarray, rtol: float = 1e-6, maxiter: int = 500,
     b = np.asarray(b, dtype=float)
     n = b.size
     norm_b = math.sqrt(b @ b)
+    if not math.isfinite(norm_b):
+        raise SolverError(f"GMRES right-hand side has a non-finite 2-norm "
+                          f"({norm_b})")
     if norm_b == 0.0:
         return np.zeros(n), KrylovReport(True, 0, np.zeros(1))
 
@@ -245,8 +248,10 @@ class BlockPreconditioner:
         self._l1_diag = (bpp.diagonal()
                          + np.asarray(abs(bpp).sum(axis=1)).ravel()
                          - np.abs(bpp.diagonal()))
-        if np.any(self._l1_diag <= 0.0):
-            raise SolverError("fixed-stress pressure sweep is not positive")
+        bad = np.flatnonzero(self._l1_diag <= 0.0)
+        if bad.size:
+            raise SolverError(f"fixed-stress pressure sweep is not positive "
+                              f"at pressure row {bad[0]}")
 
         # Trace Schur complement through the pressure sweep.
         cpi = matrix[spi, spi] - (

@@ -13,6 +13,7 @@ from poromech.mesh import (PolyMesh, build_cartesian, build_voronoi,
                            polygon_geometry)
 from poromech.problems import mandel, manufactured
 from poromech.problems.studies import FAMILIES, family_mesh
+from poromech.solver import SolverError
 
 from helpers import dart_mesh, four_field_blocks, polygon_moments
 
@@ -423,6 +424,65 @@ def test_initial_state_rejects_bad_start(kwargs, error):
     system = clamped_system(build_cartesian(4, 4))
     with pytest.raises(ValueError, match=error):
         system.initial_state(**kwargs)
+
+
+@pytest.mark.parametrize("linear_solver", ["direct", "gmres"])
+@pytest.mark.parametrize("kind, bad", [("displacement", np.nan),
+                                       ("pressure", np.inf),
+                                       ("traction", np.inf),
+                                       ("flux", np.nan)])
+def test_non_finite_boundary_data_is_named(kind, bad, linear_solver):
+    """Boundary data that are not finite at one point for t > 0 are named
+    by kind, time and the first dof or face at fault before a solve, on
+    either solver path: the left edge is clamped, the top loaded, the
+    right edge drained and the rest sealed."""
+    mesh = build_cartesian(6, 6)
+    left, right = (lambda x: x[0] < 1e-9), (lambda x: x[0] > 1.0 - 1e-9)
+    top = lambda x: x[1] > 1.0 - 1e-9
+
+    def data(name, good, at):
+        """good, with the y component (or the value) bad at the point."""
+        def value(x, t):
+            if name != kind or t == 0.0 or not np.allclose(x, at):
+                return good
+            return (good[0], bad) if isinstance(good, tuple) else bad
+        return value
+
+    bcs = BoundaryConditions(
+        displacement=[(left, (True, True),
+                       data("displacement", (0.0, 0.0), (0.0, 0.5)))],
+        traction=[(top, data("traction", (0.0, -1.0), (7 / 12, 1.0)))],
+        pressure_where=right, pressure=data("pressure", 0.0, (1.0, 7 / 12)),
+        flux=data("flux", 0.0, (7 / 12, 0.0)))
+    system = DiscreteSystem(mesh, Material(shear=1.0, lam=1.0), bcs, dt=0.1,
+                            linear_solver=linear_solver)
+    state = system.initial_state()
+
+    def vertex(x):
+        return int(np.flatnonzero(np.all(mesh.vertices == x, axis=1))[0])
+
+    def face(x):
+        return int(np.flatnonzero(
+            np.all(np.isclose(mesh.face_midpoint, x), axis=1))[0])
+
+    where = {"displacement": f"dof {2 * vertex((0.0, 0.5)) + 1}",
+             "pressure": f"face {face((1.0, 7 / 12))}",
+             "traction": f"dof {2 * vertex((0.5, 1.0)) + 1}",
+             "flux": f"face {face((7 / 12, 0.0))}"}[kind]
+    with pytest.raises(ValueError, match=f"^the boundary {kind} at "
+                                         f"t = 0.1 is not finite at {where}$"):
+        system.step(state)
+
+
+@pytest.mark.parametrize("linear_solver", ["direct", "gmres"])
+def test_non_finite_state_fails_in_the_solve(linear_solver):
+    """A stepped state that is not finite is not boundary data; it reaches
+    the solve, which names the failure on either path."""
+    system = clamped_system(build_cartesian(4, 4), linear_solver=linear_solver)
+    state = system.initial_state()
+    state.p[3] = np.nan
+    with pytest.raises(SolverError, match="non-finite"):
+        system.step(state)
 
 
 def test_all_neumann_mechanics_raises():

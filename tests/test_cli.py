@@ -243,6 +243,29 @@ def test_config_strings_converted_by_option_type(tmp_path):
     assert read_mesh(out).num_cells == 9
 
 
+@pytest.mark.parametrize("command, cfg, args, table, column, values", [
+    ("cantilever", '{"families": ["cartesian"]}', ["--n", "3"],
+     "indicator.csv", "family", ["cartesian"]),
+    ("solver-bench", '{"levels": [0, 1]}', ["--base", "2"],
+     "solver_report.csv", "level", ["0", "1"]),
+    ("mandel", '{"times": [0.02]}', ["--n", "3", "--dt-frac", "0.01",
+                                      "--n-terms", "20"],
+     "history.csv", "t_frac", ["0", "0.01", "0.02"]),
+], ids=["families", "levels", "times"])
+def test_config_lists_are_taken_as_lists(tmp_path, command, cfg, args,
+                                         table, column, values):
+    """A JSON list is taken item by item where the command line takes a
+    comma-separated string."""
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg)
+    outdir = tmp_path / "out"
+    assert main([command, "--config", str(path), "--outdir", str(outdir)]
+                + args) == 0
+    _, rows = read_table(outdir / table)
+    assert [f"{float(row[column]):g}" if command == "mandel"
+            else row[column] for row in rows] == values
+
+
 def test_readme_examples_parse():
     text = README.read_text(encoding="utf-8")
     section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]

@@ -566,6 +566,36 @@ def test_voronoi_give_up_raises_mesh_error(monkeypatch):
     assert calls == [50, 250] * 5
 
 
+def test_voronoi_cell_collapsed_by_the_merge_is_retried(monkeypatch):
+    """A cell that the vertex merge leaves with fewer than three vertices
+    is PolyMesh's MeshError, and build_voronoi retries it like any other
+    degenerate set.  The first pass here moves every vertex of one cell
+    onto its first vertex."""
+    clipped_cells, polymesh = generators._clipped_cells, generators.PolyMesh
+    errors = []
+
+    def collapse_first(pts, candidates):
+        centres, groups, reaches = clipped_cells(pts, candidates)
+        if not errors:
+            index = groups[0][1][0]
+            centres[index] = centres[index[0]]
+        return centres, groups, reaches
+
+    def recorded(*args):
+        try:
+            return polymesh(*args)
+        except MeshError as err:
+            errors.append(str(err))
+            raise
+
+    monkeypatch.setattr(generators, "_clipped_cells", collapse_first)
+    monkeypatch.setattr(generators, "PolyMesh", recorded)
+    mesh = build_voronoi(30, 0, seed=4)
+    assert len(errors) == 1 and "fewer than 3 vertices" in errors[0]
+    assert mesh.num_cells == 30
+    assert abs(mesh.cell_area.sum() - 1.0) <= 1e-12
+
+
 def test_scipy_spatial_loads_with_the_first_voronoi_build():
     """Importing the package and its command line leaves scipy.spatial
     unloaded (this test module imports it, so a fresh process checks);

@@ -63,6 +63,19 @@ def test_series_roots_reject_small_ratio():
         mandel.series_roots(1.0, 3)
 
 
+@pytest.mark.parametrize("ratio", [np.nan, np.inf])
+def test_series_roots_reject_non_finite_ratio(ratio):
+    with pytest.raises(ValueError, match="finite ratio > 1"):
+        mandel.series_roots(ratio, 3)
+
+
+def test_series_roots_that_do_not_converge_raise(monkeypatch):
+    monkeypatch.setattr(mandel, "_ROOT_ITERATIONS", 1)
+    with pytest.raises(RuntimeError, match=r"roots of tan\(x\) = 2.5 x did "
+                                           r"not converge in 1 iterations"):
+        mandel.series_roots(2.5, 10)
+
+
 def test_characteristic_time(solution):
     assert solution.t_char == pytest.approx(899928005.7595392, rel=1e-12)
 
@@ -165,6 +178,23 @@ def test_setup_leaves_the_mesh_unchanged(problem):
     after = arrays()
     assert after.keys() == before.keys()
     assert all(np.array_equal(after[name], before[name]) for name in before)
+
+
+@pytest.mark.parametrize("problem", [manufactured, mandel, cantilever],
+                         ids=["manufactured", "mandel", "cantilever"])
+def test_setup_passes_the_solver_keywords_to_the_system(problem):
+    """stabilize, linear_solver, rtol and maxiter reach DiscreteSystem
+    unchanged, and it rejects any other keyword."""
+    mesh = build_cartesian(4, 4)
+    system = problem.setup(mesh, 0.1, stabilize=True, linear_solver="gmres",
+                           rtol=1e-3, maxiter=321)[0]
+    assert system.partition is not None
+    assert (system.linear_solver, system.rtol, system.maxiter) == (
+        "gmres", 1e-3, 321)
+    with pytest.raises(TypeError, match=r"DiscreteSystem.__init__\(\) got "
+                                        r"an unexpected keyword argument "
+                                        r"'max_iter'"):
+        problem.setup(mesh, 0.1, max_iter=5)
 
 
 # ----- discrete consolidation setup -----------------------------------------------
@@ -584,6 +614,43 @@ def test_manufactured_case_row():
     assert row["cells"] == 9 and row["steps"] == 2
     assert row["h"] == pytest.approx(np.sqrt(2.0) / 3.0, rel=1e-12)
     assert row["e_p"] > 0 and row["e_u"] > 0 and row["e_s"] > 0
+
+
+def test_manufactured_case_passes_the_solver_keywords(monkeypatch):
+    options = []
+    setup = manufactured.setup
+
+    def spy(mesh, dt, **kwargs):
+        options.append(kwargs)
+        return setup(mesh, dt, **kwargs)
+
+    monkeypatch.setattr(manufactured, "setup", spy)
+    studies.manufactured_case(build_cartesian(3, 3), 0.5, stabilize=True,
+                              linear_solver="gmres", rtol=1e-9)
+    assert options == [{"stabilize": True, "linear_solver": "gmres",
+                        "rtol": 1e-9}]
+    with pytest.raises(TypeError, match="stabilise"):
+        studies.manufactured_case(build_cartesian(3, 3), 0.5, stabilise=True)
+
+
+@pytest.mark.parametrize("cpu_count, pools", [(None, []), (1, []), (2, [2])])
+def test_ladder_workers_from_cpu_count_without_affinity(monkeypatch,
+                                                        cpu_count, pools):
+    """Where os has no sched_getaffinity, os.cpu_count sizes the pool,
+    and an unknown count (None) runs the ladder here."""
+    started = []
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(studies, "ProcessPoolExecutor", Pool)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    rows = studies.convergence_study("cartesian", 2, base=2, dt0=0.5)
+    assert started == pools
+    assert [row["cells"] for row in rows] == [4, 16]
 
 
 def test_observed_rates_on_synthetic_ladder():

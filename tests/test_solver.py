@@ -16,8 +16,9 @@ from poromech.assembly import BoundaryConditions, DiscreteSystem, Material
 from poromech.mesh import build_cartesian
 from poromech.problems import cantilever, mandel, manufactured
 from poromech.problems.studies import FAMILIES, family_mesh
-from poromech.solver import (KRYLOV_CHUNK, BlockPreconditioner, SolverError,
-                             factorize, gmres, separate_components)
+from poromech.solver import (KRYLOV_CHUNK, BlockPreconditioner, KrylovReport,
+                             SolverError, factorize, gmres,
+                             separate_components)
 
 from helpers import mgs_gmres
 
@@ -145,6 +146,22 @@ def test_deterministic_histories():
 def test_breakdown_on_annihilating_operator():
     with pytest.raises(SolverError, match="breakdown"):
         gmres(lambda v: np.zeros_like(v), np.ones(4))
+
+
+def test_near_breakdown_short_of_rtol_raises():
+    """A new Arnoldi vector of relative length 1e-16 is a breakdown when
+    the residual it leaves misses rtol; the error gives that residual."""
+    with pytest.raises(SolverError, match=r"breakdown at iteration 1 with "
+                                          r"relative residual 1\.000e-16"):
+        gmres(lambda v: v + 1e-16 * v[::-1], np.array([1.0, 0.0]),
+              rtol=1e-20)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rhs_raises(bad):
+    with pytest.raises(SolverError, match="right-hand side has a "
+                                          "non-finite 2-norm"):
+        gmres(lambda v: 2 * v, np.array([1.0, bad, 0.0]))
 
 
 # ----- separate-component splitting ------------------------------------------------
@@ -291,6 +308,19 @@ def test_preconditioned_solve_matches_direct():
                               abs=1e-9 * np.linalg.norm(b))
 
 
+def test_preconditioner_rejects_nonpositive_pressure_sweep():
+    """One displacement, two pressure and one trace row; the second
+    pressure row's l1 sweep entry is its diagonal, -1, as no displacement
+    or pressure entry couples to it."""
+    matrix = sp.csr_matrix(np.array([[1.0, 0.0, 0.0, 0.0],
+                                     [0.0, 1.0, 0.0, 0.0],
+                                     [0.0, 0.0, -1.0, 0.5],
+                                     [0.0, 0.0, 0.5, 1.0]]))
+    with pytest.raises(SolverError, match="sweep is not positive at "
+                                          "pressure row 1$"):
+        BlockPreconditioner(matrix, np.array([0]), 2)
+
+
 def test_preconditioner_rejects_nonpositive_displacement_diagonal():
     blocks = random_blocks(seed=4)
     bad = blocks.a_uu.tolil()
@@ -417,6 +447,21 @@ def test_gmres_cantilever_step_raises_when_not_converged():
                                      stabilize=True, linear_solver="gmres",
                                      maxiter=2)
     with pytest.raises(SolverError, match="did not converge in 2 iterations"):
+        system.step(state)
+
+
+def test_gmres_step_failure_reports_the_iterations_run(monkeypatch):
+    """An unconverged step reports the iterations GMRES ran, which is
+    fewer than maxiter on a system with fewer free dofs."""
+    def capped(matvec, b, rtol, maxiter, precond):
+        return np.zeros_like(b), KrylovReport(False, 7, np.array([1.0, 0.5]))
+
+    monkeypatch.setattr(poromech.assembly, "gmres", capped)
+    system, state = cantilever.setup(build_cartesian(2, 2), 1e-5,
+                                     linear_solver="gmres")
+    with pytest.raises(SolverError, match=r"did not converge in 7 "
+                                          r"iterations \(relative residual "
+                                          r"5\.000e-01\)"):
         system.step(state)
 
 
