@@ -250,7 +250,7 @@ def test_config_strings_converted_by_option_type(tmp_path):
      "solver_report.csv", "level", ["0", "1"]),
     ("mandel", '{"times": [0.02]}', ["--n", "3", "--dt-frac", "0.01",
                                       "--n-terms", "20"],
-     "history.csv", "t_frac", ["0", "0.01", "0.02"]),
+     "history.csv", "t_frac", ["0.0", "0.01", "0.02"]),
 ], ids=["families", "levels", "times"])
 def test_config_lists_are_taken_as_lists(tmp_path, command, cfg, args,
                                          table, column, values):
@@ -262,8 +262,7 @@ def test_config_lists_are_taken_as_lists(tmp_path, command, cfg, args,
     assert main([command, "--config", str(path), "--outdir", str(outdir)]
                 + args) == 0
     _, rows = read_table(outdir / table)
-    assert [f"{float(row[column]):g}" if command == "mandel"
-            else row[column] for row in rows] == values
+    assert [row[column] for row in rows] == values
 
 
 def test_readme_examples_parse():
