@@ -184,6 +184,22 @@ def _finite(name: str, values: np.ndarray, what: str,
     return values
 
 
+# The DiscreteSystem keywords that a problem set-up passes through; its
+# loads and the tpfa flux choice stay fixed by the set-up.
+SOLVER_KEYWORDS = frozenset({"stabilize", "linear_solver", "rtol", "maxiter"})
+
+
+def solver_options(options: dict) -> dict:
+    """Return options if every key is one of SOLVER_KEYWORDS; any other
+    key is a TypeError naming it."""
+    extra = sorted(options.keys() - SOLVER_KEYWORDS)
+    if extra:
+        raise TypeError(f"unexpected keyword argument '{extra[0]}'; a "
+                        f"problem set-up passes only "
+                        f"{', '.join(sorted(SOLVER_KEYWORDS))} through")
+    return options
+
+
 def _csr(parts, shape) -> sp.csr_matrix:
     """One CSR matrix from (rows, cols, vals) array triples of equal
     shapes; duplicate entries add up."""

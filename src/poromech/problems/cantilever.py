@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..assembly import BoundaryConditions, DiscreteSystem, Material, State
+from ..assembly import (BoundaryConditions, DiscreteSystem, Material, State,
+                        solver_options)
 from ..mesh import PolyMesh
 
 
@@ -25,9 +26,8 @@ def default_material() -> Material:
 def setup(mesh: PolyMesh, dt: float,
           **options) -> tuple[DiscreteSystem, State]:
     """Assemble the cantilever with default_material() and its zero
-    initial state.  The solver keywords, `**options`, pass unchanged to
-    DiscreteSystem, which alone declares them and their defaults; any
-    other keyword is a TypeError.
+    initial state.  `**options` passes the SOLVER_KEYWORDS unchanged to
+    DiscreteSystem, which declares their defaults; others are a TypeError.
 
     The top traction is spread evenly over the width so that the total
     downward load is 1.  It enters at the first step, so the initial state
@@ -42,7 +42,8 @@ def setup(mesh: PolyMesh, dt: float,
                        lambda x, t: (0.0, 0.0))],
         traction=[(lambda x: x[1] > hi[1] - tol,
                    lambda x, t: (0.0, -1.0 / width))])
-    system = DiscreteSystem(mesh, default_material(), bcs, dt, **options)
+    system = DiscreteSystem(mesh, default_material(), bcs, dt,
+                            **solver_options(options))
     state0 = State(time=0.0, u=np.zeros(system.n_u),
                    p=np.zeros(system.n_p), pi=np.zeros(system.n_pi))
     return system, state0

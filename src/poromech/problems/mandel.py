@@ -19,7 +19,8 @@ import functools
 
 import numpy as np
 
-from ..assembly import BoundaryConditions, DiscreteSystem, Material, State
+from ..assembly import (BoundaryConditions, DiscreteSystem, Material, State,
+                        solver_options)
 from ..mesh import PolyMesh
 
 
@@ -156,9 +157,8 @@ def setup(mesh: PolyMesh, dt: float, *, n_terms: int = 200,
     The sample is default_material() under the platen force FORCE.
     Returns the assembled system, the series solution and the undrained
     initial state.  The mesh must cover (0, a) x (0, b) with the drained
-    edge at x = a.  The solver keywords, `**options`, pass unchanged to
-    DiscreteSystem, which alone declares them and their defaults; any
-    other keyword is a TypeError.
+    edge at x = a.  `**options` passes the SOLVER_KEYWORDS unchanged to
+    DiscreteSystem, which declares their defaults; others are a TypeError.
     """
     material = default_material()
     lo = mesh.vertices.min(axis=0)
@@ -190,7 +190,7 @@ def setup(mesh: PolyMesh, dt: float, *, n_terms: int = 200,
         ],
         pressure_where=lambda x: x[0] > width - tol,
         pressure=lambda x, t: 0.0)
-    system = DiscreteSystem(mesh, material, bcs, dt, **options)
+    system = DiscreteSystem(mesh, material, bcs, dt, **solver_options(options))
     state0 = system.initial_state(p0=solution.undrained_pressure())
     return system, solution, state0
 

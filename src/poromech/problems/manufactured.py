@@ -30,7 +30,8 @@ import weakref
 
 import numpy as np
 
-from ..assembly import BoundaryConditions, DiscreteSystem, Material, State
+from ..assembly import (BoundaryConditions, DiscreteSystem, Material, State,
+                        solver_options)
 from ..mesh import PolyMesh
 
 PI = np.pi
@@ -126,16 +127,15 @@ def setup(mesh: PolyMesh, dt: float,
     """Discrete problem with exact Dirichlet data and consistent start.
 
     The initial displacement vanishes identically (the exact field does),
-    so only the pressure cell means seed the time loop.  The solver
-    keywords, `**options`, pass unchanged to DiscreteSystem, which alone
-    declares them and their defaults; any other keyword is a TypeError.
-    """
+    so only the pressure cell means seed the time loop.  `**options`
+    passes the SOLVER_KEYWORDS unchanged to DiscreteSystem, which declares
+    their defaults; others are a TypeError."""
     material = default_material()
     bcs = BoundaryConditions(
         displacement=[(lambda x: True, (True, True), boundary_displacement)],
         pressure_where=lambda x: True, pressure=boundary_pressure)
     system = DiscreteSystem(mesh, material, bcs, dt, body_force=body_force,
-                            mass_source=mass_source, **options)
+                            mass_source=mass_source, **solver_options(options))
     state0 = system.initial_state(p0=lambda pts: pressure(pts, 0.0),
                                   u0=np.zeros(system.n_u))
     return system, state0

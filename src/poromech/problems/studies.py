@@ -61,8 +61,7 @@ def step_count(dt: float, t_end: float) -> int:
 def manufactured_case(mesh: PolyMesh, dt: float, t_end: float = 1.0,
                       **options) -> dict:
     """March the smooth reference problem over round(t_end / dt) >= 1
-    steps and accumulate its error norms; the solver keywords,
-    `**options`, pass unchanged through manufactured.setup."""
+    steps, gathering its error norms; `**options` go to manufactured.setup."""
     steps = step_count(dt, t_end)
     system, state = manufactured.setup(mesh, dt, **options)
     norms = ErrorNorms(system, manufactured.pressure,

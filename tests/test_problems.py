@@ -3,6 +3,7 @@ reference values, smooth reference fields against finite-difference PDE
 residuals, error norms, and study protocols."""
 
 import gc
+import inspect
 import os
 import weakref
 from concurrent.futures import ProcessPoolExecutor
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import dart_mesh
-from poromech.assembly import Material
+from poromech.assembly import SOLVER_KEYWORDS, DiscreteSystem, Material
 from poromech.mesh import (PolyMesh, build_cartesian, build_hybrid,
                            build_voronoi)
 from poromech.problems import cantilever, mandel, manufactured, studies
@@ -182,19 +183,27 @@ def test_setup_leaves_the_mesh_unchanged(problem):
 
 @pytest.mark.parametrize("problem", [manufactured, mandel, cantilever],
                          ids=["manufactured", "mandel", "cantilever"])
-def test_setup_passes_the_solver_keywords_to_the_system(problem):
+@pytest.mark.parametrize("keyword", [
+    {"max_iter": 5},                       # a misspelt solver keyword
+    {"tpfa": True},                        # the set-up fixes the flux
+    {"body_force": lambda x, t: x * 0.0},  # and the loads
+    {"mass_source": lambda x, t: x[:, 0] * 0.0}])
+def test_setup_passes_the_solver_keywords_to_the_system(problem, keyword):
     """stabilize, linear_solver, rtol and maxiter reach DiscreteSystem
-    unchanged, and it rejects any other keyword."""
+    unchanged; any other keyword, DiscreteSystem's own included, is a
+    TypeError before a system is built."""
+    assert SOLVER_KEYWORDS <= set(
+        inspect.signature(DiscreteSystem).parameters)
     mesh = build_cartesian(4, 4)
     system = problem.setup(mesh, 0.1, stabilize=True, linear_solver="gmres",
                            rtol=1e-3, maxiter=321)[0]
     assert system.partition is not None
     assert (system.linear_solver, system.rtol, system.maxiter) == (
         "gmres", 1e-3, 321)
-    with pytest.raises(TypeError, match=r"DiscreteSystem.__init__\(\) got "
-                                        r"an unexpected keyword argument "
-                                        r"'max_iter'"):
-        problem.setup(mesh, 0.1, max_iter=5)
+    name = next(iter(keyword))
+    with pytest.raises(TypeError,
+                       match=f"unexpected keyword argument '{name}'"):
+        problem.setup(mesh, 0.1, **keyword)
 
 
 # ----- discrete consolidation setup -----------------------------------------------
