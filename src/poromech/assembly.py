@@ -42,6 +42,7 @@ stay, one array per group, in velocity_inverse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +51,8 @@ import scipy.sparse as sp
 from . import mfd, vem
 from .mesh import PolyMesh
 from .mesh.core import CellGeometry, polygon_quadrature
-from .solver import BlockPreconditioner, SolverError, factorize, gmres
+from .solver import (MAXITER, RTOL, BlockPreconditioner, KrylovStorage,
+                     SolverError, factorize, gmres)
 from .stab import (assemble_jump_matrix, beta_coefficient,
                    build_macro_elements, checkerboard_indicator)
 
@@ -221,7 +223,7 @@ class DiscreteSystem:
                  stabilize: bool = False,
                  body_force=None, mass_source=None,
                  linear_solver: str = "direct", tpfa: bool = False,
-                 rtol: float = 1e-6, maxiter: int = 500):
+                 rtol: float = RTOL, maxiter: int = MAXITER):
         # the chained comparisons are False for nan as well
         if not 0.0 < dt < np.inf:
             raise ValueError(f"time step dt must be finite and positive, "
@@ -434,11 +436,14 @@ class DiscreteSystem:
             self._lu = factorize(self._a_ff)
             self._abs_a_ff = abs(self._a_ff)
             self._precond = None
+            self._krylov = None
         else:
             self._lu = None
             self._abs_a_ff = None
             self._precond = BlockPreconditioner(self._a_ff, self.free_u % 2,
                                                 self.n_p)
+            # every solve of this system reuses one Krylov storage
+            self._krylov = KrylovStorage(self._a_ff.shape[0])
 
     def _solve(self, rhs: np.ndarray, t: float) -> np.ndarray:
         x_d = self.dirichlet_values(t)
@@ -457,10 +462,20 @@ class DiscreteSystem:
                 x_f = x_f + self._lu.solve(r_f)
                 r_f = b_f - self._a_ff @ x_f
                 denom = self._abs_a_ff @ np.abs(x_f) + np.abs(b_f)
+                # a zero row counts 0; a NaN row makes omega NaN
                 omega = np.max(np.divide(np.abs(r_f), denom,
                                          out=np.zeros_like(denom),
-                                         where=denom > 0.0), initial=0.0)
+                                         where=denom != 0.0), initial=0.0)
                 if omega <= REFINE_STOP:
+                    break
+                if math.isnan(omega):
+                    # no sweep removes a NaN or an infinity; name the first
+                    # one of b_f, or end at the check of x_f below
+                    bad = np.flatnonzero(~np.isfinite(b_f))
+                    if bad.size:
+                        raise SolverError(
+                            f"non-finite right-hand side at free dof "
+                            f"{bad[0]} (dof {self.free[bad[0]]})")
                     break
             if omega > REFINE_FAIL:
                 raise SolverError(
@@ -470,7 +485,8 @@ class DiscreteSystem:
         else:
             x_f, self.last_report = gmres(
                 lambda v: self._a_ff @ v, b_f, rtol=self.rtol,
-                maxiter=self.maxiter, precond=self._precond)
+                maxiter=self.maxiter, precond=self._precond,
+                storage=self._krylov)
             if not self.last_report.converged:
                 raise SolverError(
                     f"GMRES did not converge in "

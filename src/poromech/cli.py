@@ -23,7 +23,7 @@ from .mesh import MeshError, read_mesh, write_mesh
 from .mesh.io import MeshFormatError
 from .output import write_csv, write_partition_csv, write_vtk
 from .problems import cantilever, mandel, manufactured, studies
-from .solver import SolverError
+from .solver import MAXITER, RTOL, SolverError
 
 BoolFlag = argparse.BooleanOptionalAction
 
@@ -291,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help=stabilize)
     sub.add_argument("--solver", choices=("direct", "gmres"),
                      default="direct", help="linear solver")
-    sub.add_argument("--rtol", type=float, default=1e-6, help="GMRES rtol")
-    sub.add_argument("--maxit", type=int, default=500, help="GMRES maxit")
+    sub.add_argument("--rtol", type=float, default=RTOL, help="GMRES rtol")
+    sub.add_argument("--maxit", type=int, default=MAXITER, help="GMRES maxit")
 
     sub = _subcommand(subs, "converge", cmd_converge,
                       "refinement ladder study")
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dt", type=float, default=1.0e-5, help="time step")
     sub.add_argument("--stabilize", action=BoolFlag, default=True,
                      help=stabilize)
-    sub.add_argument("--rtol", type=float, default=1e-6, help="GMRES rtol")
+    sub.add_argument("--rtol", type=float, default=RTOL, help="GMRES rtol")
 
     for sub_parser in subs.choices.values():
         sub_parser.add_argument("--config",

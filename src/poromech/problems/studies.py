@@ -23,6 +23,7 @@ import numpy as np
 
 from ..mesh import (PolyMesh, build_cartesian, build_hybrid, build_skewed,
                     build_voronoi)
+from ..solver import RTOL
 from . import cantilever, manufactured
 from .norms import ErrorNorms
 
@@ -161,7 +162,7 @@ def stabilization_study(families=FAMILIES, *, n: int = 10,
 
 def solver_study(levels=(0, 1, 2), *, family: str = "cartesian",
                  base: int = 10, dt: float = 1.0e-5,
-                 stabilize: bool = True, rtol: float = 1e-6,
+                 stabilize: bool = True, rtol: float = RTOL,
                  **mesh) -> list[dict]:
     """GMRES iteration counts of one cantilever step across refinements."""
     if not levels:

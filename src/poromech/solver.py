@@ -14,8 +14,15 @@ and Mandel's cart20 condensed matrix (0.77-0.84x).  On factors of
 1.03-1.06x (medians over 150-280 alternating solves, one BLAS thread).
 Factoring A^T takes 0.87-1.04x the time of A.  ``gmres`` solves with any
 matvec and optional right preconditioner, orthogonalizing by classical
-Gram-Schmidt run twice through BLAS in Krylov storage that grows in chunks;
-``BlockPreconditioner(matrix, u_components, n_p)`` builds the
+Gram-Schmidt run twice through BLAS in a ``KrylovStorage`` that grows in
+chunks; a ``DiscreteSystem`` keeps one for all its solves, and the
+preconditioner writes each M^-1 v straight into its row of it.  A solve
+that allocated its own storage (4.3 MB on the 40 x 40 hybrid cantilever)
+touched it afresh: in a new process that cost about 820 minor page faults
+per step over the first 60-step run, against 14 with kept storage, all in
+its first step; the step p90 of cantilever-hybrid40-gmres went from 12.89
+to 12.21 ms (medians of 10 alternating pairs, each won, same iterates bit
+for bit).  ``BlockPreconditioner(matrix, u_components, n_p)`` builds the
 preconditioner from slices of the condensed free-dof matrix that GMRES
 solves, so no block is assembled twice.  The preconditioner is the inverse
 of
@@ -100,13 +107,51 @@ def factorize(matrix: sp.spmatrix) -> LUFactor:
 # of the preconditioned operator's output is a breakdown.
 BREAKDOWN_TOL = 1e-14
 
+# GMRES stops once the residual is at most RTOL times that of the zero
+# guess, and gives up after MAXITER iterations.
+RTOL = 1e-6
+MAXITER = 500
+
 # Krylov vectors the storage holds at first; it doubles whenever the basis
 # fills it, up to min(maxiter, n) vectors.
 KRYLOV_CHUNK = 32
 
 
-def gmres(matvec, b: np.ndarray, rtol: float = 1e-6, maxiter: int = 500,
-          precond=None):
+class KrylovStorage:
+    """The basis, the preconditioned vectors and the Hessenberg matrix of
+    ``gmres`` for vectors of length n.
+
+    They only grow (gmres reserves KRYLOV_CHUNK vectors at first and
+    doubles them when the basis fills them), and every solve given the
+    storage reuses them, so steady-state solves of one system
+    allocate and first touch none of it.  A solve writes every basis and
+    preconditioned row it reads and each Hessenberg column down to its
+    subdiagonal; the entries below stay zero, so a solve sees the same
+    numbers in fresh and in reused storage.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.basis = np.empty((1, n))
+        self.precon = np.empty((0, n))
+        self.hess = np.zeros((1, 0))
+
+    def reserve(self, cap: int):
+        """(basis, precon, hess) holding at least cap vectors beyond the
+        first basis vector, with what is stored kept."""
+        old = len(self.precon)
+        if cap > old:
+            basis, precon = np.empty((cap + 1, self.n)), np.empty((cap, self.n))
+            hess = np.zeros((cap + 1, cap))
+            basis[:old + 1] = self.basis
+            precon[:old] = self.precon
+            hess[:old + 1, :old] = self.hess
+            self.basis, self.precon, self.hess = basis, precon, hess
+        return self.basis, self.precon, self.hess
+
+
+def gmres(matvec, b: np.ndarray, rtol: float = RTOL, maxiter: int = MAXITER,
+          precond=None, storage: KrylovStorage | None = None):
     """Non-restarted GMRES with right preconditioning and a zero initial
     guess.
 
@@ -115,10 +160,13 @@ def gmres(matvec, b: np.ndarray, rtol: float = 1e-6, maxiter: int = 500,
     passes keep the basis orthogonal to working precision, like modified
     Gram-Schmidt with reorthogonalization (Giraud, Langou and Rozloznik
     2005).  The basis, the preconditioned vectors and the Hessenberg matrix
-    start at KRYLOV_CHUNK rows and double whenever the basis fills them.
-    The recurrence residuals equal the true residuals of the original
-    system because preconditioning acts from the right. Returns
-    (x, KrylovReport).
+    live in ``storage`` (a fresh KrylovStorage(b.size) when none is given),
+    which starts at KRYLOV_CHUNK vectors and doubles whenever the basis
+    fills it.  ``precond(v, out)`` returns M^-1 v; it may write it into
+    ``out``, the row of the storage that keeps it, and return ``out``,
+    which saves a copy.  The recurrence residuals equal the true residuals
+    of the original system because preconditioning acts from the right.
+    Returns (x, KrylovReport).
     """
     b = np.asarray(b, dtype=float)
     n = b.size
@@ -128,28 +176,34 @@ def gmres(matvec, b: np.ndarray, rtol: float = 1e-6, maxiter: int = 500,
                           f"({norm_b})")
     if norm_b == 0.0:
         return np.zeros(n), KrylovReport(True, 0, np.zeros(1))
+    if storage is None:
+        storage = KrylovStorage(n)
+    elif storage.n != n:
+        raise ValueError(f"Krylov storage holds vectors of length "
+                         f"{storage.n}, the right-hand side has {n}")
 
     maxiter = min(maxiter, n)
-    cap = min(KRYLOV_CHUNK, maxiter)
-    basis = np.empty((cap + 1, n))
-    precon = np.empty((cap, n))
-    hess = np.zeros((cap + 1, cap))       # rotated to upper triangular
+    # hess is rotated to upper triangular column by column
+    basis, precon, hess = storage.reserve(min(KRYLOV_CHUNK, maxiter))
+    cap = len(precon)
     givens = []                           # (c, s) of each rotation
     g = [norm_b]                          # rotated right-hand side
 
-    basis[0] = b / norm_b
+    np.divide(b, norm_b, out=basis[0])
     residuals = [norm_b]
     k = 0
     converged = False
     for j in range(maxiter):
         if j == cap:
-            grow = min(cap, maxiter - cap)
-            cap += grow
-            basis = np.concatenate((basis, np.empty((grow, n))))
-            precon = np.concatenate((precon, np.empty((grow, n))))
-            hess = np.pad(hess, ((0, grow), (0, grow)))
-        z = precond(basis[j]) if precond is not None else basis[j]
-        precon[j] = z
+            basis, precon, hess = storage.reserve(min(2 * cap, maxiter))
+            cap = len(precon)
+        z = precon[j]
+        if precond is None:
+            z[:] = basis[j]
+        else:
+            made = precond(basis[j], z)
+            if made is not z:
+                z[:] = made
         # The new vector is orthogonalized in place in the next basis row.
         w = basis[j + 1]
         w[:] = matvec(z)
@@ -258,9 +312,12 @@ class BlockPreconditioner:
             matrix[spi, sp_] @ sp.diags(1.0 / self._l1_diag) @ self._a_ppi)
         self._pipi_lu = factorize(cpi)
 
-    def __call__(self, y: np.ndarray) -> np.ndarray:
+    def __call__(self, y: np.ndarray, out: np.ndarray | None = None
+                 ) -> np.ndarray:
+        """M^-1 y, written into out when given (which must not overlap y)
+        and returned."""
         su, sp_, spi = self.slices
-        x = np.empty(y.size)
+        x = np.empty(y.size) if out is None else out
         pi, p = x[spi], x[sp_]
         pi[:] = self._pipi_lu.solve(y[spi])
         np.subtract(y[sp_], self._a_ppi @ pi, out=p)

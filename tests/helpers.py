@@ -464,7 +464,8 @@ def four_field_blocks(system) -> FourFieldBlocks:
 
 # ----- modified Gram-Schmidt GMRES -------------------------------------------
 
-def mgs_gmres(matvec, b, rtol=1e-6, maxiter=500, precond=None):
+def mgs_gmres(matvec, b, rtol=1e-6, maxiter=500, precond=None,
+              storage=None):
     """The GMRES loop that the CGS2 one replaced, the oracle it is compared
     with: modified Gram-Schmidt with one reorthogonalization pass, one
     vector at a time, and Krylov storage for maxiter vectors."""

@@ -13,11 +13,11 @@ import scipy.sparse.linalg as spla
 
 import poromech.assembly
 from poromech.assembly import BoundaryConditions, DiscreteSystem, Material
-from poromech.mesh import build_cartesian
+from poromech.mesh import build_cartesian, build_hybrid
 from poromech.problems import cantilever, mandel, manufactured
 from poromech.problems.studies import FAMILIES, family_mesh
 from poromech.solver import (KRYLOV_CHUNK, BlockPreconditioner, KrylovReport,
-                             SolverError, factorize, gmres,
+                             KrylovStorage, SolverError, factorize, gmres,
                              separate_components)
 
 from helpers import mgs_gmres
@@ -63,7 +63,7 @@ def test_identity_converges_in_one_iteration():
 def test_exact_inverse_preconditioner_converges_in_one_iteration():
     a, b = random_system()
     x, report = gmres(lambda v: a @ v, b, rtol=1e-10,
-                      precond=lambda y: np.linalg.solve(a, y))
+                      precond=lambda y, out: np.linalg.solve(a, y))
     assert report.converged and report.iterations == 1
     assert a @ x == pytest.approx(b, abs=1e-8 * np.linalg.norm(b))
 
@@ -105,7 +105,7 @@ def test_long_nonnormal_solve_matches_textbook_and_stays_orthogonal():
 def test_residual_history_is_monotone_and_true():
     a, b = random_system(25, seed=5)
     x, report = gmres(lambda v: a @ v, b, rtol=1e-9,
-                      precond=lambda y: y / np.diag(a))
+                      precond=lambda y, out: y / np.diag(a))
     assert report.residuals.size == report.iterations + 1
     assert np.all(np.diff(report.residuals) <= 1e-12 * report.residuals[0])
     # right preconditioning keeps the recurrence residual equal to the
@@ -141,6 +141,59 @@ def test_deterministic_histories():
     x2, r2 = gmres(lambda v: a @ v, b, rtol=1e-10)
     assert np.array_equal(x1, x2)
     assert np.array_equal(r1.residuals, r2.residuals)
+
+
+def truncated_shift(v):
+    """e_1 -> e_2 -> ... -> e_9 -> 0: from e_1, GMRES keeps the residual
+    at 1 and breaks down with a singular projected system at iteration 9."""
+    w = np.zeros_like(v)
+    w[1:9] = v[:8]
+    return w
+
+
+def test_solves_in_one_storage_match_fresh_storage():
+    """One KrylovStorage goes through an unconverged solve, a breakdown, a
+    solve that grows it past KRYLOV_CHUNK and a short preconditioned solve
+    that writes in place; each gives the bits, or the error, of the same
+    solve in fresh storage."""
+    a, b = nonnormal_system()
+    diag = np.diag(a).copy()
+    e_1 = np.eye(b.size)[0]
+    solves = [(a, b, 1e-12, 3, None), (truncated_shift, e_1, 1e-6, 500, None),
+              (a, b, 1e-10, 300, None), (a, b[::-1].copy(), 1e-8, 500, diag)]
+
+    def outcome(op, rhs, rtol, maxiter, scale, storage):
+        matvec = op if callable(op) else lambda v: op @ v
+        if scale is None:
+            precond = None
+        elif storage is None:
+            precond = lambda v, out: v / scale
+        else:
+            precond = lambda v, out: np.divide(v, scale, out=out)
+        try:
+            x, report = gmres(matvec, rhs, rtol=rtol, maxiter=maxiter,
+                              precond=precond, storage=storage)
+        except SolverError as exc:
+            return str(exc)
+        return x, report.residuals
+
+    storage = KrylovStorage(b.size)
+    results = [(outcome(*solve, storage), outcome(*solve, None))
+               for solve in solves]
+    for used, fresh in results:
+        if isinstance(fresh, str):
+            assert used == fresh
+        else:
+            assert all(np.array_equal(u, f) for u, f in zip(used, fresh))
+    assert results[0][1][1].size == 4
+    assert "breakdown at iteration 9" in results[1][1]
+    assert results[2][1][1].size - 1 > 4 * KRYLOV_CHUNK
+    assert len(storage.precon) == 8 * KRYLOV_CHUNK
+
+
+def test_storage_of_another_length_is_rejected():
+    with pytest.raises(ValueError, match="length 4"):
+        gmres(lambda v: v, np.ones(3), storage=KrylovStorage(4))
 
 
 def test_breakdown_on_annihilating_operator():
@@ -250,6 +303,9 @@ def test_preconditioner_inverts_block_factor():
         y = rng.standard_normal(u_ref.shape[0])
         assert precond(y) == pytest.approx(
             np.linalg.solve(u_ref, y), rel=1e-12, abs=1e-12)
+        out = np.full(y.size, np.nan)
+        assert precond(y, out) is out
+        assert np.array_equal(out, precond(y))
 
 
 def test_preconditioner_on_assembled_system_blocks():
@@ -421,6 +477,23 @@ def test_refinement_that_cannot_converge_raises():
     assert counter.solves == 5
 
 
+def test_non_finite_rhs_stops_refinement_after_one_sweep():
+    """A NaN in the stepped pressure makes the backward error NaN after
+    the first sweep: the solve stops there and names the free dof, and
+    the dof, of the first non-finite right-hand side entry."""
+    system, state = direct_case("cartesian")
+    state.p[3] = np.nan
+    dof = system.n_u + 3
+    free_dof = np.flatnonzero(system.free == dof)[0]
+    counter = CountingFactor(system._lu)
+    system._lu = counter
+    with pytest.raises(SolverError, match=rf"^non-finite right-hand side "
+                                          rf"at free dof {free_dof} "
+                                          rf"\(dof {dof}\)$"):
+        system.step(state)
+    assert counter.solves == 2
+
+
 # ----- GMRES against the direct solve -------------------------------------------------
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -453,7 +526,7 @@ def test_gmres_cantilever_step_raises_when_not_converged():
 def test_gmres_step_failure_reports_the_iterations_run(monkeypatch):
     """An unconverged step reports the iterations GMRES ran, which is
     fewer than maxiter on a system with fewer free dofs."""
-    def capped(matvec, b, rtol, maxiter, precond):
+    def capped(matvec, b, rtol, maxiter, precond, storage):
         return np.zeros_like(b), KrylovReport(False, 7, np.array([1.0, 0.5]))
 
     monkeypatch.setattr(poromech.assembly, "gmres", capped)
@@ -465,24 +538,85 @@ def test_gmres_step_failure_reports_the_iterations_run(monkeypatch):
         system.step(state)
 
 
+def fresh_gmres(matvec, b, rtol, maxiter, precond, storage):
+    """gmres as it ran before the Krylov storage was kept: fresh storage
+    for every solve, and every preconditioned vector a new array."""
+    return gmres(matvec, b, rtol=rtol, maxiter=maxiter,
+                 precond=lambda v, out: precond(v))
+
+
+def cantilever_run(mesh, steps, krylov, monkeypatch):
+    """(iterations of each step, last state) of stabilized GMRES cantilever
+    steps at dt = 1e-5, solved by krylov."""
+    monkeypatch.setattr(poromech.assembly, "gmres", krylov)
+    system, state = cantilever.setup(mesh, 1e-5, stabilize=True,
+                                     linear_solver="gmres")
+    iterations = []
+    for _ in range(steps):
+        state = system.step(state)
+        iterations.append(system.last_report.iterations)
+    return iterations, state
+
+
+def assert_same_bits(state, ref):
+    for field in ("u", "p", "pi"):
+        assert np.array_equal(getattr(state, field), getattr(ref, field)), \
+            field
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_gmres_cantilever_matches_modified_gram_schmidt(family, monkeypatch):
     """Ten stabilized cantilever steps at n = 10 take the same iterations
     with the CGS2 loop as with the modified Gram-Schmidt loop it replaced,
-    and the states agree to 1e-10 of the largest entry of each field."""
-    runs = {}
-    for name, krylov in (("mgs", mgs_gmres), ("cgs2", gmres)):
-        monkeypatch.setattr(poromech.assembly, "gmres", krylov)
-        system, state = cantilever.setup(family_mesh(family, 10), 1e-5,
-                                         stabilize=True,
-                                         linear_solver="gmres")
-        iterations = []
-        for _ in range(10):
-            state = system.step(state)
-            iterations.append(system.last_report.iterations)
-        runs[name] = (iterations, state)
-    assert runs["cgs2"][0] == runs["mgs"][0]
+    and the states agree to 1e-10 of the largest entry of each field.  The
+    system's reused Krylov storage and in-place preconditioner give the
+    states of fresh storage bit for bit."""
+    runs = {name: cantilever_run(family_mesh(family, 10), 10, krylov,
+                                 monkeypatch)
+            for name, krylov in (("mgs", mgs_gmres), ("fresh", fresh_gmres),
+                                 ("cgs2", gmres))}
+    assert runs["cgs2"][0] == runs["mgs"][0] == runs["fresh"][0]
     for field in ("u", "p", "pi"):
         ref = getattr(runs["mgs"][1], field)
         got = getattr(runs["cgs2"][1], field)
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max(), field
+    assert_same_bits(runs["cgs2"][1], runs["fresh"][1])
+
+
+def test_benchmarked_cantilever_keeps_its_bits_in_reused_storage(
+        monkeypatch):
+    """The 60 stabilized steps of the 40 x 40 hybrid cantilever take 26
+    iterations each and end in the same state, bit for bit, whether every
+    solve has fresh Krylov storage or all reuse the system's."""
+    mesh = build_hybrid(40, 40)
+    fresh = cantilever_run(mesh, 60, fresh_gmres, monkeypatch)
+    reused = cantilever_run(mesh, 60, gmres, monkeypatch)
+    assert reused[0] == fresh[0] == [26] * 60
+    assert_same_bits(reused[1], fresh[1])
+
+
+def test_steps_of_one_system_share_its_krylov_storage(monkeypatch):
+    """Every step of a GMRES system solves in one KrylovStorage, whose
+    arrays its first step allocates and later steps reuse; a system with
+    another number of free dofs has its own storage."""
+    seen = []
+
+    def spy(matvec, b, rtol, maxiter, precond, storage):
+        x, report = gmres(matvec, b, rtol=rtol, maxiter=maxiter,
+                          precond=precond, storage=storage)
+        seen.append((storage, storage.basis))
+        return x, report
+
+    monkeypatch.setattr(poromech.assembly, "gmres", spy)
+    free = []
+    for n in (4, 6):
+        system, state = cantilever.setup(build_cartesian(n, n), 1e-5,
+                                         linear_solver="gmres")
+        for _ in range(3):
+            state = system.step(state)
+        free.append(system.free.size)
+    for runs, n_free in ((seen[:3], free[0]), (seen[3:], free[1])):
+        storage, basis = runs[0]
+        assert storage.n == n_free
+        assert all(s is storage and v is basis for s, v in runs)
+    assert seen[0][0] is not seen[3][0]
