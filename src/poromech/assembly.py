@@ -36,8 +36,7 @@ and y cell means, and cell_strain (3 n_p, n_u), the cell-mean strains
 owns the points quad_points, their cells quad_cells and the weights as
 cell_integral (n_p, n_q), so cell_integral @ f(quad_points) integrates f
 over each cell, exactly for quadratics.  Each matrix is one COO-to-CSR
-conversion of the parts of all groups; the inverse velocity inner products
-stay, one array per group, in velocity_inverse.
+conversion of the parts of all groups.
 """
 
 from __future__ import annotations
@@ -123,7 +122,8 @@ class BoundaryConditions:
 
     displacement: list of (where, mask, value); mask picks the constrained
     components, value(x, t) gives the prescribed displacement at a vertex
-    of a matching face.
+    of a matching face.  A component that several entries fix takes the
+    value of the first of them in the list.
     traction: list of (where, value) with value(x, t) a 2-vector.
     pressure_where: selects the prescribed-pressure faces Gamma_p; None
     selects none.
@@ -143,8 +143,8 @@ class BoundaryConditions:
 class State:
     """Discrete solution at one time level.
 
-    The one-sided velocities are not stored; DiscreteSystem.recover_velocity
-    computes them from p and pi.
+    The one-sided face velocities are eliminated in the condensed system
+    and not stored.
     """
     time: float
     u: np.ndarray
@@ -265,8 +265,6 @@ class DiscreteSystem:
             tensors = (mat.kappa, np.linalg.inv(mat.kappa))
         uu, up, ppi, pipi, mean, strain = [], [], [], [], [], []
         points, integral, n_q = [], [], 0
-        self.velocity_inverse = []
-        self.velocity_offsets = mesh.cell_offsets
         self.app_diag = np.empty(self.n_p)
         self.storage_diag = np.empty(self.n_p)
         for group in mesh.cell_groups:
@@ -286,7 +284,6 @@ class DiscreteSystem:
                     raise ValueError(f"cell {group.cells[i]}: {err}") \
                         from None
             minv = np.linalg.inv(m_k)
-            self.velocity_inverse.append(minv)
 
             ux, uy = 2 * group.vertices, 2 * group.vertices + 1
             dofs = np.empty((m, 2 * nv), dtype=int)
@@ -350,15 +347,18 @@ class DiscreteSystem:
         mesh, bcs = self.mesh, self.bcs
         boundary = np.flatnonzero(mesh.boundary_mask)
         midpoints = mesh.face_midpoint[boundary]
+        matches = _matches("displacement",
+                           [where for where, _, _ in bcs.displacement],
+                           boundary, midpoints)
+        # entry by entry, so that the first entry fixing a dof gives its value
         specs = {}
-        for f, i in _matches("displacement",
-                             [where for where, _, _ in bcs.displacement],
-                             boundary, midpoints):
+        for f, i in sorted(matches, key=lambda match: match[1]):
             _, mask, value = bcs.displacement[i]
             for v in mesh.faces[f]:
                 for comp in (0, 1):
                     if mask[comp]:
-                        specs[2 * v + comp] = (comp, mesh.vertices[v], value)
+                        specs.setdefault(2 * v + comp,
+                                         (comp, mesh.vertices[v], value))
         self._u_specs = [specs[dof] for dof in sorted(specs)]
         self.fixed_u = np.array(sorted(specs), dtype=int)
         self.free_u = np.setdiff1d(np.arange(self.n_u), self.fixed_u)
@@ -610,20 +610,6 @@ class DiscreteSystem:
             r_pi[self.free_pi] - self._a_fd[trace, n_du:] @ pi_d)
         pi0[self.fixed_pi] = pi_d
         return State(time=0.0, u=u0, p=p_cells, pi=pi0)
-
-    def recover_velocity(self, state: State) -> np.ndarray:
-        """One-sided face velocities from the cell-local flow equations.
-
-        Returns a flat array indexed by self.velocity_offsets: the
-        velocities of cell k occupy the slice offsets[k]:offsets[k + 1] in
-        the order of mesh.cell_faces[k].
-        """
-        w = np.empty(self.velocity_offsets[-1])
-        for group, minv in zip(self.mesh.cell_groups, self.velocity_inverse):
-            fvec = group.geometry.lengths
-            rhs = fvec * (state.p[group.cells, None] - state.pi[group.faces])
-            w[group.edges] = np.matmul(minv, rhs[..., None])[..., 0]
-        return w
 
     # ----- inspection ----------------------------------------------------------
 

@@ -12,7 +12,6 @@ same code serves a single polygon.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -164,15 +163,13 @@ class PolyMesh:
     faces : (nf, 2) int array, endpoints in the owner cell's traversal order
     face_cells : (nf, 2) int array, adjacent cells (second entry -1 on the
         boundary)
-    cell_faces : list of int arrays, faces of each cell aligned with its edges
     cell_offsets : (nt + 1,) int array, start of each cell's edges in the
         flat edge arrays
     edge_cells, edge_vertices, edge_next : flat edge arrays, the cell and
         start vertex of every cell edge and the flat index of the next
         edge of the same cell
     edge_faces, edge_lengths, edge_normals : flat edge arrays, the face,
-        length and outward unit normal of every cell edge; cell_faces and
-        cell_normals are their per-cell views, made on first use
+        length and outward unit normal of every cell edge
     cell_groups : list of CellGroup, one per vertex count, ascending, each
         with the batched CellGeometry of its cells
     """
@@ -297,16 +294,6 @@ class PolyMesh:
 
     # -- derived properties -----------------------------------------------
 
-    @cached_property
-    def cell_faces(self) -> list[np.ndarray]:
-        """Faces of each cell aligned with its edges."""
-        return np.split(self.edge_faces, self.cell_offsets[1:-1])
-
-    @cached_property
-    def cell_normals(self) -> list[np.ndarray]:
-        """Outward unit normals of each cell, one per edge."""
-        return np.split(self.edge_normals, self.cell_offsets[1:-1])
-
     @property
     def num_vertices(self) -> int:
         return self.vertices.shape[0]
@@ -333,9 +320,4 @@ class PolyMesh:
         mask = np.zeros(self.num_vertices, dtype=bool)
         mask[self.faces[self.boundary_mask].ravel()] = True
         return mask
-
-    # -- local views --------------------------------------------------------
-
-    def cell_polygon(self, k: int) -> np.ndarray:
-        return self.vertices[self.cells[k]]
 

@@ -32,7 +32,6 @@ class ErrorNorms:
         self._vertices = system.mesh.vertices.copy()
         self._vertices.flags.writeable = False
         self._acc = np.zeros(3)
-        self.steps = 0
 
     def instantaneous(self, state: State) -> tuple[float, float, float]:
         """(e_p, e_u, e_s) of one state against the exact fields."""
@@ -63,7 +62,6 @@ class ErrorNorms:
         """Add one time level to the rectangle-rule integrals."""
         e = self.instantaneous(state)
         self._acc += self.system.dt * np.asarray(e)**2
-        self.steps += 1
 
     def totals(self) -> dict:
         """Accumulated space-time norms."""

@@ -3,7 +3,9 @@ solver-iteration comparisons.
 
 Every study takes the Voronoi settings as keywords, `**mesh`, and passes
 them unchanged to family_mesh, which alone declares them and their
-defaults; any other keyword is a TypeError.
+defaults; any other keyword is a TypeError.  The two manufactured ladders
+also pass the solver keywords (assembly.SOLVER_KEYWORDS) through to
+manufactured_case, so DiscreteSystem alone declares their defaults.
 
 The cases of a refinement ladder run in a process pool of one worker per
 usable CPU (the CPUs this process may run on, so `taskset` or a cpuset
@@ -21,6 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from ..assembly import SOLVER_KEYWORDS
 from ..mesh import (PolyMesh, build_cartesian, build_hybrid, build_skewed,
                     build_voronoi)
 from ..solver import RTOL
@@ -77,9 +80,13 @@ def manufactured_case(mesh: PolyMesh, dt: float, t_end: float = 1.0,
 
 
 def _ladder_case(family: str, n: int, dt: float, *, t_end: float,
-                 stabilize: bool, **mesh) -> dict:
-    return manufactured_case(family_mesh(family, n, **mesh), dt, t_end,
-                             stabilize=stabilize)
+                 **options) -> dict:
+    """One ladder case: the solver keywords of options go to
+    manufactured_case, the others to family_mesh."""
+    solver = {key: options.pop(key)
+              for key in SOLVER_KEYWORDS & options.keys()}
+    return manufactured_case(family_mesh(family, n, **options), dt, t_end,
+                             **solver)
 
 
 def _run_cases(ladder: list[tuple[int, float]], family: str, *,
@@ -105,24 +112,21 @@ def _run_cases(ladder: list[tuple[int, float]], family: str, *,
 
 def convergence_study(family: str = "cartesian", levels: int = 5, *,
                       base: int = 5, dt0: float = 0.1, t_end: float = 1.0,
-                      stabilize: bool = False, **mesh) -> list[dict]:
+                      **options) -> list[dict]:
     """Simultaneous space-time ladder: 4x the cells, half the step."""
     if levels < 1:
         raise ValueError(f"at least one level is needed, got levels = "
                          f"{levels}")
     ladder = [(base * 2**level, dt0 / 2**level) for level in range(levels)]
-    return _run_cases(ladder, family, t_end=t_end, stabilize=stabilize,
-                      **mesh)
+    return _run_cases(ladder, family, t_end=t_end, **options)
 
 
 def time_refinement_study(family: str = "cartesian", n: int = 40, *,
-                          t_end: float = 1.0, stabilize: bool = False,
-                          **mesh) -> list[dict]:
+                          t_end: float = 1.0, **options) -> list[dict]:
     """Halve the time step on one fixed mesh: the fixed ladder
     dt = 0.1 / 2^k for k = 0, ..., 4."""
     ladder = [(n, 0.1 / 2**k) for k in range(5)]
-    return _run_cases(ladder, family, t_end=t_end, stabilize=stabilize,
-                      **mesh)
+    return _run_cases(ladder, family, t_end=t_end, **options)
 
 
 def observed_rates(rows: list[dict], x_key: str = "h") -> dict:

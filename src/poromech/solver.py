@@ -4,25 +4,15 @@ preconditioner of the condensed displacement-pressure-trace system.
 Entry points: ``factorize(matrix)`` is the one sparse LU of the package,
 used for the condensed matrix, the blocks of the initial state and the
 preconditioner's two direct solves.  It factors A^T and solves with
-SuperLU's transposed triangular path, (A^T)^T x = b.  Against a solve
-with the factor of A (same ordering, same fill), that returns A^-1 b in
-0.72-0.84x the time on factors of 0.14M-0.79M fill: the cantilever
-preconditioner's Auu~ and Cpi~ at n = 40 (0.73x) and n = 80 (0.78-0.80x)
-and Mandel's cart20 condensed matrix (0.77-0.84x).  On factors of
-2.7M-4M fill it is about as fast: the n = 160 preconditioner blocks
-0.94-0.98x, the cart80 condensed matrix 0.97x and the Voronoi40 ones
-1.03-1.06x (medians over 150-280 alternating solves, one BLAS thread).
-Factoring A^T takes 0.87-1.04x the time of A.  ``gmres`` solves with any
+SuperLU's transposed triangular path, (A^T)^T x = b, which is faster than
+a solve with the factor of A on the small and mid-sized factors of the
+package and about as fast on the largest.  ``gmres`` solves with any
 matvec and optional right preconditioner, orthogonalizing by classical
 Gram-Schmidt run twice through BLAS in a ``KrylovStorage`` that grows in
-chunks; a ``DiscreteSystem`` keeps one for all its solves, and the
-preconditioner writes each M^-1 v straight into its row of it.  A solve
-that allocated its own storage (4.3 MB on the 40 x 40 hybrid cantilever)
-touched it afresh: in a new process that cost about 820 minor page faults
-per step over the first 60-step run, against 14 with kept storage, all in
-its first step; the step p90 of cantilever-hybrid40-gmres went from 12.89
-to 12.21 ms (medians of 10 alternating pairs, each won, same iterates bit
-for bit).  ``BlockPreconditioner(matrix, u_components, n_p)`` builds the
+chunks.  A ``DiscreteSystem`` keeps one storage for all its solves, and
+the preconditioner writes each M^-1 v straight into its row of it, so
+that a step neither allocates nor first touches its Krylov vectors.
+``BlockPreconditioner(matrix, u_components, n_p)`` builds the
 preconditioner from slices of the condensed free-dof matrix that GMRES
 solves, so no block is assembled twice.  The preconditioner is the inverse
 of
@@ -90,9 +80,8 @@ def factorize(matrix: sp.spmatrix) -> LUFactor:
     The factor is that of A^T, whose CSC arrays are those of A in CSR, so
     no format conversion is made, and ``solve`` takes SuperLU's transposed
     triangular path: faster than solving with the factor of A on factors
-    of up to 0.8M fill and about as fast on those of 2.7M-4M fill (the
-    module docstring gives the times per factor), so every factor takes
-    it.
+    of up to 0.8M fill and about as fast on those of 2.7M-4M fill, so
+    every factor takes it.
     """
     try:
         return LUFactor(spla.splu(sp.csr_matrix(matrix).T,
@@ -150,8 +139,13 @@ class KrylovStorage:
         return self.basis, self.precon, self.hess
 
 
+def _identity(v: np.ndarray, out: np.ndarray) -> None:
+    """The trivial preconditioner: writes v into out."""
+    np.copyto(out, v)
+
+
 def gmres(matvec, b: np.ndarray, rtol: float = RTOL, maxiter: int = MAXITER,
-          precond=None, storage: KrylovStorage | None = None):
+          precond=_identity, storage: KrylovStorage | None = None):
     """Non-restarted GMRES with right preconditioning and a zero initial
     guess.
 
@@ -162,11 +156,10 @@ def gmres(matvec, b: np.ndarray, rtol: float = RTOL, maxiter: int = MAXITER,
     2005).  The basis, the preconditioned vectors and the Hessenberg matrix
     live in ``storage`` (a fresh KrylovStorage(b.size) when none is given),
     which starts at KRYLOV_CHUNK vectors and doubles whenever the basis
-    fills it.  ``precond(v, out)`` returns M^-1 v; it may write it into
-    ``out``, the row of the storage that keeps it, and return ``out``,
-    which saves a copy.  The recurrence residuals equal the true residuals
-    of the original system because preconditioning acts from the right.
-    Returns (x, KrylovReport).
+    fills it.  ``precond(v, out)`` writes M^-1 v into ``out``, the row of
+    the storage that keeps it.  The recurrence residuals equal the true
+    residuals of the original system because preconditioning acts from
+    the right.  Returns (x, KrylovReport).
     """
     b = np.asarray(b, dtype=float)
     n = b.size
@@ -198,12 +191,7 @@ def gmres(matvec, b: np.ndarray, rtol: float = RTOL, maxiter: int = MAXITER,
             basis, precon, hess = storage.reserve(min(2 * cap, maxiter))
             cap = len(precon)
         z = precon[j]
-        if precond is None:
-            z[:] = basis[j]
-        else:
-            made = precond(basis[j], z)
-            if made is not z:
-                z[:] = made
+        precond(basis[j], z)
         # The new vector is orthogonalized in place in the next basis row.
         w = basis[j + 1]
         w[:] = matvec(z)

@@ -6,10 +6,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from poromech import mfd
 from poromech.mesh import PolyMesh, build_cartesian
 from poromech.assembly import Material
-from poromech.mesh.core import (polygon_area_centroid, polygon_diameter,
-                                polygon_edge_geometry)
+from poromech.mesh.core import (CellGeometry, polygon_area_centroid,
+                                polygon_diameter, polygon_edge_geometry)
 from poromech.solver import BREAKDOWN_TOL, KrylovReport, SolverError
 from poromech.vem import VemCell
 
@@ -415,7 +416,35 @@ def k_orthogonality_defect(mesh: PolyMesh, kappa) -> float:
     return float((cross / scale).max())
 
 
-# ----- uncondensed four-field blocks -----------------------------------------
+# ----- face velocities and uncondensed four-field blocks ---------------------
+#
+# A system eliminates its face velocities cell by cell and keeps no
+# velocity inner product; these rebuild them with the mimetic kernel that
+# a system with tpfa=False uses.
+
+def velocity_inner_products(system) -> list[np.ndarray]:
+    """Mimetic inner products M_K of the mesh cells, one (m, nv, nv) array
+    per cell group, as the system's set-up computes them."""
+    kappa = system.material.kappa
+    kappa_inv = np.linalg.inv(kappa)
+    return [np.array([mfd.local_inner_product(cell, kappa, kappa_inv)
+                      for cell in map(CellGeometry._make,
+                                      zip(*group.geometry))])
+            for group in system.mesh.cell_groups]
+
+
+def recover_velocity(system, state) -> np.ndarray:
+    """One-sided face velocities w_K = M_K^-1 |f| (p_K - pi_f) from the
+    cell-local flow equations, in the order of the mesh's flat edge
+    arrays: those of cell k occupy cell_offsets[k]:cell_offsets[k + 1]."""
+    mesh = system.mesh
+    w = np.empty(mesh.cell_offsets[-1])
+    for group, m_k in zip(mesh.cell_groups, velocity_inner_products(system)):
+        fvec = group.geometry.lengths
+        rhs = fvec * (state.p[group.cells, None] - state.pi[group.faces])
+        w[group.edges] = np.matmul(np.linalg.inv(m_k), rhs[..., None])[..., 0]
+    return w
+
 
 @dataclass
 class FourFieldBlocks:
@@ -432,18 +461,20 @@ class FourFieldBlocks:
     a_wpi: sp.csr_matrix
     a_up: sp.csr_matrix
     abar_pp: sp.csr_matrix
-    velocity_offsets: np.ndarray
 
 
 def four_field_blocks(system) -> FourFieldBlocks:
     """Velocity-explicit blocks of a system, the oracle of its condensed
-    matrix: eliminating w from them gives the solved system."""
+    matrix: eliminating w from them gives the solved system.  The velocity
+    rows are the mesh's flat edges, and A_ww holds the M_K of
+    velocity_inner_products."""
     mesh = system.mesh
-    n_w = system.velocity_offsets[-1]
+    n_w = mesh.cell_offsets[-1]
     rows, cols, vals = [], [], []
-    for group, minv_group in zip(mesh.cell_groups, system.velocity_inverse):
-        for edges, minv in zip(group.edges, minv_group):
-            for i, row in enumerate(np.linalg.inv(minv)):
+    for group, m_group in zip(mesh.cell_groups,
+                              velocity_inner_products(system)):
+        for edges, m_k in zip(group.edges, m_group):
+            for i, row in enumerate(m_k):
                 rows += [edges[i]] * edges.size
                 cols += list(edges)
                 vals += list(row)
@@ -458,8 +489,7 @@ def four_field_blocks(system) -> FourFieldBlocks:
     if system.j_mat is not None:
         abar_pp = sp.csr_matrix(abar_pp + system.j_mat)
     return FourFieldBlocks(a_uu=system.a_uu, a_ww=a_ww, a_wp=a_wp,
-                           a_wpi=a_wpi, a_up=system.a_up, abar_pp=abar_pp,
-                           velocity_offsets=system.velocity_offsets)
+                           a_wpi=a_wpi, a_up=system.a_up, abar_pp=abar_pp)
 
 
 # ----- modified Gram-Schmidt GMRES -------------------------------------------

@@ -15,7 +15,8 @@ from poromech.problems import mandel, manufactured
 from poromech.problems.studies import FAMILIES, family_mesh
 from poromech.solver import SolverError
 
-from helpers import dart_mesh, four_field_blocks, polygon_moments
+from helpers import (dart_mesh, four_field_blocks, polygon_moments,
+                     recover_velocity)
 
 
 def mixed_problem(n, dt, stabilize=False, family="cartesian"):
@@ -58,7 +59,7 @@ def dense_four_field_solve(system, state, t):
     same Dirichlet elimination; the condensation oracle."""
     blocks = four_field_blocks(system)
     n_u, n_p, n_pi = system.n_u, system.n_p, system.n_pi
-    n_w = blocks.velocity_offsets[-1]
+    n_w = system.mesh.cell_offsets[-1]
     o_w, o_p, o_pi = n_u, n_u + n_w, n_u + n_w + n_p
     n = o_pi + n_pi
 
@@ -104,7 +105,7 @@ def test_condensed_matches_dense_four_field(n, stabilize):
     assert new.u == pytest.approx(u_ref, abs=1e-10 * scale)
     assert new.p == pytest.approx(p_ref, abs=1e-10 * scale)
     assert new.pi == pytest.approx(pi_ref, abs=1e-10 * scale)
-    assert system.recover_velocity(new) == pytest.approx(
+    assert recover_velocity(system, new) == pytest.approx(
         w_ref, abs=1e-10 * max(np.abs(w_ref).max(), 1e-30))
 
 
@@ -231,16 +232,13 @@ def test_interior_velocity_continuity(family):
     # n = 5: the skew map moves no vertex of the 4 x 4 grid
     system, state = mixed_problem(5, dt=0.2, family=family)
     new = system.step(state)
-    w = system.recover_velocity(new)
+    w = recover_velocity(system, new)
     mesh = system.mesh
     scale = np.abs(w).max()
+    # the two flat edges of each interior face, one in each of its cells
     for f in np.flatnonzero(mesh.face_cells[:, 1] >= 0):
-        k, l = mesh.face_cells[f]
-        w_k = w[system.velocity_offsets[k]:system.velocity_offsets[k + 1]]
-        w_l = w[system.velocity_offsets[l]:system.velocity_offsets[l + 1]]
-        i_k = np.flatnonzero(mesh.cell_faces[k] == f)[0]
-        i_l = np.flatnonzero(mesh.cell_faces[l] == f)[0]
-        assert abs(w_k[i_k] + w_l[i_l]) <= 1e-9 * scale
+        e_k, e_l = np.flatnonzero(mesh.edge_faces == f)
+        assert abs(w[e_k] + w[e_l]) <= 1e-9 * scale
 
 
 def sealed_incompressible_residual(family, stabilize):
@@ -260,7 +258,7 @@ def sealed_incompressible_residual(family, stabilize):
     state = State(time=0.0, u=np.zeros(system.n_u),
                   p=np.zeros(system.n_p), pi=np.zeros(system.n_pi))
     new = system.step(state)
-    w = system.recover_velocity(new)
+    w = recover_velocity(system, new)
     blocks = four_field_blocks(system)
     residual = (system.a_up.T @ (new.u - state.u)
                 + system.dt * (blocks.a_wp.T @ w))
@@ -298,6 +296,28 @@ def test_dirichlet_values_held_exactly():
     for f in system.fixed_pi:
         assert new.pi[f] == pytest.approx(
             system.bcs.pressure(system.mesh.face_midpoint[f], new.time))
+
+
+def test_dof_fixed_by_two_entries_takes_the_first_entry():
+    """The corner (0, 0), vertex 0 of the grid, lies on a face of each of
+    two entries; the first entry of bcs.displacement gives its value on
+    the grid, on its cells in reverse order and with each cell's vertex
+    list rotated by one (the same polygons)."""
+    grid = build_cartesian(3, 3)
+    meshes = [grid, PolyMesh(grid.vertices, grid.cells[::-1]),
+              PolyMesh(grid.vertices, [np.roll(c, -1) for c in grid.cells])]
+    for first, second in ((1.0, 2.0), (2.0, 1.0)):
+        bcs = BoundaryConditions(displacement=[
+            (lambda x: x[0] < 1e-9, (True, True),
+             lambda x, t, v=first: (v, v)),
+            (lambda x: x[1] < 1e-9, (True, True),
+             lambda x, t, v=second: (v, v))])
+        for mesh in meshes:
+            system = DiscreteSystem(mesh, Material(shear=1.0, lam=1.0,
+                                                   storage=1.0), bcs, dt=1.0)
+            fixed = dict(zip(system.fixed_u.tolist(),
+                             system.dirichlet_values(0.0)))
+            assert fixed[0] == fixed[1] == first
 
 
 def test_boundary_callables_run_once_per_item():
@@ -346,7 +366,7 @@ def test_initial_state_zero_pressure_zero_loads():
     state = system.initial_state(p0=0.0)
     assert np.abs(state.u).max() == 0.0
     assert np.abs(state.pi).max() == 0.0
-    assert np.abs(system.recover_velocity(state)).max() == 0.0
+    assert np.abs(recover_velocity(system, state)).max() == 0.0
 
 
 def test_initial_state_balances_momentum():
@@ -657,8 +677,8 @@ def test_cell_integral_exact_for_quadratics(name):
     assert np.array_equal(system.quad_cells, owners)
     got = np.column_stack([system.cell_integral @ q
                            for q in (x * x, x * y, y * y)])
-    want = np.array([polygon_moments(mesh.cell_polygon(k))[3:]
-                     for k in range(mesh.num_cells)])
+    want = np.array([polygon_moments(mesh.vertices[cell])[3:]
+                     for cell in mesh.cells])
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -694,14 +714,19 @@ def test_volume_callable_of_wrong_shape_is_named():
 
 
 def test_tpfa_variant_yields_diagonal_velocity_block():
+    """Each cell adds its M_K^-1, scaled by its face lengths, to the trace
+    block, and two cells share at most one face, so A_pipi is diagonal
+    exactly when every M_K is: with the two-point variant, and not with
+    the full mimetic inner product."""
     mesh = build_cartesian(3, 3)
     material = Material(shear=1.0, lam=1.0)
     bcs = BoundaryConditions(
         displacement=[(lambda x: True, (True, True),
                        lambda x, t: (0.0, 0.0))])
-    system = DiscreteSystem(mesh, material, bcs, dt=1.0, tpfa=True)
-    a_ww = four_field_blocks(system).a_ww.toarray()
-    assert a_ww == pytest.approx(np.diag(np.diag(a_ww)))
+    for tpfa in (True, False):
+        system = DiscreteSystem(mesh, material, bcs, dt=1.0, tpfa=tpfa)
+        a_pipi = system.a_pipi.toarray()
+        assert (a_pipi == pytest.approx(np.diag(np.diag(a_pipi)))) == tpfa
 
 
 def test_tpfa_rejects_cell_not_star_shaped_by_id():
@@ -710,8 +735,9 @@ def test_tpfa_rejects_cell_not_star_shaped_by_id():
     vertices = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [3.0, 0.0],
                 [1.2, 0.5], [3.0, 1.0]]
     mesh = PolyMesh(vertices, [[0, 1, 2, 3], [1, 4, 5, 6, 2]])
-    c = mesh.face_midpoint[mesh.cell_faces[1]] - mesh.cell_centroid[1]
-    behind = (mesh.cell_normals[1] * c).sum(axis=1)
+    s = slice(mesh.cell_offsets[1], mesh.cell_offsets[2])
+    c = mesh.face_midpoint[mesh.edge_faces[s]] - mesh.cell_centroid[1]
+    behind = (mesh.edge_normals[s] * c).sum(axis=1)
     assert behind.min() < 0.0 < mesh.cell_area[1]
     material = Material(shear=1.0, lam=1.0)
     bcs = BoundaryConditions(

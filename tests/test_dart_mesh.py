@@ -29,7 +29,7 @@ def dart_polygons(mesh):
     """Vertex arrays of the cells with a reflex vertex."""
     darts = []
     for k in range(mesh.num_cells):
-        verts = mesh.cell_polygon(k)
+        verts = mesh.vertices[mesh.cells[k]]
         to_prev = np.roll(verts, 1, axis=0) - verts
         to_next = np.roll(verts, -1, axis=0) - verts
         turn = to_next[:, 0] * to_prev[:, 1] - to_next[:, 1] * to_prev[:, 0]

@@ -72,7 +72,8 @@ def test_kernels_match_oracles_on_mesh_cells(family):
     for group in mesh.cell_groups:
         for k, cell in zip(group.cells,
                            map(CellGeometry._make, zip(*group.geometry))):
-            check_kernels(cell, mesh.cell_polygon(k), 1.3, 2.7, kappa)
+            check_kernels(cell, mesh.vertices[mesh.cells[k]], 1.3, 2.7,
+                          kappa)
             checked += 1
     assert checked == mesh.num_cells
 
@@ -82,13 +83,13 @@ def test_stored_geometry_is_polygon_geometry(family):
     mesh = family_mesh(family, 6)
     for group in mesh.cell_groups:
         for k, row in zip(group.cells, zip(*group.geometry)):
-            alone = polygon_geometry(mesh.cell_polygon(k))
+            alone = polygon_geometry(mesh.vertices[mesh.cells[k]])
             edges = slice(mesh.cell_offsets[k], mesh.cell_offsets[k + 1])
             stored = CellGeometry(
-                mesh.cell_polygon(k), mesh.cell_area[k],
+                mesh.vertices[mesh.cells[k]], mesh.cell_area[k],
                 mesh.cell_centroid[k], mesh.cell_diam[k],
                 mesh.edge_lengths[edges], mesh.edge_normals[edges],
-                mesh.face_midpoint[mesh.cell_faces[k]]
+                mesh.face_midpoint[mesh.edge_faces[edges]]
                 - mesh.cell_centroid[k])
             for name, a, b, c in zip(CellGeometry._fields, alone, row,
                                      stored):

@@ -145,7 +145,7 @@ def test_quadrature_shares_spoke_midpoints():
             got[group.cells] = (wts * quadratic(pts)).sum(axis=1)
         ref = np.empty(mesh.num_cells)
         for k in range(mesh.num_cells):
-            pts, wts = reference_quadrature(mesh.cell_polygon(k),
+            pts, wts = reference_quadrature(mesh.vertices[mesh.cells[k]],
                                             mesh.cell_centroid[k])
             ref[k] = wts @ quadratic(pts)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), family
@@ -184,9 +184,8 @@ def test_mesh_matches_per_cell_reference():
         faces, face_cells, cell_faces = reference_faces(mesh.cells)
         assert np.array_equal(mesh.faces, faces), name
         assert np.array_equal(mesh.face_cells, face_cells), name
-        assert len(mesh.cell_faces) == len(cell_faces), name
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(mesh.cell_faces, cell_faces)), name
+        assert np.array_equal(mesh.edge_faces, np.concatenate(cell_faces)), \
+            name
 
         area, centroid, diam, lengths, normals = reference_geometry(
             mesh.vertices, mesh.cells)
@@ -194,8 +193,7 @@ def test_mesh_matches_per_cell_reference():
                           (mesh.cell_centroid, centroid),
                           (mesh.cell_diam, diam),
                           (mesh.edge_lengths, np.concatenate(lengths)),
-                          (np.concatenate(mesh.cell_normals),
-                           np.concatenate(normals))]:
+                          (mesh.edge_normals, np.concatenate(normals))]:
             assert got.shape == want.shape, name
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), \
                 name
@@ -216,16 +214,14 @@ def test_mesh_invariants_all_families(family_meshes_level0):
         assert np.all(mesh.cell_area > 0.0), family
         assert np.all(mesh.face_cells[:, 0] >= 0), family
         # conformity: every face belongs to one or two cells
-        counts = np.zeros(mesh.num_faces, dtype=int)
-        for faces in mesh.cell_faces:
-            counts[faces] += 1
+        counts = np.bincount(mesh.edge_faces, minlength=mesh.num_faces)
         interior = mesh.face_cells[:, 1] >= 0
         assert np.array_equal(counts, np.where(interior, 2, 1)), family
         # closure identity per cell
         for k in range(mesh.num_cells):
             edges = slice(*mesh.cell_offsets[k:k + 2])
             lengths = mesh.edge_lengths[edges]
-            normals = mesh.cell_normals[k]
+            normals = mesh.edge_normals[edges]
             residual = np.linalg.norm(lengths @ normals)
             assert residual <= 1e-12 * lengths.sum(), family
         # unknown count and Euler characteristic of a simply connected mesh
@@ -628,8 +624,10 @@ def test_k_orthogonality_matches_cell_loop():
         kappa = random_spd_tensor(rng)
         worst = 0.0
         for k in range(mesh.num_cells):
-            kn = mesh.cell_normals[k] @ kappa.T
-            c = mesh.face_midpoint[mesh.cell_faces[k]] - mesh.cell_centroid[k]
+            edges = slice(*mesh.cell_offsets[k:k + 2])
+            kn = mesh.edge_normals[edges] @ kappa.T
+            c = (mesh.face_midpoint[mesh.edge_faces[edges]]
+                 - mesh.cell_centroid[k])
             cross = np.abs(kn[:, 0] * c[:, 1] - kn[:, 1] * c[:, 0])
             scale = np.hypot(kn[:, 0], kn[:, 1]) * np.hypot(c[:, 0], c[:, 1])
             worst = max(worst, float((cross / scale).max()))

@@ -63,7 +63,8 @@ def test_identity_converges_in_one_iteration():
 def test_exact_inverse_preconditioner_converges_in_one_iteration():
     a, b = random_system()
     x, report = gmres(lambda v: a @ v, b, rtol=1e-10,
-                      precond=lambda y, out: np.linalg.solve(a, y))
+                      precond=lambda y, out: np.copyto(
+                          out, np.linalg.solve(a, y)))
     assert report.converged and report.iterations == 1
     assert a @ x == pytest.approx(b, abs=1e-8 * np.linalg.norm(b))
 
@@ -105,7 +106,8 @@ def test_long_nonnormal_solve_matches_textbook_and_stays_orthogonal():
 def test_residual_history_is_monotone_and_true():
     a, b = random_system(25, seed=5)
     x, report = gmres(lambda v: a @ v, b, rtol=1e-9,
-                      precond=lambda y, out: y / np.diag(a))
+                      precond=lambda y, out: np.divide(y, np.diag(a),
+                                                       out=out))
     assert report.residuals.size == report.iterations + 1
     assert np.all(np.diff(report.residuals) <= 1e-12 * report.residuals[0])
     # right preconditioning keeps the recurrence residual equal to the
@@ -164,15 +166,11 @@ def test_solves_in_one_storage_match_fresh_storage():
 
     def outcome(op, rhs, rtol, maxiter, scale, storage):
         matvec = op if callable(op) else lambda v: op @ v
-        if scale is None:
-            precond = None
-        elif storage is None:
-            precond = lambda v, out: v / scale
-        else:
-            precond = lambda v, out: np.divide(v, scale, out=out)
+        options = {} if scale is None else {
+            "precond": lambda v, out: np.divide(v, scale, out=out)}
         try:
             x, report = gmres(matvec, rhs, rtol=rtol, maxiter=maxiter,
-                              precond=precond, storage=storage)
+                              storage=storage, **options)
         except SolverError as exc:
             return str(exc)
         return x, report.residuals
@@ -540,9 +538,10 @@ def test_gmres_step_failure_reports_the_iterations_run(monkeypatch):
 
 def fresh_gmres(matvec, b, rtol, maxiter, precond, storage):
     """gmres as it ran before the Krylov storage was kept: fresh storage
-    for every solve, and every preconditioned vector a new array."""
+    for every solve, and every preconditioned vector made in a new array,
+    then copied into the storage."""
     return gmres(matvec, b, rtol=rtol, maxiter=maxiter,
-                 precond=lambda v, out: precond(v))
+                 precond=lambda v, out: np.copyto(out, precond(v)))
 
 
 def cantilever_run(mesh, steps, krylov, monkeypatch):

@@ -248,7 +248,7 @@ def test_patch_reproduces_linear_displacement():
         dofs[0::2] = 2 * cell
         dofs[1::2] = 2 * cell + 1
         k_glob[np.ix_(dofs, dofs)] += vem.vem_cell(
-            polygon_geometry(mesh.cell_polygon(k)), shear=1.0,
+            polygon_geometry(mesh.vertices[cell]), shear=1.0,
             lam=10.0).stiffness
     amat = np.array([[0.3, -0.8], [1.1, 0.5]])
     exact = linear_dofs(mesh.vertices, amat, (0.1, -0.2))
