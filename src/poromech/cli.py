@@ -246,8 +246,9 @@ def _subcommand(subs, name, func, help, *, family=True, outdir=True):
     if family:
         sub.add_argument("--family", choices=studies.FAMILIES,
                          default="cartesian", help="mesh family")
-    sub.add_argument("--seed", type=int, default=0, help="Voronoi seed")
-    sub.add_argument("--lloyd-iters", type=int, default=20,
+    sub.add_argument("--seed", type=int, default=studies.SEED,
+                     help="Voronoi seed")
+    sub.add_argument("--lloyd-iters", type=int, default=studies.LLOYD_ITERS,
                      help="Lloyd passes of a Voronoi mesh")
     if outdir:
         sub.add_argument("--outdir", default="out", help="output directory")

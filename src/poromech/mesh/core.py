@@ -12,6 +12,7 @@ same code serves a single polygon.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -156,10 +157,14 @@ class PolyMesh:
     np.concatenate(cells): edge j of cell k runs from its vertex j to
     vertex j + 1 and sits at position cell_offsets[k] + j.
 
+    The mesh owns its data: it copies what it is given and makes every
+    array it exposes read-only, the cell groups' included; each cells[k]
+    is a view of edge_vertices.
+
     Attributes
     ----------
     vertices : (nv, 2) float array of finite coordinates
-    cells : list of int arrays, counterclockwise
+    cells : list of int arrays, counterclockwise, built on first use
     faces : (nf, 2) int array, endpoints in the owner cell's traversal order
     face_cells : (nf, 2) int array, adjacent cells (second entry -1 on the
         boundary)
@@ -175,24 +180,23 @@ class PolyMesh:
     """
 
     def __init__(self, vertices, cells):
-        self.vertices = np.asarray(vertices, dtype=float)
+        self.vertices = np.array(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
         bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
         if bad.size:
             raise MeshError(f"vertex {bad[0]} has a non-finite coordinate: "
                             f"{self.vertices[bad[0]].tolist()}")
-        self.cells = [np.asarray(c) for c in cells]
-        if not self.cells:
+        cells = [np.asarray(c) for c in cells]
+        if not cells:
             raise MeshError("a mesh needs at least one cell")
-        sizes = np.fromiter(map(len, self.cells), dtype=int,
-                            count=len(self.cells))
+        sizes = np.fromiter(map(len, cells), dtype=int, count=len(cells))
         small = np.flatnonzero(sizes < 3)
         if small.size:
             raise MeshError(f"cell {small[0]} has fewer than 3 vertices")
         self.cell_offsets = np.concatenate([[0], np.cumsum(sizes)])
-        self.edge_cells = np.repeat(np.arange(len(self.cells)), sizes)
-        self.edge_vertices = np.concatenate(self.cells)
+        self.edge_cells = np.repeat(np.arange(len(cells)), sizes)
+        self.edge_vertices = np.concatenate(cells)
         if self.edge_vertices.dtype != int:
             with np.errstate(invalid="ignore"):   # NaN and inf cast badly
                 index = self.edge_vertices.astype(int)
@@ -201,13 +205,20 @@ class PolyMesh:
                 raise MeshError(f"cell {self.edge_cells[bad][0]} has a "
                                 "non-integral vertex index")
             self.edge_vertices = index
-            self.cells = np.split(index, self.cell_offsets[1:-1])
         self.edge_next = np.arange(1, self.cell_offsets[-1] + 1)
         self.edge_next[self.cell_offsets[1:] - 1] = self.cell_offsets[:-1]
         self._build_faces()
         self.cell_groups = [self._cell_group(np.flatnonzero(sizes == nv), nv)
                             for nv in np.unique(sizes)]
         self._compute_geometry()
+        arrays = [a for g in self.cell_groups for a in (*g[:-1], *g.geometry)]
+        for array in arrays + [*vars(self).values()]:
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+
+    @cached_property
+    def cells(self) -> list:
+        return np.split(self.edge_vertices, self.cell_offsets[1:-1])
 
     # -- topology ---------------------------------------------------------
 
@@ -300,7 +311,7 @@ class PolyMesh:
 
     @property
     def num_cells(self) -> int:
-        return len(self.cells)
+        return self.cell_offsets.size - 1
 
     @property
     def num_faces(self) -> int:

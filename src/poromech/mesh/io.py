@@ -1,15 +1,17 @@
-"""Plain-text mesh format.
+"""Plain-text mesh format, one record per non-blank line:
 
-Layout (whitespace-delimited, ``#`` starts a comment):
-
-    NV NT               header, alone on its line
+    NV NT               header
     x y                 NV vertex lines
     k v0 ... v(k-1)     NT cell lines, counterclockwise
 
-Faces are derived from the cells.  The mesh carries no boundary data: the
-boundary conditions select their faces (see BoundaryConditions).  Files of
-the earlier layout, with a face count NF in the header and NF face lines
-after the cells, are rejected with a MeshFormatError on the header line.
+Fields are whitespace-delimited; ``#`` starts a comment that runs to the
+end of its line, and a line of only a comment is blank.  A record spread
+over two lines, two records on one line or a field that does not parse
+is a MeshFormatError naming the line.  Faces are derived from the cells.
+The mesh carries no boundary data: the boundary conditions select their
+faces (see BoundaryConditions).  Files of the earlier layout, with a face
+count NF in the header and NF face lines after the cells, are rejected
+with a MeshFormatError on the header line.
 """
 
 from __future__ import annotations
@@ -21,63 +23,49 @@ class MeshFormatError(MeshError):
     """Raised when a mesh file cannot be parsed."""
 
 
-class _Tokens:
-    """Sequential token stream that remembers line numbers for errors."""
-
-    def __init__(self, text: str):
-        self.items = [(ln, tok)
-                      for ln, line in enumerate(text.splitlines(), start=1)
-                      for tok in line.split("#", 1)[0].split()]
-        self.pos = 0
-        self.line = 0  # line of the last token read
-
-    def next(self, what: str, kind=str):
-        """The next token converted by kind; errors name its line."""
-        if self.pos >= len(self.items):
-            raise MeshFormatError(f"line {self.line}: unexpected end of "
-                                  f"file, expected {what}")
-        self.line, tok = self.items[self.pos]
-        self.pos += 1
-        try:
-            return kind(tok)
-        except ValueError:
-            raise MeshFormatError(f"line {self.line}: expected {what}, "
-                                  f"got {tok!r}") from None
-
-    def next_line(self) -> int | None:
-        """Line of the next token, None at the end of the file."""
-        return self.items[self.pos][0] if self.pos < len(self.items) else None
+def _record(line: int, fields: list, kind, count: int, what: str) -> list:
+    """The count fields of the record on line, converted by kind."""
+    try:
+        if len(fields) == count:
+            return [kind(field) for field in fields]
+    except ValueError:
+        pass
+    raise MeshFormatError(f"line {line}: expected {what}, got "
+                          f"{' '.join(fields)!r}")
 
 
 def read_mesh(path) -> PolyMesh:
     """Read a mesh file and validate its topology."""
     with open(path, "r", encoding="utf-8") as fh:
-        toks = _Tokens(fh.read())
-    nv = toks.next("vertex count", int)
-    nt = toks.next("cell count", int)
-    if toks.next_line() == toks.line:
-        raise MeshFormatError(
-            f"line {toks.line}: the header is 'NV NT'; the face count and "
-            "the face lines of the earlier layout were removed")
-    vertices = [(toks.next("x", float), toks.next("y", float))
-                for _ in range(nv)]
+        lines = fh.read().splitlines()
+    (line, header), *body = [
+        (line, fields) for line, text in enumerate(lines, start=1)
+        if (fields := text.split("#", 1)[0].split())] or [(len(lines), [])]
+    nv, nt = _record(line, header, int, 2, "the header 'NV NT' (the face "
+                     "count and face lines of the earlier layout are gone)")
+    if min(nv, nt) < 0:
+        raise MeshFormatError(f"line {line}: negative count in the header")
+    vertices = [_record(line, fields, float, 2, "a vertex line 'x y'")
+                for line, fields in body[:nv]]
     cells = []
-    for _ in range(nt):
-        k = toks.next("cell vertex count", int)
+    for line, fields in body[nv:nv + nt]:
+        k = _record(line, fields[:1], int, 1, "a cell vertex count")[0]
         if k < 3:
-            raise MeshFormatError(f"line {toks.line}: cell with fewer than "
-                                  "3 vertices")
-        cell = []
-        for _ in range(k):
-            v = toks.next("vertex index", int)
-            if not 0 <= v < nv:
-                raise MeshFormatError(f"line {toks.line}: vertex index {v} "
-                                      f"out of range for {nv} vertices")
-            cell.append(v)
-        cells.append(cell)
-    if toks.next_line() is not None:
-        tok = toks.next("end of file")
-        raise MeshFormatError(f"line {toks.line}: trailing content {tok!r}")
+            raise MeshFormatError(f"line {line}: cell with fewer than 3 "
+                                  "vertices")
+        cells.append(_record(line, fields, int, k + 1,
+                             f"a cell line of k = {k} vertex indices")[1:])
+        bad = [v for v in cells[-1] if not 0 <= v < nv]
+        if bad:
+            raise MeshFormatError(f"line {line}: vertex index {bad[0]} out "
+                                  f"of range for {nv} vertices")
+    if len(body) < nv + nt:
+        raise MeshFormatError(f"line {len(lines)}: unexpected end of file, "
+                              f"expected {nv} vertex and {nt} cell lines")
+    if len(body) > nv + nt:
+        line, fields = body[nv + nt]
+        raise MeshFormatError(f"line {line}: trailing content "
+                              f"{' '.join(fields)!r}")
     return PolyMesh(vertices, cells)
 
 

@@ -16,11 +16,11 @@ Every field is a sum of products of sin/cos of pi x, pi y and pi t.
 The vectorized fields (pressure, displacement, body_force, mass_source)
 keep the four spatial factors of a read-only points array that owns its
 data, such as a system's quad_points, which every call from the system
-passes, so a step pays only for the time factors and the products.  The
-entry is held through a weak reference to the array and is dropped when
-the array is freed; the factors of any other array (fresh points,
-mesh.vertices) are computed on each call.  Cached or not, the values are
-the same bits.
+passes, or a mesh's vertices, a read-only array that the mesh owns, so a
+step pays only for the time factors and the products.  The entry is held
+through a weak reference to the array and is dropped when the array is
+freed; the factors of any other array (fresh points, a view) are computed
+on each call.  Cached or not, the values are the same bits.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ def _trig(points):
     """sin(pi x), cos(pi x), sin(pi y), cos(pi y) at the (n, 2) points.
 
     The factors of a read-only array that owns its data (a system's
-    quad_points) are kept until that array is freed; any other array
-    is evaluated afresh.
+    quad_points, a mesh's vertices) are kept until that array is freed;
+    any other array is evaluated afresh.
     """
     points = np.asarray(points, dtype=float)
     cached = not points.flags.writeable and points.flags.owndata

@@ -20,8 +20,8 @@ class ErrorNorms:
 
     pressure(points, t) and displacement(points, t) are vectorized exact
     fields; displacement returns (n, 2) arrays.  They are called on the
-    system's read-only quad_points and on a read-only copy of the mesh
-    vertices owned by the norms, so fields that keep per-array factors (the
+    system's read-only quad_points and on the mesh's vertices, a read-only
+    array that the mesh owns, so fields that keep per-array factors (the
     manufactured ones) compute them once per run.
     """
 
@@ -29,8 +29,6 @@ class ErrorNorms:
         self.system = system
         self.pressure = pressure
         self.displacement = displacement
-        self._vertices = system.mesh.vertices.copy()
-        self._vertices.flags.writeable = False
         self._acc = np.zeros(3)
 
     def instantaneous(self, state: State) -> tuple[float, float, float]:
@@ -48,7 +46,7 @@ class ErrorNorms:
         diff_u = means - (system.cell_mean @ state.u).reshape(-1, 2)
         e_u = np.sqrt(area @ (diff_u**2).sum(axis=1))
 
-        u_interp = np.asarray(self.displacement(self._vertices, t)).ravel()
+        u_interp = np.asarray(self.displacement(mesh.vertices, t)).ravel()
         strain = (system.cell_strain @ (u_interp - state.u)).reshape(-1, 3)
         shear, lam = system.material.shear, system.material.lam
         trace = strain[:, 0] + strain[:, 1]

@@ -3,7 +3,7 @@ solver-iteration comparisons.
 
 Every study takes the Voronoi settings as keywords, `**mesh`, and passes
 them unchanged to family_mesh, which alone declares them and their
-defaults; any other keyword is a TypeError.  The two manufactured ladders
+defaults, SEED and LLOYD_ITERS; any other keyword is a TypeError.  The two manufactured ladders
 also pass the solver keywords (assembly.SOLVER_KEYWORDS) through to
 manufactured_case, so DiscreteSystem alone declares their defaults.
 
@@ -31,10 +31,11 @@ from . import cantilever, manufactured
 from .norms import ErrorNorms
 
 FAMILIES = ("cartesian", "skewed", "hybrid", "voronoi")
+SEED, LLOYD_ITERS = 0, 20   # the Voronoi settings of family_mesh
 
 
-def family_mesh(family: str, n: int, *, seed: int = 0,
-                lloyd_iters: int = 20) -> PolyMesh:
+def family_mesh(family: str, n: int, *, seed: int = SEED,
+                lloyd_iters: int = LLOYD_ITERS) -> PolyMesh:
     """Mesh of the named family with roughly n x n resolution.
 
     For the grid families n is the subdivision count per side; the Voronoi

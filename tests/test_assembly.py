@@ -320,6 +320,24 @@ def test_dof_fixed_by_two_entries_takes_the_first_entry():
             assert fixed[0] == fixed[1] == first
 
 
+def test_displacement_data_cannot_move_a_vertex():
+    """The displacement data get rows of the mesh's read-only vertices, so
+    a callable that writes into its point raises instead of moving a
+    vertex."""
+    mesh = build_cartesian(2, 2)
+
+    def push(x, t):
+        x[0] += 1.0
+        return 0.0, 0.0
+
+    bcs = BoundaryConditions(
+        displacement=[(lambda x: True, (True, True), push)])
+    with pytest.raises(ValueError, match="read-only"):
+        DiscreteSystem(mesh, Material(shear=1.0, lam=1.0, storage=1.0), bcs,
+                       dt=1.0).dirichlet_values(0.0)
+    assert np.array_equal(mesh.vertices, build_cartesian(2, 2).vertices)
+
+
 def test_boundary_callables_run_once_per_item():
     """Per step: displacement data once per fixed dof, pressure once per
     fixed face, traction and flux once per matching face; the `where`

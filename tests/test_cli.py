@@ -1,6 +1,7 @@
 """Command-line driver: subcommand smoke runs, config merging, exit codes
 and deterministic outputs."""
 
+import inspect
 import os
 import re
 import shlex
@@ -396,6 +397,20 @@ def test_study_commands_pass_voronoi_settings(tmp_path, monkeypatch, args):
                         "--outdir", str(tmp_path)]) == 0
     assert calls
     assert all(mesh == {"seed": 3, "lloyd_iters": 2} for mesh in calls)
+
+
+def test_voronoi_defaults_are_those_of_family_mesh():
+    """Every subcommand takes its --seed and --lloyd-iters defaults from
+    family_mesh's signature, and --help lists them."""
+    params = inspect.signature(studies.family_mesh).parameters
+    for name, sub in build_parser().commands.items():
+        defaults = vars(sub.parse_args([]))
+        assert (defaults["seed"], defaults["lloyd_iters"]) == \
+            (params["seed"].default, params["lloyd_iters"].default), name
+        text = " ".join(sub.format_help().split())
+        assert f"Voronoi seed (default: {params['seed'].default})" in text
+        assert (f"Lloyd passes of a Voronoi mesh (default: "
+                f"{params['lloyd_iters'].default})") in text
 
 
 def test_cantilever_command_indicator_table(tmp_path):

@@ -19,7 +19,7 @@ from poromech.mesh import (MeshError, MeshFormatError, PolyMesh,
 from poromech.assembly import Material
 from poromech.mesh import generators
 
-from helpers import (RIGHT_TRIANGLE, UNIT_SQUARE, four_edge_mirror,
+from helpers import (RIGHT_TRIANGLE, UNIT_SQUARE, dart_mesh, four_edge_mirror,
                      k_orthogonality_defect, kappa_tensor, polygon_moments,
                      random_convex_polygon, random_spd_tensor,
                      random_star_polygon, random_u_polygon, reference_faces,
@@ -276,6 +276,56 @@ def test_constructor_takes_integral_indices_of_any_type(cells):
     assert mesh.cells[0].dtype == mesh.edge_vertices.dtype == int
     assert mesh.cells[0].tolist() == [0, 1, 2, 3]
     assert mesh.cell_area[0] == 1.0
+
+
+def exposed_arrays(mesh):
+    """Every array that the mesh exposes, by name: its attributes, the
+    cell views and the arrays of each cell group and its geometry."""
+    arrays = {name: value for name, value in vars(mesh).items()
+              if isinstance(value, np.ndarray)}
+    arrays.update((f"cells[{k}]", cell) for k, cell in enumerate(mesh.cells))
+    for group in mesh.cell_groups:
+        nv = group.faces.shape[1]
+        arrays.update((f"group {nv} {name}", getattr(group, name))
+                      for name in group._fields[:-1])
+        arrays.update((f"group {nv} geometry.{name}", value)
+                      for name, value in group.geometry._asdict().items())
+    return arrays
+
+
+def test_mesh_keeps_its_own_copies():
+    """Editing the caller's vertex or cell array after PolyMesh(...) changes
+    no mesh array; the cells are views of the mesh's own edge_vertices."""
+    vertices, cells = UNIT_SQUARE.copy(), np.array([[0, 1, 2, 3]])
+    mesh = PolyMesh(vertices, cells)
+    vertices[2] = (5.0, 5.0)
+    cells[0, 0] = 3
+    reference = exposed_arrays(PolyMesh(UNIT_SQUARE, [[0, 1, 2, 3]]))
+    arrays = exposed_arrays(mesh)
+    assert arrays.keys() == reference.keys()
+    assert all(np.array_equal(arrays[name], reference[name])
+               for name in arrays)
+    assert np.shares_memory(mesh.cells[0], mesh.edge_vertices)
+
+
+def test_mesh_arrays_are_read_only():
+    mesh = mixed_mesh()
+    arrays = exposed_arrays(mesh)
+    assert len(arrays) > 40
+    assert not [name for name, a in arrays.items() if a.flags.writeable]
+
+
+@pytest.mark.parametrize("array", [
+    lambda mesh: mesh.vertices,
+    lambda mesh: mesh.cells[0],
+    lambda mesh: mesh.cell_area,
+    lambda mesh: mesh.cell_groups[0].geometry.area,
+], ids=["vertices", "cells[0]", "cell_area", "geometry.area"])
+def test_writing_into_a_mesh_array_raises(array):
+    mesh = build_cartesian(2, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        array(mesh)[0] = 0.5
+    assert np.array_equal(array(mesh), array(build_cartesian(2, 2)))
 
 
 # A unit square (cell 0) next to a second cell on vertices 4-7 that share
@@ -765,6 +815,39 @@ def test_io_truncated_file(tmp_path):
     path.write_text("4 1\n0 0\n1 0\n")
     with pytest.raises(MeshFormatError, match="end of file"):
         read_mesh(path)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("4 1\n0 0 0\n1 0\n1 1\n0 1\n4 0 1 2 3\n", 2),
+    ("4 1\n0 0\n1\n0\n1 1\n0 1\n4 0 1 2 3\n", 3),
+    ("4 2\n0 0\n1 0\n1 1\n0 1\n3 0 1 2 3 0 2 3\n", 6),
+    ("4\n1\n0 0\n1 0\n1 1\n0 1\n4 0 1 2 3\n", 1),
+], ids=["three-number-vertex", "split-vertex", "two-cells-on-a-line",
+        "split-header"])
+def test_io_one_record_per_line(tmp_path, text, line):
+    """A record spread over two lines, or two records on one line, is an
+    error naming the line of the faulty record."""
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(MeshFormatError, match=f"^line {line}: expected"):
+        read_mesh(path)
+
+
+@pytest.mark.parametrize("name", [*FAMILIES, "dart", "mixed"])
+def test_io_roundtrip_is_exact(tmp_path, name):
+    if name == "dart":
+        mesh = dart_mesh(10, 0.8)
+    elif name == "mixed":
+        mesh = mixed_mesh()
+    else:
+        mesh = family_mesh(name, 6)
+    path = tmp_path / "mesh.txt"
+    write_mesh(path, mesh)
+    loaded = read_mesh(path)
+    assert np.array_equal(loaded.vertices, mesh.vertices)
+    assert len(loaded.cells) == len(mesh.cells)
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.cells, mesh.cells))
+    assert np.array_equal(loaded.faces, mesh.faces)
 
 
 # ----- property-based geometry checks ----------------------------------------------

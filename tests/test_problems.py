@@ -549,9 +549,9 @@ def test_norms_vanish_on_reproducible_fields():
 
 
 def test_norms_reuse_one_read_only_vertex_array():
-    """Every step passes the displacement field the same read-only copy
-    of the vertices, one that owns its data, so the manufactured factors
-    of the vertices are computed once."""
+    """Every step passes the displacement field the mesh's own vertices,
+    a read-only array that owns its data, so the manufactured factors of
+    the vertices are computed once."""
     system, state = manufactured.setup(build_cartesian(4, 4), dt=0.1)
     seen = []
     norms = ErrorNorms(system, manufactured.pressure,
@@ -561,7 +561,7 @@ def test_norms_reuse_one_read_only_vertex_array():
     norms.instantaneous(state)
     vertices = [pts for pts in seen if pts is not system.quad_points]
     assert len(vertices) == 2 and vertices[0] is vertices[1]
-    assert vertices[0] is not system.mesh.vertices
+    assert vertices[0] is system.mesh.vertices
     assert np.array_equal(vertices[0], system.mesh.vertices)
     assert vertices[0].flags.owndata and not vertices[0].flags.writeable
     assert manufactured._trig(vertices[0]) is manufactured._trig(vertices[0])
