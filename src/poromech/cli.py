@@ -1,35 +1,59 @@
 """Command-line driver: mesh generation, simulation runs, refinement
 studies, stabilization and solver comparisons.
 
-build_parser declares every option once, with its default, and
-`poromech <command> --help` lists the defaults.  Every subcommand accepts
---config pointing to a JSON object whose keys are the command's option
-names (dashes become underscores).  An option takes its command-line
-value if given, else its config value, else its default; config strings
-are converted by the option's type like command-line text.  Outputs are
-deterministic for fixed inputs and seed.
+An option that sets a library parameter reads its default from that
+parameter's declaration; only options that no library function owns
+declare one here.  `poromech <command> --help` lists every default.
+Every subcommand accepts --config pointing to a JSON object whose keys
+are the command's option names (dashes become underscores).  An option
+takes its command-line value if given, else its config value, else its
+default.  A config switch is true or false, null keeps the default, and
+any other value is read as command-line text (a list comma-separated),
+so the option's type converts it.  Outputs are deterministic for fixed
+inputs and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from .assembly import DiscreteSystem
 from .mesh import MeshError, read_mesh, write_mesh
 from .mesh.io import MeshFormatError
 from .output import write_csv, write_partition_csv, write_vtk
 from .problems import cantilever, mandel, manufactured, studies
-from .solver import MAXITER, RTOL, SolverError
+from .solver import SolverError
 
 BoolFlag = argparse.BooleanOptionalAction
 
 # set-up of each `run --problem`
 PROBLEMS = {"mandel": mandel.setup, "manufactured": manufactured.setup,
             "cantilever": cantilever.setup}
+
+
+def _text(value) -> str:
+    """Command-line text of value; a list is comma-separated."""
+    if isinstance(value, (list, tuple)):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+def _defaults(function, *names, **renamed) -> dict:
+    """The defaults that function's signature declares, keyed by option
+    dest: each of names is also its parameter's name, and renamed maps an
+    option to its parameter.  A tuple becomes its option's comma-separated
+    text."""
+    params = inspect.signature(function).parameters
+    defaults = {dest: params[name].default for dest, name in
+                {**dict(zip(names, names)), **renamed}.items()}
+    return {dest: _text(value) if isinstance(value, tuple) else value
+            for dest, value in defaults.items()}
 
 
 def _apply_config(sub: argparse.ArgumentParser, path: str) -> None:
@@ -49,12 +73,15 @@ def _apply_config(sub: argparse.ArgumentParser, path: str) -> None:
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}; "
                          f"expected a subset of {sorted(options)}")
+    cfg = {k: v for k, v in cfg.items() if v is not None}
     # a switch has no type to convert a string such as "false"
-    switches = [k for k, v in cfg.items()
-                if isinstance(defaults[k], bool) and not isinstance(v, bool)]
-    if switches:
-        raise ValueError(f"config keys {sorted(switches)} take true or false")
-    sub.set_defaults(**cfg)
+    switches = {k for k in cfg if isinstance(defaults[k], bool)}
+    wrong = sorted(k for k in switches if not isinstance(cfg[k], bool))
+    if wrong:
+        raise ValueError(f"config keys {wrong} take true or false")
+    # parse_args converts a string default by the option's type
+    sub.set_defaults(**{k: v if k in switches else _text(v)
+                        for k, v in cfg.items()})
 
 
 def _resolve_mesh(ns, parser):
@@ -77,9 +104,7 @@ def _outdir(ns) -> Path:
 
 
 def _parse_list(text, cast):
-    if isinstance(text, (list, tuple)):
-        return [cast(v) for v in text]
-    return [cast(v) for v in str(text).split(",") if v]
+    return [cast(v) for v in text.split(",") if v]
 
 
 def _write_snapshot(vtk_path, partition_path, system, state) -> None:
@@ -246,10 +271,10 @@ def _subcommand(subs, name, func, help, *, family=True, outdir=True):
     if family:
         sub.add_argument("--family", choices=studies.FAMILIES,
                          default="cartesian", help="mesh family")
-    sub.add_argument("--seed", type=int, default=studies.SEED,
-                     help="Voronoi seed")
-    sub.add_argument("--lloyd-iters", type=int, default=studies.LLOYD_ITERS,
+    sub.add_argument("--seed", type=int, help="Voronoi seed")
+    sub.add_argument("--lloyd-iters", type=int,
                      help="Lloyd passes of a Voronoi mesh")
+    sub.set_defaults(**_defaults(studies.family_mesh, "seed", "lloyd_iters"))
     if outdir:
         sub.add_argument("--outdir", default="out", help="output directory")
     return sub
@@ -288,25 +313,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--steps", type=int,
                      help="time steps; if unset, t_end / dt, or 1")
     sub.add_argument("--t-end", type=float, help="final time")
-    sub.add_argument("--stabilize", action=BoolFlag, default=False,
-                     help=stabilize)
+    sub.add_argument("--stabilize", action=BoolFlag, help=stabilize)
     sub.add_argument("--solver", choices=("direct", "gmres"),
-                     default="direct", help="linear solver")
-    sub.add_argument("--rtol", type=float, default=RTOL, help="GMRES rtol")
-    sub.add_argument("--maxit", type=int, default=MAXITER, help="GMRES maxit")
+                     help="linear solver")
+    sub.add_argument("--rtol", type=float, help="GMRES rtol")
+    sub.add_argument("--maxit", type=int, help="GMRES maxit")
+    sub.set_defaults(**_defaults(DiscreteSystem, "stabilize", "rtol",
+                                 solver="linear_solver", maxit="maxiter"))
 
     sub = _subcommand(subs, "converge", cmd_converge,
                       "refinement ladder study")
-    sub.add_argument("--levels", type=int, default=5, help="level count")
-    sub.add_argument("--base", type=int, default=5, help="n at level 0")
-    sub.add_argument("--dt0", type=float, default=0.1, help="dt at level 0")
-    sub.add_argument("--t-end", type=float, default=1.0, help="final time")
-    sub.add_argument("--stabilize", action=BoolFlag, default=False,
-                     help=stabilize)
+    sub.add_argument("--levels", type=int, help="level count")
+    sub.add_argument("--base", type=int, help="n at level 0")
+    sub.add_argument("--dt0", type=float, help="dt at level 0")
+    sub.add_argument("--t-end", type=float, help="final time")
+    sub.add_argument("--stabilize", action=BoolFlag, help=stabilize)
     sub.add_argument("--time-refinement", action=BoolFlag, default=False,
                      help="halve dt on one fixed mesh instead")
-    sub.add_argument("--n-fixed", type=int, default=40,
-                     help="n of the fixed mesh")
+    sub.add_argument("--n-fixed", type=int, help="n of the fixed mesh")
+    sub.set_defaults(**_defaults(studies.convergence_study, "family",
+                                 "levels", "base", "dt0", "t_end"),
+                     **_defaults(studies.time_refinement_study, n_fixed="n"),
+                     **_defaults(DiscreteSystem, "stabilize"))
 
     sub = _subcommand(subs, "mandel", cmd_mandel,
                       "consolidation benchmark profiles")
@@ -317,27 +345,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--times", default="0.01,0.05,0.1,0.5",
                      help="comma-separated sample times as fractions of "
                           "the characteristic time")
-    sub.add_argument("--n-terms", type=int, default=200,
+    sub.add_argument("--n-terms", type=int,
                      help="terms of the analytical series")
+    sub.set_defaults(**_defaults(mandel.setup, "n_terms"))
 
     sub = _subcommand(subs, "cantilever", cmd_cantilever,
                       "stabilization indicator study", family=False)
-    sub.add_argument("--families", default=",".join(studies.FAMILIES),
-                     help="comma-separated mesh families")
-    sub.add_argument("--n", type=int, default=10, help="subdivisions")
-    sub.add_argument("--dt", type=float, default=1.0e-5, help="time step")
+    sub.add_argument("--families", help="comma-separated mesh families")
+    sub.add_argument("--n", type=int, help="subdivisions")
+    sub.add_argument("--dt", type=float, help="time step")
     sub.add_argument("--vtk", action=BoolFlag, default=False,
                      help="write a VTK snapshot of every case")
+    sub.set_defaults(**_defaults(studies.stabilization_study, "families",
+                                 "n", "dt"))
 
     sub = _subcommand(subs, "solver-bench", cmd_solver_bench,
                       "GMRES iteration scaling study")
-    sub.add_argument("--levels", default="0,1,2",
-                     help="comma-separated refinement levels")
-    sub.add_argument("--base", type=int, default=10, help="n at level 0")
-    sub.add_argument("--dt", type=float, default=1.0e-5, help="time step")
-    sub.add_argument("--stabilize", action=BoolFlag, default=True,
-                     help=stabilize)
-    sub.add_argument("--rtol", type=float, default=RTOL, help="GMRES rtol")
+    sub.add_argument("--levels", help="comma-separated refinement levels")
+    sub.add_argument("--base", type=int, help="n at level 0")
+    sub.add_argument("--dt", type=float, help="time step")
+    sub.add_argument("--stabilize", action=BoolFlag, help=stabilize)
+    sub.add_argument("--rtol", type=float, help="GMRES rtol")
+    sub.set_defaults(**_defaults(studies.solver_study, "levels", "family",
+                                 "base", "dt", "stabilize", "rtol"))
 
     for sub_parser in subs.choices.values():
         sub_parser.add_argument("--config",

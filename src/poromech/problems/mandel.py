@@ -27,6 +27,9 @@ from ..mesh import PolyMesh
 # platen force F: the platens squeeze the full sample with 2F
 FORCE = 2.0e2
 
+# terms of the series solution, by default
+N_TERMS = 200
+
 # Newton steps converge in a handful of iterations; bisection alone takes
 # about 55 to shrink a bracket of width pi/2 to machine precision
 _ROOT_ITERATIONS = 100
@@ -89,7 +92,7 @@ class MandelSolution:
     """
 
     def __init__(self, material: Material, width: float = 1.0,
-                 n_terms: int = 200):
+                 n_terms: int = N_TERMS):
         if n_terms < 1:
             raise ValueError(f"n_terms must be at least 1, got {n_terms}")
         if material.storage != 0.0 or material.alpha != 1.0:
@@ -150,7 +153,7 @@ class MandelSolution:
         return u_x, u_y
 
 
-def setup(mesh: PolyMesh, dt: float, *, n_terms: int = 200,
+def setup(mesh: PolyMesh, dt: float, *, n_terms: int = N_TERMS,
           **options) -> tuple[DiscreteSystem, MandelSolution, State]:
     """Discrete Mandel problem on a quarter-domain mesh.
 

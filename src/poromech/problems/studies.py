@@ -3,9 +3,11 @@ solver-iteration comparisons.
 
 Every study takes the Voronoi settings as keywords, `**mesh`, and passes
 them unchanged to family_mesh, which alone declares them and their
-defaults, SEED and LLOYD_ITERS; any other keyword is a TypeError.  The two manufactured ladders
-also pass the solver keywords (assembly.SOLVER_KEYWORDS) through to
-manufactured_case, so DiscreteSystem alone declares their defaults.
+defaults; any other keyword is a TypeError.  The two manufactured
+ladders also pass the solver keywords (assembly.SOLVER_KEYWORDS) through
+to manufactured_case, so DiscreteSystem alone declares their defaults.
+The command line reads the defaults of its study options from these
+signatures.
 
 The cases of a refinement ladder run in a process pool of one worker per
 usable CPU (the CPUs this process may run on, so `taskset` or a cpuset
@@ -31,11 +33,10 @@ from . import cantilever, manufactured
 from .norms import ErrorNorms
 
 FAMILIES = ("cartesian", "skewed", "hybrid", "voronoi")
-SEED, LLOYD_ITERS = 0, 20   # the Voronoi settings of family_mesh
 
 
-def family_mesh(family: str, n: int, *, seed: int = SEED,
-                lloyd_iters: int = LLOYD_ITERS) -> PolyMesh:
+def family_mesh(family: str, n: int, *, seed: int = 0,
+                lloyd_iters: int = 20) -> PolyMesh:
     """Mesh of the named family with roughly n x n resolution.
 
     For the grid families n is the subdivision count per side; the Voronoi

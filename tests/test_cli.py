@@ -1,6 +1,7 @@
 """Command-line driver: subcommand smoke runs, config merging, exit codes
 and deterministic outputs."""
 
+import functools
 import inspect
 import os
 import re
@@ -10,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from poromech import cli
+from poromech.assembly import DiscreteSystem
 from poromech.cli import build_parser, main
 from poromech.mesh import read_mesh
-from poromech.problems import cantilever, studies
+from poromech.problems import cantilever, mandel, studies
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,6 +31,11 @@ def read_table(path):
     header = lines[0].split(",")
     return lines[0], [dict(zip(header, line.split(",")))
                       for line in lines[1:]]
+
+
+def declared(owner, param):
+    """The default that owner's signature declares for param."""
+    return inspect.signature(owner).parameters[param].default
 
 
 # ----- mesh ------------------------------------------------------------------------
@@ -266,6 +273,45 @@ def test_config_lists_are_taken_as_lists(tmp_path, command, cfg, args,
     assert [row[column] for row in rows] == values
 
 
+@pytest.mark.parametrize("command, cfg, error", [
+    ("mesh", '{"n": true}', "argument --n: invalid int value: 'True'"),
+    ("converge", '{"levels": 2.5}',
+     "argument --levels: invalid int value: '2.5'"),
+    ("converge", '{"levels": [1, 2]}',
+     "argument --levels: invalid int value: '1,2'"),
+    ("converge", '{"levels": null}', None),
+], ids=["bool-for-int", "float-for-int", "list-for-int", "null"])
+def test_config_values_are_parsed_like_flags(tmp_path, capsys, monkeypatch,
+                                             command, cfg, error):
+    """A config value other than a switch's true or false is converted by
+    the option's type like command-line text, and a bad one is a usage
+    error that writes nothing; null leaves the option at its default."""
+    seen = []
+    study = studies.convergence_study
+
+    @functools.wraps(study)
+    def spy(family, levels, **kwargs):
+        seen.append(levels)
+        return []
+
+    monkeypatch.setattr(studies, "convergence_study", spy)
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg)
+    out = tmp_path / "out"
+    args = [command, "--config", str(path),
+            "--out" if command == "mesh" else "--outdir", str(out)]
+    if error is None:
+        assert main(args) == 0
+        assert seen == [declared(study, "levels")]
+        return
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    assert error in capsys.readouterr().err
+    assert not out.exists()
+    assert seen == []
+
+
 def test_readme_examples_parse():
     text = README.read_text(encoding="utf-8")
     section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
@@ -386,6 +432,7 @@ def test_study_commands_pass_voronoi_settings(tmp_path, monkeypatch, args):
     calls = []
     build = studies.family_mesh
 
+    @functools.wraps(build)
     def spy(family, n, **mesh):
         calls.append(mesh)
         return build(family, n, **mesh)
@@ -399,18 +446,113 @@ def test_study_commands_pass_voronoi_settings(tmp_path, monkeypatch, args):
     assert all(mesh == {"seed": 3, "lloyd_iters": 2} for mesh in calls)
 
 
-def test_voronoi_defaults_are_those_of_family_mesh():
-    """Every subcommand takes its --seed and --lloyd-iters defaults from
-    family_mesh's signature, and --help lists them."""
-    params = inspect.signature(studies.family_mesh).parameters
-    for name, sub in build_parser().commands.items():
-        defaults = vars(sub.parse_args([]))
-        assert (defaults["seed"], defaults["lloyd_iters"]) == \
-            (params["seed"].default, params["lloyd_iters"].default), name
+COMMANDS = ("mesh", "run", "converge", "mandel", "cantilever", "solver-bench")
+STABILIZE = "add the pressure-jump stabilization"
+
+# (subcommand, option dest, owner, its parameter, the option's help) of
+# every option whose default a library function declares.  converge's
+# --t-end serves both manufactured ladders, and mandel.setup passes
+# --n-terms on to MandelSolution, so two rows each assert that the
+# second declaration agrees.
+OWNED = [
+    *((command, "seed", studies.family_mesh, "seed", "Voronoi seed")
+      for command in COMMANDS),
+    *((command, "lloyd_iters", studies.family_mesh, "lloyd_iters",
+       "Lloyd passes of a Voronoi mesh") for command in COMMANDS),
+    ("run", "stabilize", DiscreteSystem, "stabilize", STABILIZE),
+    ("run", "solver", DiscreteSystem, "linear_solver", "linear solver"),
+    ("run", "rtol", DiscreteSystem, "rtol", "GMRES rtol"),
+    ("run", "maxit", DiscreteSystem, "maxiter", "GMRES maxit"),
+    ("converge", "family", studies.convergence_study, "family",
+     "mesh family"),
+    ("converge", "levels", studies.convergence_study, "levels",
+     "level count"),
+    ("converge", "base", studies.convergence_study, "base", "n at level 0"),
+    ("converge", "dt0", studies.convergence_study, "dt0", "dt at level 0"),
+    ("converge", "t_end", studies.convergence_study, "t_end", "final time"),
+    ("converge", "t_end", studies.time_refinement_study, "t_end",
+     "final time"),
+    ("converge", "n_fixed", studies.time_refinement_study, "n",
+     "n of the fixed mesh"),
+    ("converge", "stabilize", DiscreteSystem, "stabilize", STABILIZE),
+    ("mandel", "n_terms", mandel.setup, "n_terms",
+     "terms of the analytical series"),
+    ("mandel", "n_terms", mandel.MandelSolution, "n_terms",
+     "terms of the analytical series"),
+    ("cantilever", "families", studies.stabilization_study, "families",
+     "comma-separated mesh families"),
+    ("cantilever", "n", studies.stabilization_study, "n", "subdivisions"),
+    ("cantilever", "dt", studies.stabilization_study, "dt", "time step"),
+    ("solver-bench", "levels", studies.solver_study, "levels",
+     "comma-separated refinement levels"),
+    ("solver-bench", "family", studies.solver_study, "family",
+     "mesh family"),
+    ("solver-bench", "base", studies.solver_study, "base", "n at level 0"),
+    ("solver-bench", "dt", studies.solver_study, "dt", "time step"),
+    ("solver-bench", "stabilize", studies.solver_study, "stabilize",
+     STABILIZE),
+    ("solver-bench", "rtol", studies.solver_study, "rtol", "GMRES rtol"),
+]
+
+
+def as_option(value):
+    """A default as its option takes it: a tuple as comma-separated text."""
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return value
+
+
+def check_owned_defaults(parser):
+    """Each owned option's parsed default is its owner's declared default,
+    and --help lists it."""
+    for command, dest, owner, param, label in OWNED:
+        sub = parser.commands[command]
+        value = as_option(declared(owner, param))
+        assert vars(sub.parse_args([]))[dest] == value, (command, dest)
         text = " ".join(sub.format_help().split())
-        assert f"Voronoi seed (default: {params['seed'].default})" in text
-        assert (f"Lloyd passes of a Voronoi mesh (default: "
-                f"{params['lloyd_iters'].default})") in text
+        assert f"{label} (default: {value})" in text, (command, dest)
+
+
+def test_option_defaults_are_those_of_their_owners():
+    parser = build_parser()
+    assert tuple(parser.commands) == COMMANDS
+    check_owned_defaults(parser)
+
+
+def changed(value):
+    """A default other than value, of its type."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return 2.0 * value
+    if isinstance(value, tuple):
+        return value[::-1]
+    return {"direct": "gmres", "cartesian": "hybrid"}[value]
+
+
+def test_options_follow_a_changed_owner_default(monkeypatch):
+    """With every owner's default changed, the parser built afterwards
+    parses and lists the new defaults."""
+    before = {(owner, param): declared(owner, param)
+              for _, _, owner, param, _ in OWNED}
+    for (owner, param), value in before.items():
+        function = owner.__init__ if inspect.isclass(owner) else owner
+        value = changed(value)
+        if param in (function.__kwdefaults__ or {}):
+            monkeypatch.setitem(function.__kwdefaults__, param, value)
+            continue
+        # the last len(__defaults__) positional parameters have defaults
+        positional = [name for name, par in
+                      inspect.signature(function).parameters.items()
+                      if par.kind is par.POSITIONAL_OR_KEYWORD]
+        defaults = list(function.__defaults__)
+        defaults[positional.index(param) - len(positional)] = value
+        monkeypatch.setattr(function, "__defaults__", tuple(defaults))
+    assert all(declared(owner, param) == changed(value)
+               for (owner, param), value in before.items())
+    check_owned_defaults(build_parser())
 
 
 def test_cantilever_command_indicator_table(tmp_path):
