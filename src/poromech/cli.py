@@ -1,9 +1,12 @@
 """Command-line driver: mesh generation, simulation runs, refinement
 studies, stabilization and solver comparisons.
 
-An option that sets a library parameter reads its default from that
-parameter's declaration; only options that no library function owns
-declare one here.  `poromech <command> --help` lists every default.
+Each subcommand is bound once to the library functions that own its
+options, each option to the parameter of its name or of RENAMED.  That
+binding supplies both the option's default, from the parameter's
+declaration, and the keyword that carries its value to the owner; only
+options that no library function owns declare a default here.
+`poromech <command> --help` lists every default.
 Every subcommand accepts --config pointing to a JSON object whose keys
 are the command's option names (dashes become underscores).  An option
 takes its command-line value if given, else its config value, else its
@@ -23,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import DiscreteSystem
+from .assembly import SOLVER_KEYWORDS, DiscreteSystem
 from .mesh import MeshError, read_mesh, write_mesh
 from .mesh.io import MeshFormatError
 from .output import write_csv, write_partition_csv, write_vtk
@@ -36,6 +39,9 @@ BoolFlag = argparse.BooleanOptionalAction
 PROBLEMS = {"mandel": mandel.setup, "manufactured": manufactured.setup,
             "cantilever": cantilever.setup}
 
+# the options named other than the library parameter that they set
+RENAMED = {"solver": "linear_solver", "maxit": "maxiter", "n_fixed": "n"}
+
 
 def _text(value) -> str:
     """Command-line text of value; a list is comma-separated."""
@@ -44,16 +50,42 @@ def _text(value) -> str:
     return str(value)
 
 
-def _defaults(function, *names, **renamed) -> dict:
-    """The defaults that function's signature declares, keyed by option
-    dest: each of names is also its parameter's name, and renamed maps an
-    option to its parameter.  A tuple becomes its option's comma-separated
-    text."""
-    params = inspect.signature(function).parameters
-    defaults = {dest: params[name].default for dest, name in
-                {**dict(zip(names, names)), **renamed}.items()}
-    return {dest: _text(value) if isinstance(value, tuple) else value
-            for dest, value in defaults.items()}
+def _comma_list(cast):
+    """argparse type: the tuple of the non-empty comma-separated items,
+    each converted by cast; a bad item is a usage error naming it."""
+    def item(text):
+        try:
+            return cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {cast.__name__} value: {text!r}") from None
+    return lambda text: tuple(map(item, filter(None, text.split(","))))
+
+
+def _bind(sub: argparse.ArgumentParser, *owners) -> None:
+    """Give each option of sub the default that the first of owners to
+    declare its parameter declares, a tuple as comma-separated text."""
+    dests = {RENAMED.get(dest, dest): dest
+             for dest in vars(sub.parse_args([]))}
+    for owner in reversed(owners):
+        sub.set_defaults(**{
+            dests[name]: _text(p.default) if isinstance(p.default, tuple)
+            else p.default
+            for name, p in inspect.signature(owner).parameters.items()
+            if name in dests and p.default is not p.empty})
+
+
+def _keywords(owner, ns) -> dict:
+    """The values in ns of the options bound to owner's parameters, by
+    parameter.  A study's `**mesh` or `**options` takes the keywords that
+    it passes on: family_mesh's and the SOLVER_KEYWORDS."""
+    params = inspect.signature(owner).parameters
+    names = set(params)
+    if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+        names |= SOLVER_KEYWORDS.union(
+            inspect.unwrap(studies.family_mesh).__kwdefaults__)
+    return {RENAMED.get(dest, dest): value for dest, value in vars(ns).items()
+            if RENAMED.get(dest, dest) in names}
 
 
 def _apply_config(sub: argparse.ArgumentParser, path: str) -> None:
@@ -93,18 +125,13 @@ def _resolve_mesh(ns, parser):
             return read_mesh(path)
         except MeshFormatError as exc:
             parser.error(f"mesh file {path}: {exc}")
-    return studies.family_mesh(ns.family, ns.n, seed=ns.seed,
-                               lloyd_iters=ns.lloyd_iters)
+    return studies.family_mesh(**_keywords(studies.family_mesh, ns))
 
 
 def _outdir(ns) -> Path:
     out = Path(ns.outdir)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _parse_list(text, cast):
-    return [cast(v) for v in text.split(",") if v]
 
 
 def _write_snapshot(vtk_path, partition_path, system, state) -> None:
@@ -139,10 +166,10 @@ def cmd_run(ns, parser) -> int:
     if ns.steps is None:
         ns.steps = steps
     mesh = _resolve_mesh(ns, parser)
-    # a set-up returns (system, state), Mandel's (system, solution, state)
+    # a set-up passes dt and the solver keywords on to DiscreteSystem and
+    # returns (system, state), Mandel's (system, solution, state)
     system, *_, state = PROBLEMS[ns.problem](
-        mesh, ns.dt, stabilize=ns.stabilize, linear_solver=ns.solver,
-        rtol=ns.rtol, maxiter=ns.maxit)
+        mesh, **_keywords(DiscreteSystem, ns))
 
     out = _outdir(ns)
     report = []
@@ -164,15 +191,10 @@ def cmd_run(ns, parser) -> int:
 
 def cmd_converge(ns, parser) -> int:
     if ns.time_refinement:
-        rows = studies.time_refinement_study(
-            ns.family, ns.n_fixed, t_end=ns.t_end, stabilize=ns.stabilize,
-            seed=ns.seed, lloyd_iters=ns.lloyd_iters)
-        x_key = "dt"
+        study, x_key = studies.time_refinement_study, "dt"
     else:
-        rows = studies.convergence_study(
-            ns.family, ns.levels, base=ns.base, dt0=ns.dt0, t_end=ns.t_end,
-            stabilize=ns.stabilize, seed=ns.seed, lloyd_iters=ns.lloyd_iters)
-        x_key = "h"
+        study, x_key = studies.convergence_study, "h"
+    rows = study(**_keywords(study, ns))
     for i, row in enumerate(rows):
         row["level"] = i
         rates = (studies.observed_rates(rows[i - 1:i + 1], x_key) if i
@@ -193,19 +215,17 @@ def cmd_converge(ns, parser) -> int:
 
 
 def cmd_mandel(ns, parser) -> int:
-    mesh = studies.family_mesh(ns.family, ns.n, seed=ns.seed,
-                               lloyd_iters=ns.lloyd_iters)
-    fractions = _parse_list(ns.times, float)
-    # dt and the sample times are fractions of the characteristic time
-    t_char = mandel.MandelSolution(mandel.default_material(),
-                                   n_terms=8).t_char
-    system, solution, state0 = mandel.setup(mesh, ns.dt_frac * t_char,
-                                            n_terms=ns.n_terms)
+    mesh = _resolve_mesh(ns, parser)
+    # dt and the sample times are fractions of the characteristic time,
+    # which does not depend on the series; setup passes --n-terms on
+    t_char = mandel.MandelSolution(mandel.default_material()).t_char
+    system, solution, state0 = mandel.setup(
+        mesh, ns.dt_frac * t_char, **_keywords(mandel.MandelSolution, ns))
     result = mandel.run_profiles(system, solution, state0,
-                                 [f * solution.t_char for f in fractions])
+                                 [f * solution.t_char for f in ns.times])
     out = _outdir(ns)
     p0 = result["p_undrained"]
-    for frac, profile in zip(sorted(fractions), result["profiles"]):
+    for frac, profile in zip(sorted(ns.times), result["profiles"]):
         rows = [(x, ph / p0, pe / p0) for x, ph, pe in
                 zip(profile["x"], profile["p"], profile["p_point"])]
         write_csv(out / f"profile_{frac:g}Tc.csv",
@@ -223,9 +243,8 @@ def cmd_mandel(ns, parser) -> int:
 
 
 def cmd_cantilever(ns, parser) -> int:
-    rows = studies.stabilization_study(_parse_list(ns.families, str),
-                                       n=ns.n, dt=ns.dt, seed=ns.seed,
-                                       lloyd_iters=ns.lloyd_iters)
+    rows = studies.stabilization_study(
+        **_keywords(studies.stabilization_study, ns))
     for row in rows:
         row["ratio"] = (row["stabilized"] / row["unstabilized"]
                         if row["unstabilized"] > 0 else None)
@@ -248,10 +267,7 @@ def cmd_cantilever(ns, parser) -> int:
 
 
 def cmd_solver_bench(ns, parser) -> int:
-    rows = studies.solver_study(
-        _parse_list(ns.levels, int), family=ns.family, base=ns.base,
-        dt=ns.dt, stabilize=ns.stabilize, rtol=ns.rtol, seed=ns.seed,
-        lloyd_iters=ns.lloyd_iters)
+    rows = studies.solver_study(**_keywords(studies.solver_study, ns))
     out = _outdir(ns)
     write_csv(out / "solver_report.csv",
               ["level", "family", "cells", "unknowns", "dt", "stabilized",
@@ -274,7 +290,7 @@ def _subcommand(subs, name, func, help, *, family=True, outdir=True):
     sub.add_argument("--seed", type=int, help="Voronoi seed")
     sub.add_argument("--lloyd-iters", type=int,
                      help="Lloyd passes of a Voronoi mesh")
-    sub.set_defaults(**_defaults(studies.family_mesh, "seed", "lloyd_iters"))
+    _bind(sub, studies.family_mesh)
     if outdir:
         sub.add_argument("--outdir", default="out", help="output directory")
     return sub
@@ -318,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="linear solver")
     sub.add_argument("--rtol", type=float, help="GMRES rtol")
     sub.add_argument("--maxit", type=int, help="GMRES maxit")
-    sub.set_defaults(**_defaults(DiscreteSystem, "stabilize", "rtol",
-                                 solver="linear_solver", maxit="maxiter"))
+    _bind(sub, DiscreteSystem)
 
     sub = _subcommand(subs, "converge", cmd_converge,
                       "refinement ladder study")
@@ -331,10 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--time-refinement", action=BoolFlag, default=False,
                      help="halve dt on one fixed mesh instead")
     sub.add_argument("--n-fixed", type=int, help="n of the fixed mesh")
-    sub.set_defaults(**_defaults(studies.convergence_study, "family",
-                                 "levels", "base", "dt0", "t_end"),
-                     **_defaults(studies.time_refinement_study, n_fixed="n"),
-                     **_defaults(DiscreteSystem, "stabilize"))
+    _bind(sub, studies.convergence_study, studies.time_refinement_study,
+          DiscreteSystem)
 
     sub = _subcommand(subs, "mandel", cmd_mandel,
                       "consolidation benchmark profiles")
@@ -342,32 +355,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dt-frac", type=float, default=1.0e-4,
                      help="time step as a fraction of the "
                           "characteristic time")
-    sub.add_argument("--times", default="0.01,0.05,0.1,0.5",
+    sub.add_argument("--times", type=_comma_list(float),
+                     default="0.01,0.05,0.1,0.5",
                      help="comma-separated sample times as fractions of "
                           "the characteristic time")
     sub.add_argument("--n-terms", type=int,
                      help="terms of the analytical series")
-    sub.set_defaults(**_defaults(mandel.setup, "n_terms"))
+    _bind(sub, mandel.MandelSolution)
 
     sub = _subcommand(subs, "cantilever", cmd_cantilever,
                       "stabilization indicator study", family=False)
-    sub.add_argument("--families", help="comma-separated mesh families")
+    sub.add_argument("--families", type=_comma_list(str),
+                     help="comma-separated mesh families")
     sub.add_argument("--n", type=int, help="subdivisions")
     sub.add_argument("--dt", type=float, help="time step")
     sub.add_argument("--vtk", action=BoolFlag, default=False,
                      help="write a VTK snapshot of every case")
-    sub.set_defaults(**_defaults(studies.stabilization_study, "families",
-                                 "n", "dt"))
+    _bind(sub, studies.stabilization_study)
 
     sub = _subcommand(subs, "solver-bench", cmd_solver_bench,
                       "GMRES iteration scaling study")
-    sub.add_argument("--levels", help="comma-separated refinement levels")
+    sub.add_argument("--levels", type=_comma_list(int),
+                     help="comma-separated refinement levels")
     sub.add_argument("--base", type=int, help="n at level 0")
     sub.add_argument("--dt", type=float, help="time step")
     sub.add_argument("--stabilize", action=BoolFlag, help=stabilize)
     sub.add_argument("--rtol", type=float, help="GMRES rtol")
-    sub.set_defaults(**_defaults(studies.solver_study, "levels", "family",
-                                 "base", "dt", "stabilize", "rtol"))
+    _bind(sub, studies.solver_study)
 
     for sub_parser in subs.choices.values():
         sub_parser.add_argument("--config",

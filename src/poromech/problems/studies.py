@@ -6,8 +6,8 @@ them unchanged to family_mesh, which alone declares them and their
 defaults; any other keyword is a TypeError.  The two manufactured
 ladders also pass the solver keywords (assembly.SOLVER_KEYWORDS) through
 to manufactured_case, so DiscreteSystem alone declares their defaults.
-The command line reads the defaults of its study options from these
-signatures.
+The command line reads both the defaults of its study options and the
+keywords that carry them from these signatures.
 
 The cases of a refinement ladder run in a process pool of one worker per
 usable CPU (the CPUs this process may run on, so `taskset` or a cpuset
@@ -95,9 +95,12 @@ def _run_cases(ladder: list[tuple[int, float]], family: str, *,
                t_end: float, **options) -> list[dict]:
     """Manufactured-case rows of the (n, dt) pairs of ladder, in order.
 
-    Every pair is checked before a case runs; the cases then run in
-    min(usable CPUs, cases) worker processes, or here when that is one.
+    The ladder must have a case and every pair is checked before a case
+    runs; the cases then run in min(usable CPUs, cases) worker processes,
+    or here when that is one.
     """
+    if not ladder:
+        raise ValueError("at least one level is needed")
     for _, dt in ladder:
         step_count(dt, t_end)
     case = functools.partial(_ladder_case, family, t_end=t_end, **options)
@@ -116,18 +119,16 @@ def convergence_study(family: str = "cartesian", levels: int = 5, *,
                       base: int = 5, dt0: float = 0.1, t_end: float = 1.0,
                       **options) -> list[dict]:
     """Simultaneous space-time ladder: 4x the cells, half the step."""
-    if levels < 1:
-        raise ValueError(f"at least one level is needed, got levels = "
-                         f"{levels}")
     ladder = [(base * 2**level, dt0 / 2**level) for level in range(levels)]
     return _run_cases(ladder, family, t_end=t_end, **options)
 
 
 def time_refinement_study(family: str = "cartesian", n: int = 40, *,
+                          dt0: float = 0.1, levels: int = 5,
                           t_end: float = 1.0, **options) -> list[dict]:
-    """Halve the time step on one fixed mesh: the fixed ladder
-    dt = 0.1 / 2^k for k = 0, ..., 4."""
-    ladder = [(n, 0.1 / 2**k) for k in range(5)]
+    """Halve the time step on one fixed mesh: dt = dt0 / 2^k for
+    k = 0, ..., levels - 1."""
+    ladder = [(n, dt0 / 2**k) for k in range(levels)]
     return _run_cases(ladder, family, t_end=t_end, **options)
 
 

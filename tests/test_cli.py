@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from poromech import cli
-from poromech.assembly import DiscreteSystem
+from poromech.assembly import SOLVER_KEYWORDS, DiscreteSystem
 from poromech.cli import build_parser, main
 from poromech.mesh import read_mesh
 from poromech.problems import cantilever, mandel, studies
@@ -312,6 +312,36 @@ def test_config_values_are_parsed_like_flags(tmp_path, capsys, monkeypatch,
     assert seen == []
 
 
+@pytest.mark.parametrize("command, args, cfg, error", [
+    ("solver-bench", ["--levels", "a"], None,
+     "argument --levels: invalid int value: 'a'"),
+    ("solver-bench", ["--levels", "0,a"], None,
+     "argument --levels: invalid int value: 'a'"),
+    ("mandel", ["--times", "x"], None,
+     "argument --times: invalid float value: 'x'"),
+    ("solver-bench", [], '{"levels": ["a"]}',
+     "argument --levels: invalid int value: 'a'"),
+    ("mandel", [], '{"times": ["x"]}',
+     "argument --times: invalid float value: 'x'"),
+], ids=["levels", "levels-second-item", "times", "config-levels",
+        "config-times"])
+def test_list_item_that_does_not_convert_is_a_usage_error(
+        tmp_path, capsys, command, args, cfg, error):
+    """A comma-list option converts each item by its type, so a bad item,
+    given as a flag or in a config file, exits 2 naming the option and
+    the item, and writes nothing."""
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg)
+        args = args + ["--config", str(path)]
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main([command, *args, "--outdir", str(outdir)])
+    assert err.value.code == 2
+    assert error in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_readme_examples_parse():
     text = README.read_text(encoding="utf-8")
     section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
@@ -347,6 +377,16 @@ def test_converge_time_refinement_table(tmp_path):
     assert ladder == [0.1 / 2**k for k in range(5)]
 
 
+def test_converge_time_refinement_takes_levels_and_dt0(tmp_path):
+    outdir = tmp_path / "out"
+    assert main(["converge", "--time-refinement", "--levels", "2",
+                 "--dt0", "0.5", "--n-fixed", "2",
+                 "--outdir", str(outdir)]) == 0
+    _, rows = read_table(outdir / "time_refinement_cartesian.csv")
+    assert [float(row["dt"]) for row in rows] == [0.5, 0.25]
+    assert [int(row["cells"]) for row in rows] == [4, 4]
+
+
 def test_mandel_command_profiles(tmp_path, capsys):
     outdir = tmp_path / "out"
     assert main(["mandel", "--n", "5", "--dt-frac", "0.01",
@@ -379,6 +419,8 @@ def test_mandel_command_rejects_bad_series_input(tmp_path, capsys, option,
 
 @pytest.mark.parametrize("args, error", [
     (["converge", "--levels", "0"], "error: at least one level"),
+    (["converge", "--time-refinement", "--levels", "0"],
+     "error: at least one level"),
     (["cantilever", "--families", ""], "error: at least one mesh family"),
     (["solver-bench", "--levels", ""],
      "error: at least one refinement level"),
@@ -400,7 +442,8 @@ def test_mandel_command_rejects_bad_series_input(tmp_path, capsys, option,
     (["converge", "--t-end", "0.01", "--dt0", "0.1"],
      "error: t_end = 0.01 and dt = 0.1 must be finite and positive with "
      "round(t_end / dt) >= 1"),
-], ids=["converge", "cantilever", "solver-bench", "solver-bench-negative",
+], ids=["converge", "converge-time-refinement", "cantilever",
+        "solver-bench", "solver-bench-negative",
         "run-steps", "run-t-end", "run-t-end-nan", "run-t-end-below-dt",
         "converge-t-end", "converge-t-end-inf", "converge-t-end-below-dt"])
 def test_empty_study_command_is_rejected(tmp_path, capsys, monkeypatch,
@@ -451,9 +494,9 @@ STABILIZE = "add the pressure-jump stabilization"
 
 # (subcommand, option dest, owner, its parameter, the option's help) of
 # every option whose default a library function declares.  converge's
-# --t-end serves both manufactured ladders, and mandel.setup passes
-# --n-terms on to MandelSolution, so two rows each assert that the
-# second declaration agrees.
+# --levels, --dt0 and --t-end serve both manufactured ladders, and
+# mandel.setup passes --n-terms on to MandelSolution, so two rows each
+# assert that the second declaration agrees.
 OWNED = [
     *((command, "seed", studies.family_mesh, "seed", "Voronoi seed")
       for command in COMMANDS),
@@ -467,8 +510,12 @@ OWNED = [
      "mesh family"),
     ("converge", "levels", studies.convergence_study, "levels",
      "level count"),
+    ("converge", "levels", studies.time_refinement_study, "levels",
+     "level count"),
     ("converge", "base", studies.convergence_study, "base", "n at level 0"),
     ("converge", "dt0", studies.convergence_study, "dt0", "dt at level 0"),
+    ("converge", "dt0", studies.time_refinement_study, "dt0",
+     "dt at level 0"),
     ("converge", "t_end", studies.convergence_study, "t_end", "final time"),
     ("converge", "t_end", studies.time_refinement_study, "t_end",
      "final time"),
@@ -507,8 +554,9 @@ def check_owned_defaults(parser):
     and --help lists it."""
     for command, dest, owner, param, label in OWNED:
         sub = parser.commands[command]
+        assert vars(sub.parse_args([]))[dest] == declared(owner, param), \
+            (command, dest)
         value = as_option(declared(owner, param))
-        assert vars(sub.parse_args([]))[dest] == value, (command, dest)
         text = " ".join(sub.format_help().split())
         assert f"{label} (default: {value})" in text, (command, dest)
 
@@ -517,6 +565,39 @@ def test_option_defaults_are_those_of_their_owners():
     parser = build_parser()
     assert tuple(parser.commands) == COMMANDS
     check_owned_defaults(parser)
+
+
+def with_defaults(function):
+    """The names of the parameters that function declares a default for."""
+    return {name for name, param in
+            inspect.signature(function).parameters.items()
+            if param.default is not param.empty}
+
+
+def test_every_owned_parameter_has_an_option():
+    """Each parameter with a default of a subcommand's library functions
+    is the dest of one of its options, after the three renames: family_mesh's
+    Voronoi settings on every subcommand, run's solver keywords and each
+    study's own parameters.  So a study parameter added later fails here
+    until it gets its option."""
+    assert SOLVER_KEYWORDS <= with_defaults(DiscreteSystem)
+    owned = {
+        "mesh": set(),
+        "run": set(SOLVER_KEYWORDS),
+        "converge": (with_defaults(studies.convergence_study)
+                     | with_defaults(studies.time_refinement_study)),
+        "mandel": with_defaults(mandel.setup),
+        "cantilever": with_defaults(studies.stabilization_study),
+        "solver-bench": with_defaults(studies.solver_study),
+    }
+    renamed = {"run": {"linear_solver": "solver", "maxiter": "maxit"},
+               "converge": {"n": "n_fixed"}}
+    parser = build_parser()
+    for command, params in owned.items():
+        dests = set(vars(parser.commands[command].parse_args([])))
+        params |= with_defaults(studies.family_mesh)
+        names = renamed.get(command, {})
+        assert {names.get(name, name) for name in params} <= dests, command
 
 
 def changed(value):
