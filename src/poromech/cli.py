@@ -225,7 +225,9 @@ def cmd_mandel(ns, parser) -> int:
                                  [f * solution.t_char for f in ns.times])
     out = _outdir(ns)
     p0 = result["p_undrained"]
-    for frac, profile in zip(sorted(ns.times), result["profiles"]):
+    # one profile per distinct sample step, each labelled by its own time
+    for profile in result["profiles"]:
+        frac = profile["time"] / solution.t_char
         rows = [(x, ph / p0, pe / p0) for x, ph, pe in
                 zip(profile["x"], profile["p"], profile["p_point"])]
         write_csv(out / f"profile_{frac:g}Tc.csv",

@@ -97,7 +97,7 @@ def _run_cases(ladder: list[tuple[int, float]], family: str, *,
 
     The ladder must have a case and every pair is checked before a case
     runs; the cases then run in min(usable CPUs, cases) worker processes,
-    or here when that is one.
+    longest first, or here when that is one.
     """
     if not ladder:
         raise ValueError("at least one level is needed")
@@ -111,8 +111,12 @@ def _run_cases(ladder: list[tuple[int, float]], family: str, *,
     workers = min(cpus, len(ladder))
     if workers <= 1:
         return [case(n, dt) for n, dt in ladder]
+    # a case costs about n^2 cells times t_end / dt steps; submitting the
+    # costly ones first keeps a worker from idling at the end of the ladder
+    longest_first = sorted(ladder, key=lambda pair: -pair[0] ** 2 / pair[1])
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(case, *zip(*ladder)))
+        rows = dict(zip(longest_first, pool.map(case, *zip(*longest_first))))
+    return [rows[pair] for pair in ladder]
 
 
 def convergence_study(family: str = "cartesian", levels: int = 5, *,

@@ -21,8 +21,9 @@ from poromech.assembly import BoundaryConditions, DiscreteSystem, Material
 from poromech.mesh import build_cartesian, build_voronoi, polygon_geometry
 from poromech.problems import mandel
 from poromech.problems.studies import (convergence_study, family_mesh,
-                                       manufactured_case, observed_rates,
-                                       solver_study, stabilization_study)
+                                       observed_rates, solver_study,
+                                       stabilization_study,
+                                       time_refinement_study)
 
 from helpers import random_convex_polygon, random_spd_tensor, recover_velocity
 from test_assembly import dense_four_field_solve, mixed_problem
@@ -179,8 +180,7 @@ def test_criterion_5_convergence():
     vor = observed_rates(convergence_study("voronoi", 3, base=20, dt0=0.1))
 
     # a longer dt ladder than time_refinement_study's, down to the plateau
-    mesh = family_mesh("cartesian", 80)
-    rows = [manufactured_case(mesh, 0.5 / 2**k) for k in range(10)]
+    rows = time_refinement_study("cartesian", 80, dt0=0.5, levels=10)
     dt = np.array([r["dt"] for r in rows])
     es = {k: np.array([r[k] for r in rows]) for k in ("e_p", "e_u", "e_s")}
     slope = {k: np.log(es[k][0] / es[k][2]) / np.log(dt[0] / dt[2])

@@ -19,6 +19,23 @@ from helpers import (dart_mesh, four_field_blocks, polygon_moments,
                      recover_velocity)
 
 
+# a displacement entry that holds every boundary vertex at rest
+CLAMP = (lambda x: True, (True, True), lambda x, t: (0.0, 0.0))
+
+
+def clamped_system(mesh, dt=1.0, **kwargs):
+    """Unit-modulus system clamped on the whole boundary."""
+    return DiscreteSystem(mesh, Material(shear=1.0, lam=1.0),
+                          BoundaryConditions(displacement=[CLAMP]), dt,
+                          **kwargs)
+
+
+def rest(system):
+    """The state at t = 0 with every unknown zero."""
+    return State(time=0.0, u=np.zeros(system.n_u), p=np.zeros(system.n_p),
+                 pi=np.zeros(system.n_pi))
+
+
 def mixed_problem(n, dt, stabilize=False, family="cartesian"):
     """Small driven problem exercising every assembly path: mixed
     displacement masks, traction, pressure and flux boundaries, body force
@@ -127,10 +144,8 @@ def test_solved_residual_below_tolerance():
 def one_cell_system(storage=1.0):
     mesh = build_cartesian(1, 1)
     material = Material(shear=1.0, lam=1.0, alpha=1.0, storage=storage)
-    bcs = BoundaryConditions(
-        displacement=[(lambda x: True, (True, True),
-                       lambda x, t: (0.0, 0.0))])
-    return DiscreteSystem(mesh, material, bcs, dt=0.5)
+    return DiscreteSystem(mesh, material,
+                          BoundaryConditions(displacement=[CLAMP]), dt=0.5)
 
 
 def test_storage_block_single_cell():
@@ -155,14 +170,11 @@ def test_velocity_trace_block_nonzeros():
 
 def test_coupling_block_kills_translations():
     system, _ = mixed_problem(2, dt=0.1)
-    trans = np.zeros(system.n_u)
-    trans[0::2] = 1.0
-    assert system.a_up.T @ trans == pytest.approx(np.zeros(system.n_p),
-                                                  abs=1e-12)
-    trans = np.zeros(system.n_u)
-    trans[1::2] = 1.0
-    assert system.a_up.T @ trans == pytest.approx(np.zeros(system.n_p),
-                                                  abs=1e-12)
+    for component in (0, 1):
+        trans = np.zeros(system.n_u)
+        trans[component::2] = 1.0
+        assert system.a_up.T @ trans == pytest.approx(np.zeros(system.n_p),
+                                                      abs=1e-12)
 
 
 def test_condensation_addition_is_diagonal():
@@ -178,10 +190,8 @@ def test_cell_mean_and_strain_operators(family):
     gradient; the coupling block is alpha |K| times the strain trace."""
     mesh = family_mesh(family, 6)
     material = Material(shear=1.3, lam=2.1, alpha=0.7)
-    bcs = BoundaryConditions(
-        displacement=[(lambda x: True, (True, True),
-                       lambda x, t: (0.0, 0.0))])
-    system = DiscreteSystem(mesh, material, bcs, dt=0.1)
+    system = DiscreteSystem(mesh, material,
+                            BoundaryConditions(displacement=[CLAMP]), dt=0.1)
     u = np.random.default_rng(6).standard_normal(system.n_u)
     means = (system.cell_mean @ u).reshape(-1, 2)
     strains = (system.cell_strain @ u).reshape(-1, 3)
@@ -218,8 +228,7 @@ def test_zero_loads_keep_zero_state():
         pressure_where=lambda x: x[0] > 1.0 - 1e-9,
         pressure=lambda x, t: 0.0)
     system = DiscreteSystem(mesh, material, bcs, dt=0.5)
-    state = State(time=0.0, u=np.zeros(system.n_u),
-                  p=np.zeros(system.n_p), pi=np.zeros(system.n_pi))
+    state = rest(system)
     for _ in range(3):
         state = system.step(state)
         assert np.abs(state.u).max() == 0.0
@@ -255,8 +264,7 @@ def sealed_incompressible_residual(family, stabilize):
                    lambda x, t: (0.0, -1.0))])
     system = DiscreteSystem(mesh, material, bcs, dt=1e-3,
                             stabilize=stabilize)
-    state = State(time=0.0, u=np.zeros(system.n_u),
-                  p=np.zeros(system.n_p), pi=np.zeros(system.n_pi))
+    state = rest(system)
     new = system.step(state)
     w = recover_velocity(system, new)
     blocks = four_field_blocks(system)
@@ -367,9 +375,7 @@ def test_boundary_callables_run_once_per_item():
     n_boundary = int(mesh.boundary_mask.sum())
     assert calls == {"where_u": n_boundary, "where_t": 2 * n_boundary}
     calls.clear()
-    state = State(time=0.0, u=np.zeros(system.n_u), p=np.zeros(system.n_p),
-                  pi=np.zeros(system.n_pi))
-    system.step(state)
+    system.step(rest(system))
     # the four top faces match both tractions, two faces each of the left
     # and right edges the second one; the 12 faces off the right edge are
     # flux faces
@@ -388,11 +394,25 @@ def test_initial_state_zero_pressure_zero_loads():
 
 
 def test_initial_state_balances_momentum():
+    """The initial displacements balance momentum against p0; the initial
+    traces take their Dirichlet values, here not zero at t = 0, and solve
+    the free flow rows against p0."""
     system, _ = mixed_problem(3, dt=0.1)
     state = system.initial_state(p0=lambda pts: pts[:, 0])
     b_u = system.mech_rhs(0.0) + system.a_up @ state.p
     residual = (system.a_uu @ state.u - b_u)[system.free_u]
     assert np.abs(residual).max() <= 1e-9 * np.abs(b_u).max()
+    bcs = BoundaryConditions(displacement=[CLAMP],
+                             pressure_where=lambda x: x[0] > 1.0 - 1e-9,
+                             pressure=lambda x, t: 1.0 + x[1])
+    system = DiscreteSystem(build_cartesian(3, 3),
+                            Material(shear=1.0, lam=1.0), bcs, dt=0.1)
+    state = system.initial_state(p0=lambda pts: pts[:, 0])
+    assert np.array_equal(state.pi[system.fixed_pi],
+                          system.dirichlet_values(0.0)[system.fixed_u.size:])
+    flow = (system.a_ppi.T @ state.p + system.a_pipi @ state.pi
+            - system.trace_rhs(0.0))[system.free_pi]
+    assert np.abs(flow).max() <= 1e-12 * np.abs(state.pi).max()
 
 
 @pytest.mark.parametrize("name", FAMILIES + ("mandel",))
@@ -436,13 +456,11 @@ def test_non_finite_volume_data_is_named(name, bad):
 
     system = clamped_system(build_cartesian(4, 4),
                             **({} if name == "p0" else {name: data}))
-    state = State(time=0.0, u=np.zeros(system.n_u), p=np.zeros(system.n_p),
-                  pi=np.zeros(system.n_pi))
     with pytest.raises(ValueError, match=f"{name} .*cell 5"):
         if name == "p0":
             system.initial_state(p0=data)
         else:
-            system.step(state)
+            system.step(rest(system))
 
 
 @pytest.mark.parametrize("kwargs, error", [
@@ -549,17 +567,14 @@ def test_all_neumann_mechanics_raises():
 
 def test_constructor_validation():
     mesh = build_cartesian(2, 2)
-    material = Material(shear=1.0, lam=1.0)
-    bcs = BoundaryConditions(
-        displacement=[(lambda x: True, (True, True),
-                       lambda x, t: (0.0, 0.0))])
     with pytest.raises(ValueError, match="time step"):
-        DiscreteSystem(mesh, material, bcs, dt=0.0)
+        clamped_system(mesh, dt=0.0)
     with pytest.raises(ValueError, match="solver"):
-        DiscreteSystem(mesh, material, bcs, dt=1.0, linear_solver="cg")
-    bcs.pressure_where = lambda x: True
+        clamped_system(mesh, linear_solver="cg")
+    bcs = BoundaryConditions(displacement=[CLAMP],
+                             pressure_where=lambda x: True)
     with pytest.raises(ValueError, match="pressure"):
-        DiscreteSystem(mesh, material, bcs, dt=1.0)
+        DiscreteSystem(mesh, Material(shear=1.0, lam=1.0), bcs, dt=1.0)
 
 
 @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, -1.0])
@@ -594,11 +609,9 @@ def test_pressure_where_splits_the_flow_boundary():
         calls.append(x)
         return x[0] > 1.0 - 1e-9
 
-    bcs = BoundaryConditions(
-        displacement=[(lambda x: True, (True, True),
-                       lambda x, t: (0.0, 0.0))],
-        pressure_where=right, pressure=lambda x, t: 0.0,
-        flux=lambda x, t: 1.0)
+    bcs = BoundaryConditions(displacement=[CLAMP], pressure_where=right,
+                             pressure=lambda x, t: 0.0,
+                             flux=lambda x, t: 1.0)
     system = DiscreteSystem(mesh, Material(shear=1.0, lam=1.0), bcs, dt=1.0)
     boundary = np.flatnonzero(mesh.boundary_mask)
     assert len(calls) == boundary.size
@@ -614,20 +627,19 @@ def test_pressure_where_splits_the_flow_boundary():
 
 def test_selector_that_selects_nothing_is_named():
     mesh = build_cartesian(3, 3)
-    clamp = (lambda x: True, (True, True), lambda x, t: (0.0, 0.0))
     nowhere = lambda x: x[0] > 2.0
     zero = lambda x, t: 0.0
     for bcs, name in [
-            (BoundaryConditions(displacement=[clamp, (nowhere, (True, False),
+            (BoundaryConditions(displacement=[CLAMP, (nowhere, (True, False),
                                                       zero)]),
              r"displacement\[1\]"),
-            (BoundaryConditions(displacement=[clamp],
+            (BoundaryConditions(displacement=[CLAMP],
                                 traction=[(lambda x: True, zero),
                                           (nowhere, zero)]),
              r"traction\[1\]"),
-            (BoundaryConditions(displacement=[clamp], pressure_where=nowhere,
+            (BoundaryConditions(displacement=[CLAMP], pressure_where=nowhere,
                                 pressure=zero), "pressure_where"),
-            (BoundaryConditions(displacement=[clamp], pressure=zero),
+            (BoundaryConditions(displacement=[CLAMP], pressure=zero),
              "pressure_where")]:
         with pytest.raises(ValueError, match=name + " selects no boundary"):
             DiscreteSystem(mesh, Material(shear=1.0, lam=1.0), bcs, dt=1.0)
@@ -649,26 +661,13 @@ def test_material_rejects_non_physical_values(kwargs, name):
 
 
 def test_material_admits_negative_lam_above_minus_shear():
-    mesh = build_cartesian(4, 4)
-    bcs = BoundaryConditions(
-        displacement=[(lambda x: True, (True, True),
-                       lambda x, t: (0.0, 0.0))])
-    system = DiscreteSystem(mesh, Material(shear=1.0, lam=-0.9), bcs,
-                            dt=1.0, body_force=lambda pts, t: (1.0, -1.0))
-    state = system.step(State(time=0.0, u=np.zeros(system.n_u),
-                              p=np.zeros(system.n_p),
-                              pi=np.zeros(system.n_pi)))
+    system = DiscreteSystem(build_cartesian(4, 4),
+                            Material(shear=1.0, lam=-0.9),
+                            BoundaryConditions(displacement=[CLAMP]), dt=1.0,
+                            body_force=lambda pts, t: (1.0, -1.0))
+    state = system.step(rest(system))
     assert np.abs(state.u).max() > 0.0
     assert np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.p))
-
-
-def clamped_system(mesh, dt=1.0, **kwargs):
-    """Unit-modulus system clamped on the whole boundary."""
-    bcs = BoundaryConditions(
-        displacement=[(lambda x: True, (True, True),
-                       lambda x, t: (0.0, 0.0))])
-    return DiscreteSystem(mesh, Material(shear=1.0, lam=1.0), bcs, dt,
-                          **kwargs)
 
 
 def test_quadrature_is_cellwise_exact():
@@ -703,9 +702,8 @@ def test_cell_integral_exact_for_quadratics(name):
 def test_scalar_mass_source_broadcasts():
     mesh = build_cartesian(4, 4)
     system = clamped_system(mesh, mass_source=lambda pts, t: 1.0)
-    state = State(time=0.0, u=np.zeros(system.n_u), p=np.zeros(system.n_p),
-                  pi=np.zeros(system.n_pi))
-    assert np.array_equal(system.mass_rhs(state, 0.0), np.full(16, 1 / 16))
+    assert np.array_equal(system.mass_rhs(rest(system), 0.0),
+                          np.full(16, 1 / 16))
 
 
 def test_constant_body_force_broadcasts():
@@ -723,10 +721,8 @@ def test_volume_callable_of_wrong_shape_is_named():
                             mass_source=lambda pts, t: pts)
     with pytest.raises(ValueError, match=r"body_force .*\(\d+, 2\)"):
         system.mech_rhs(0.0)
-    state = State(time=0.0, u=np.zeros(system.n_u), p=np.zeros(system.n_p),
-                  pi=np.zeros(system.n_pi))
     with pytest.raises(ValueError, match="mass_source"):
-        system.mass_rhs(state, 0.0)
+        system.mass_rhs(rest(system), 0.0)
     with pytest.raises(ValueError, match="p0"):
         system.initial_state(p0=lambda pts: pts)
 
@@ -736,13 +732,8 @@ def test_tpfa_variant_yields_diagonal_velocity_block():
     block, and two cells share at most one face, so A_pipi is diagonal
     exactly when every M_K is: with the two-point variant, and not with
     the full mimetic inner product."""
-    mesh = build_cartesian(3, 3)
-    material = Material(shear=1.0, lam=1.0)
-    bcs = BoundaryConditions(
-        displacement=[(lambda x: True, (True, True),
-                       lambda x, t: (0.0, 0.0))])
     for tpfa in (True, False):
-        system = DiscreteSystem(mesh, material, bcs, dt=1.0, tpfa=tpfa)
+        system = clamped_system(build_cartesian(3, 3), tpfa=tpfa)
         a_pipi = system.a_pipi.toarray()
         assert (a_pipi == pytest.approx(np.diag(np.diag(a_pipi)))) == tpfa
 
@@ -757,14 +748,10 @@ def test_tpfa_rejects_cell_not_star_shaped_by_id():
     c = mesh.face_midpoint[mesh.edge_faces[s]] - mesh.cell_centroid[1]
     behind = (mesh.edge_normals[s] * c).sum(axis=1)
     assert behind.min() < 0.0 < mesh.cell_area[1]
-    material = Material(shear=1.0, lam=1.0)
-    bcs = BoundaryConditions(
-        displacement=[(lambda x: True, (True, True),
-                       lambda x, t: (0.0, 0.0))])
     # no division by a non-positive denominator runs before the error
     with np.errstate(all="raise"), \
             pytest.raises(ValueError, match="cell 1: two-point"):
-        DiscreteSystem(mesh, material, bcs, dt=1.0, tpfa=True)
+        clamped_system(mesh, tpfa=True)
     # the full mimetic inner product serves the same mesh, NaN-free
-    system = DiscreteSystem(mesh, material, bcs, dt=1.0)
+    system = clamped_system(mesh)
     assert np.isfinite(system.condensed_matrix().data).all()

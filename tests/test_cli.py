@@ -8,6 +8,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from poromech import cli
@@ -63,16 +64,20 @@ def test_mesh_file_feeds_simulation(tmp_path):
 # ----- run -------------------------------------------------------------------------
 
 def test_run_cantilever_stabilized(tmp_path):
-    outdir = tmp_path / "out"
-    assert main(["run", "--n", "3", "--steps", "2", "--stabilize",
-                 "--outdir", str(outdir)]) == 0
-    header, rows = read_table(outdir / "report.csv")
+    """The report, snapshot and partition of a stabilized run, written
+    again byte for byte by a second run."""
+    args = ["run", "--n", "3", "--steps", "2", "--stabilize"]
+    for name in ("a", "b"):
+        assert main(args + ["--outdir", str(tmp_path / name)]) == 0
+    header, rows = read_table(tmp_path / "a" / "report.csv")
     assert header == REPORT_HEADER
     assert len(rows) == 2
     assert rows[1]["time"] == repr(2e-5)
-    assert (outdir / "state_final.vtk").is_file()
-    header, rows = read_table(outdir / "partition.csv")
+    header, rows = read_table(tmp_path / "a" / "partition.csv")
     assert header == "cell,macro" and len(rows) == 9
+    for name in ("report.csv", "state_final.vtk", "partition.csv"):
+        assert (tmp_path / "a" / name).read_bytes() \
+            == (tmp_path / "b" / name).read_bytes()
 
 
 def test_run_step_count_from_t_end(tmp_path):
@@ -143,73 +148,67 @@ def test_run_mandel_writes_report_and_snapshot(tmp_path):
     assert (outdir / "state_final.vtk").is_file()
 
 
-def test_run_outputs_are_deterministic(tmp_path):
-    args = ["run", "--n", "3", "--steps", "2", "--stabilize"]
-    for name in ("a", "b"):
-        assert main(args + ["--outdir", str(tmp_path / name)]) == 0
-    for name in ("report.csv", "state_final.vtk", "partition.csv"):
-        assert (tmp_path / "a" / name).read_bytes() \
-            == (tmp_path / "b" / name).read_bytes()
-
-
 # ----- exit codes and config --------------------------------------------------------
 
-def test_missing_mesh_file_exits_with_usage_error(tmp_path):
+def usage_error(args):
+    """main(args) exits 2, as argparse does on a usage error."""
     with pytest.raises(SystemExit) as err:
-        main(["run", "--mesh-file", str(tmp_path / "absent.txt")])
+        main(args)
     assert err.value.code == 2
+
+
+def config(tmp_path, text):
+    """The path, as an argument, of a config file holding text."""
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    return str(path)
+
+
+def test_missing_mesh_file_exits_with_usage_error(tmp_path):
+    usage_error(["run", "--mesh-file", str(tmp_path / "absent.txt")])
 
 
 def test_malformed_mesh_file_exits_with_usage_error(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("vertices 1\n0.0 zero\ncells 0\n")
-    with pytest.raises(SystemExit) as err:
-        main(["run", "--mesh-file", str(bad)])
-    assert err.value.code == 2
+    usage_error(["run", "--mesh-file", str(bad)])
 
 
 def test_invalid_choice_exits_with_usage_error():
-    with pytest.raises(SystemExit) as err:
-        main(["run", "--problem", "beam"])
-    assert err.value.code == 2
+    usage_error(["run", "--problem", "beam"])
 
 
 def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"bogus": 3}')
-    assert main(["mesh", "--config", str(cfg),
+    assert main(["mesh", "--config", config(tmp_path, '{"bogus": 3}'),
                  "--out", str(tmp_path / "m.txt")]) == 1
     assert "unknown config keys" in capsys.readouterr().err
 
 
 def test_config_missing_or_malformed(tmp_path):
-    with pytest.raises(SystemExit) as err:
-        main(["mesh", "--config", str(tmp_path / "absent.json")])
-    assert err.value.code == 2
-    broken = tmp_path / "broken.json"
-    broken.write_text("{not json")
-    with pytest.raises(SystemExit) as err:
-        main(["mesh", "--config", str(broken)])
-    assert err.value.code == 2
+    """A config file that is absent, not JSON or not a JSON object is a
+    usage error."""
+    usage_error(["mesh", "--config", str(tmp_path / "absent.json")])
+    for text in ("{not json", "3"):
+        usage_error(["mesh", "--config", config(tmp_path, text)])
 
 
 def test_flags_override_config_values(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"n": 4}')
+    """A flag overrides its config value, and a config string is converted
+    by the option's type."""
     out = tmp_path / "m.txt"
-    assert main(["mesh", "--config", str(cfg), "--out", str(out)]) == 0
-    assert read_mesh(out).num_cells == 16
-    assert main(["mesh", "--config", str(cfg), "--n", "3",
-                 "--out", str(out)]) == 0
-    assert read_mesh(out).num_cells == 9
+    for text, flags, cells in (('{"n": 4}', [], 16),
+                               ('{"n": 4}', ["--n", "3"], 9),
+                               ('{"n": "3"}', [], 9)):
+        assert main(["mesh", "--config", config(tmp_path, text), *flags,
+                     "--out", str(out)]) == 0
+        assert read_mesh(out).num_cells == cells
 
 
 def test_config_boolean_overridden_by_negated_flag(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"stabilize": true}')
+    cfg = config(tmp_path, '{"stabilize": true}')
     for extra, partition in (([], True), (["--no-stabilize"], False)):
         outdir = tmp_path / str(len(extra))
-        assert main(["run", "--n", "2", "--config", str(cfg),
+        assert main(["run", "--n", "2", "--config", cfg,
                      "--outdir", str(outdir)] + extra) == 0
         # only a stabilized run has macro elements to write
         assert (outdir / "partition.csv").is_file() == partition
@@ -218,37 +217,19 @@ def test_config_boolean_overridden_by_negated_flag(tmp_path):
 def test_config_unknown_problem_fails_cleanly(tmp_path, capsys):
     """argparse checks choices only on the command line, so a config value
     reaches the problem dispatch in cmd_run."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"problem": "beam"}')
-    assert main(["run", "--n", "2", "--config", str(cfg),
+    assert main(["run", "--n", "2", "--config",
+                 config(tmp_path, '{"problem": "beam"}'),
                  "--outdir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(
         "error: unknown problem 'beam'")
     assert not (tmp_path / "out").exists()
 
 
-def test_config_not_an_object_exits_with_usage_error(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text("3")
-    with pytest.raises(SystemExit) as err:
-        main(["mesh", "--config", str(cfg)])
-    assert err.value.code == 2
-
-
 def test_config_switch_rejects_non_boolean(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"stabilize": "false"}')
-    assert main(["run", "--n", "2", "--config", str(cfg),
+    assert main(["run", "--n", "2", "--config",
+                 config(tmp_path, '{"stabilize": "false"}'),
                  "--outdir", str(tmp_path)]) == 1
     assert "take true or false" in capsys.readouterr().err
-
-
-def test_config_strings_converted_by_option_type(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"n": "3"}')
-    out = tmp_path / "m.txt"
-    assert main(["mesh", "--config", str(cfg), "--out", str(out)]) == 0
-    assert read_mesh(out).num_cells == 9
 
 
 @pytest.mark.parametrize("command, cfg, args, table, column, values", [
@@ -264,11 +245,9 @@ def test_config_lists_are_taken_as_lists(tmp_path, command, cfg, args,
                                          table, column, values):
     """A JSON list is taken item by item where the command line takes a
     comma-separated string."""
-    path = tmp_path / "cfg.json"
-    path.write_text(cfg)
     outdir = tmp_path / "out"
-    assert main([command, "--config", str(path), "--outdir", str(outdir)]
-                + args) == 0
+    assert main([command, "--config", config(tmp_path, cfg),
+                 "--outdir", str(outdir)] + args) == 0
     _, rows = read_table(outdir / table)
     assert [row[column] for row in rows] == values
 
@@ -295,18 +274,14 @@ def test_config_values_are_parsed_like_flags(tmp_path, capsys, monkeypatch,
         return []
 
     monkeypatch.setattr(studies, "convergence_study", spy)
-    path = tmp_path / "cfg.json"
-    path.write_text(cfg)
     out = tmp_path / "out"
-    args = [command, "--config", str(path),
+    args = [command, "--config", config(tmp_path, cfg),
             "--out" if command == "mesh" else "--outdir", str(out)]
     if error is None:
         assert main(args) == 0
         assert seen == [declared(study, "levels")]
         return
-    with pytest.raises(SystemExit) as err:
-        main(args)
-    assert err.value.code == 2
+    usage_error(args)
     assert error in capsys.readouterr().err
     assert not out.exists()
     assert seen == []
@@ -331,13 +306,9 @@ def test_list_item_that_does_not_convert_is_a_usage_error(
     given as a flag or in a config file, exits 2 naming the option and
     the item, and writes nothing."""
     if cfg is not None:
-        path = tmp_path / "cfg.json"
-        path.write_text(cfg)
-        args = args + ["--config", str(path)]
+        args = args + ["--config", config(tmp_path, cfg)]
     outdir = tmp_path / "out"
-    with pytest.raises(SystemExit) as err:
-        main([command, *args, "--outdir", str(outdir)])
-    assert err.value.code == 2
+    usage_error([command, *args, "--outdir", str(outdir)])
     assert error in capsys.readouterr().err
     assert not outdir.exists()
 
@@ -400,6 +371,32 @@ def test_mandel_command_profiles(tmp_path, capsys):
     assert len(rows) == 5
     assert float(rows[0]["p_norm"]) == pytest.approx(1.0)
     assert "peak sealed-edge pressure" in capsys.readouterr().out
+    # a repeated fraction gives one line and one profile per distinct
+    # time, each holding the series at its own time
+    assert main(["mandel", "--n", "3", "--dt-frac", "0.01",
+                 "--times", "0.02,0.02,0.04", "--n-terms", "20",
+                 "--outdir", str(tmp_path / "repeat")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        "t = 0.02 T_c", "t = 0.04 T_c"]
+    assert sorted(path.name for path in (tmp_path / "repeat").glob(
+        "profile_*")) == ["profile_0.02Tc.csv", "profile_0.04Tc.csv"]
+    t_char = mandel.MandelSolution(mandel.default_material()).t_char
+    system, solution, state0 = mandel.setup(
+        studies.family_mesh("cartesian", 3), 0.01 * t_char, n_terms=20)
+    result = mandel.run_profiles(system, solution, state0,
+                                 [0.02 * t_char, 0.04 * t_char])
+    p0 = result["p_undrained"]
+    for frac, profile, line in zip(("0.02", "0.04"), result["profiles"],
+                                   lines):
+        _, rows = read_table(tmp_path / "repeat" / f"profile_{frac}Tc.csv")
+        for column, values in (("p_norm", profile["p"]),
+                               ("p_exact_norm", profile["p_point"])):
+            assert [float(row[column]) for row in rows] == pytest.approx(
+                values / p0, rel=1e-12, abs=0.0)
+        err = np.abs(profile["p"] - profile["p_exact"]).max() / p0
+        assert line.startswith(f"t = {frac} T_c: max cell-mean error "
+                               f"{err:.3e} ")
 
 
 @pytest.mark.parametrize("option, value, error", [
@@ -636,12 +633,25 @@ def test_options_follow_a_changed_owner_default(monkeypatch):
     check_owned_defaults(build_parser())
 
 
-def test_cantilever_command_indicator_table(tmp_path):
+def test_cantilever_command_indicator_table(tmp_path, monkeypatch, capsys):
+    """The snapshots reuse the study's two runs: no system is set up
+    again for them."""
+    calls = []
+    setup = cantilever.setup
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("stabilize"))
+        return setup(*args, **kwargs)
+
+    monkeypatch.setattr(cantilever, "setup", counted)
     outdir = tmp_path / "out"
     assert main(["cantilever", "--families", "cartesian", "--n", "4",
                  "--vtk", "--outdir", str(outdir)]) == 0
+    assert calls == [False, True]
     header, rows = read_table(outdir / "indicator.csv")
     assert header == INDICATOR_HEADER
+    assert capsys.readouterr().out.startswith("cartesian  cells=16    "
+                                              "indicator unstabilized=")
     assert float(rows[0]["ratio"]) < 1.0
     assert (outdir / "cantilever_cartesian_stab.vtk").is_file()
     assert (outdir / "cantilever_cartesian_unstab.vtk").is_file()
@@ -657,18 +667,3 @@ def test_solver_bench_command(tmp_path):
     assert len(rows) == 1
     assert int(rows[0]["iterations"]) >= 1
     assert rows[0]["stabilized"] == "true"
-
-
-def test_cantilever_vtk_reuses_study_runs(tmp_path, monkeypatch):
-    calls = []
-    setup = cantilever.setup
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("stabilize"))
-        return setup(*args, **kwargs)
-
-    monkeypatch.setattr(cantilever, "setup", counted)
-    assert main(["cantilever", "--families", "cartesian", "--n", "4",
-                 "--vtk", "--outdir", str(tmp_path)]) == 0
-    assert calls == [False, True]
-    assert (tmp_path / "cantilever_cartesian_unstab.vtk").is_file()

@@ -199,14 +199,17 @@ def test_mesh_matches_per_cell_reference():
                 name
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_voronoi_matches_per_cell_lloyd(seed):
-    mesh = build_voronoi(200, lloyd_iters=20, seed=seed)
-    vertices, cells = reference_voronoi(200, 20, seed)
+def assert_same_voronoi(mesh, vertices, cells, vertex_tol):
     assert len(mesh.cells) == len(cells)
     assert all(np.array_equal(a, b) for a, b in zip(mesh.cells, cells))
     assert mesh.vertices.shape == vertices.shape
-    assert np.abs(mesh.vertices - vertices).max() <= 1e-14
+    assert np.abs(mesh.vertices - vertices).max() <= vertex_tol
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_voronoi_matches_per_cell_lloyd(seed):
+    mesh = build_voronoi(200, lloyd_iters=20, seed=seed)
+    assert_same_voronoi(mesh, *reference_voronoi(200, 20, seed), 1e-14)
 
 
 def test_mesh_invariants_all_families(family_meshes_level0):
@@ -237,16 +240,16 @@ def test_constructor_rejects_bad_cells():
     verts = UNIT_SQUARE
     with pytest.raises(MeshError):
         PolyMesh(verts, [[0, 1]])                     # too few vertices
-    with pytest.raises(MeshError):
-        PolyMesh(verts, [[0, 1, 1, 3]])               # repeated vertex
+    with pytest.raises(MeshError, match="cell 0 repeats a vertex"):
+        PolyMesh(verts, [[0, 1, 1, 3]])
     with pytest.raises(MeshError):
         PolyMesh(verts, [[0, 3, 2, 1]])               # clockwise
     with pytest.raises(MeshError):
         PolyMesh(verts, [[0, 1, 2], [0, 1, 3]])       # same traversal twice
     with pytest.raises(MeshError, match=r"\(nv, 2\) array"):
         PolyMesh(np.zeros((4, 3)), [[0, 1, 2, 3]])    # 3-D vertices
-    with pytest.raises(MeshError, match="cell 0 references a missing vertex"):
-        PolyMesh(verts, [[0, 1, 4]])                  # no vertex 4
+    with pytest.raises(MeshError, match="cell 1 references a missing vertex"):
+        PolyMesh(verts, [[0, 1, 2], [0, 2, 4]])       # no vertex 4
 
 
 def test_constructor_rejects_non_finite_vertex():
@@ -510,13 +513,6 @@ FOUR_EDGE_VERTEX_SHIFT = 5e-13
 FOUR_EDGE_VERTEX_SHIFT_1600 = 2e-11
 
 
-def assert_same_voronoi(mesh, vertices, cells, vertex_tol):
-    assert len(mesh.cells) == len(cells)
-    assert all(np.array_equal(a, b) for a, b in zip(mesh.cells, cells))
-    assert mesh.vertices.shape == vertices.shape
-    assert np.abs(mesh.vertices - vertices).max() <= vertex_tol
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_voronoi_matches_four_edge_mirror(seed):
     mesh = build_voronoi(200, lloyd_iters=20, seed=seed)
@@ -715,36 +711,19 @@ def test_kappa_as_tensor_rejects_non_spd(kappa, reason):
 
 # ----- file round trips -----------------------------------------------------------
 
-def test_io_roundtrip_idempotent(tmp_path):
-    mesh = build_cartesian(3, 3)
+# the header and vertex records of the unit square as one cell
+SQUARE_RECORDS = "4 1\n0 0\n1 0\n1 1\n0 1\n"
+
+
+def read_text(tmp_path, text):
     path = tmp_path / "mesh.txt"
-    write_mesh(path, mesh)
-    loaded = read_mesh(path)
-    assert np.array_equal(loaded.vertices, mesh.vertices)
-    assert all(np.array_equal(a, b)
-               for a, b in zip(loaded.cells, mesh.cells))
-    assert np.array_equal(loaded.faces, mesh.faces)
-    again = tmp_path / "again.txt"
-    write_mesh(again, loaded)
-    assert again.read_bytes() == path.read_bytes()
-
-
-def test_io_preserves_voronoi_vertices(tmp_path):
-    mesh = build_voronoi(100, 20, seed=3)
-    path = tmp_path / "voronoi.txt"
-    write_mesh(path, mesh)
-    loaded = read_mesh(path)
-    assert np.array_equal(loaded.vertices, mesh.vertices)
-    assert np.array_equal(loaded.faces, mesh.faces)
+    path.write_text(text)
+    return read_mesh(path)
 
 
 def test_io_comments_and_whitespace(tmp_path):
-    path = tmp_path / "mesh.txt"
-    path.write_text("# single cell\n"
-                    "4 1\n"
-                    "0 0\n1 0\n1 1\n0 1\n"
-                    "4 0 1 2 3  # the cell\n")
-    mesh = read_mesh(path)
+    mesh = read_text(tmp_path, "# single cell\n" + SQUARE_RECORDS
+                     + "4 0 1 2 3  # the cell\n")
     assert mesh.num_cells == 1
     assert mesh.num_faces == 4
 
@@ -753,68 +732,51 @@ def test_io_rejects_face_lines_of_earlier_layout(tmp_path):
     """A file with the face count in its header and face lines after the
     cells is rejected on the header line, with integer or float
     coordinates alike."""
-    path = tmp_path / "old.txt"
-    path.write_text("# single cell\n"
-                    "4 1 4\n"
-                    "0 0\n1 0\n1 1\n0 1\n"
-                    "4 0 1 2 3  # the cell\n"
-                    "0 1 q\n1 2 q\n2 3 q\n3 0 q\n")
     with pytest.raises(MeshFormatError, match="line 2: .*face lines"):
-        read_mesh(path)
-    write_mesh(path, build_cartesian(3, 3))
-    lines = path.read_text().splitlines()
+        read_text(tmp_path, "# single cell\n4 1 4\n0 0\n1 0\n1 1\n0 1\n"
+                  "4 0 1 2 3  # the cell\n0 1 q\n1 2 q\n2 3 q\n3 0 q\n")
+    write_mesh(tmp_path / "mesh.txt", build_cartesian(3, 3))
+    lines = (tmp_path / "mesh.txt").read_text().splitlines()
     lines[0] += " 24"
-    path.write_text("\n".join(lines + ["0 1 q"] * 24) + "\n")
     with pytest.raises(MeshFormatError, match="line 1: .*face lines"):
-        read_mesh(path)
+        read_text(tmp_path, "\n".join(lines + ["0 1 q"] * 24) + "\n")
 
 
 def test_io_missing_vertex_is_parse_error(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("4 1\n0 0\n1 0\n1 1\n0 1\n"
-                    "4 0 1 2 9\n")
     with pytest.raises(MeshFormatError, match="line 6"):
-        read_mesh(path)
+        read_text(tmp_path, SQUARE_RECORDS + "4 0 1 2 9\n")
 
 
 def test_io_rejects_two_vertex_cell(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("4 1\n0 0\n1 0\n1 1\n0 1\n2 0 1\n")
     with pytest.raises(MeshFormatError,
                        match="line 6: cell with fewer than 3 vertices"):
-        read_mesh(path)
+        read_text(tmp_path, SQUARE_RECORDS + "2 0 1\n")
 
 
 def test_io_malformed_number_names_line(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("4 1\n0 0\n1 oops\n1 1\n0 1\n"
-                    "4 0 1 2 3\n")
     with pytest.raises(MeshFormatError, match="line 3"):
-        read_mesh(path)
+        read_text(tmp_path, "4 1\n0 0\n1 oops\n1 1\n0 1\n4 0 1 2 3\n")
 
 
 def test_io_rejects_trailing_content(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("4 1\n0 0\n1 0\n1 1\n0 1\n"
-                    "4 0 1 2 3\nextra\n")
     with pytest.raises(MeshFormatError, match="line 7: trailing"):
-        read_mesh(path)
+        read_text(tmp_path, SQUARE_RECORDS + "4 0 1 2 3\nextra\n")
 
 
 def test_io_rejects_non_finite_coordinate(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("4 1\n0 0\n1 0\n1 1\nnan 1\n"
-                    "4 0 1 2 3\n")
     with np.errstate(all="raise"), \
             pytest.raises(MeshError, match=r"vertex 3 .*\[nan, 1\.0\]"):
-        read_mesh(path)
+        read_text(tmp_path, "4 1\n0 0\n1 0\n1 1\nnan 1\n4 0 1 2 3\n")
 
 
 def test_io_truncated_file(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("4 1\n0 0\n1 0\n")
-    with pytest.raises(MeshFormatError, match="end of file"):
-        read_mesh(path)
+    """A file that ends in its vertex records or before its cell records,
+    or whose header counts are negative."""
+    for text in ("4 1\n0 0\n1 0\n", SQUARE_RECORDS):
+        with pytest.raises(MeshFormatError, match="end of file"):
+            read_text(tmp_path, text)
+    with pytest.raises(MeshFormatError, match="line 1: negative count"):
+        read_text(tmp_path, "-4 1\n")
 
 
 @pytest.mark.parametrize("text, line", [
@@ -827,18 +789,20 @@ def test_io_truncated_file(tmp_path):
 def test_io_one_record_per_line(tmp_path, text, line):
     """A record spread over two lines, or two records on one line, is an
     error naming the line of the faulty record."""
-    path = tmp_path / "bad.txt"
-    path.write_text(text)
     with pytest.raises(MeshFormatError, match=f"^line {line}: expected"):
-        read_mesh(path)
+        read_text(tmp_path, text)
 
 
 @pytest.mark.parametrize("name", [*FAMILIES, "dart", "mixed"])
 def test_io_roundtrip_is_exact(tmp_path, name):
+    """Reading a written mesh gives its vertex bits, cells and faces, and
+    writing that again gives the same bytes."""
     if name == "dart":
         mesh = dart_mesh(10, 0.8)
     elif name == "mixed":
         mesh = mixed_mesh()
+    elif name == "voronoi":
+        mesh = build_voronoi(100, 20, seed=3)
     else:
         mesh = family_mesh(name, 6)
     path = tmp_path / "mesh.txt"
@@ -848,6 +812,8 @@ def test_io_roundtrip_is_exact(tmp_path, name):
     assert len(loaded.cells) == len(mesh.cells)
     assert all(np.array_equal(a, b) for a, b in zip(loaded.cells, mesh.cells))
     assert np.array_equal(loaded.faces, mesh.faces)
+    write_mesh(tmp_path / "again.txt", loaded)
+    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
 
 # ----- property-based geometry checks ----------------------------------------------

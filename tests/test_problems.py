@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import dart_mesh
-from poromech.assembly import SOLVER_KEYWORDS, DiscreteSystem, Material
+from poromech.assembly import SOLVER_KEYWORDS, DiscreteSystem, Material, State
 from poromech.mesh import (PolyMesh, build_cartesian, build_hybrid,
                            build_voronoi)
 from poromech.problems import cantilever, mandel, manufactured, studies
@@ -47,8 +47,22 @@ def solution():
 # ----- consolidation series ---------------------------------------------------
 
 def test_series_roots_frozen_values(solution):
+    """The roots, the characteristic time and the undrained pressure of the
+    benchmark material."""
     assert solution.nu == pytest.approx(0.2, rel=1e-12)
     assert solution.roots[:5] == pytest.approx(ROOTS_8_3, rel=1e-14)
+    assert solution.t_char == pytest.approx(899928005.7595392, rel=1e-12)
+    assert solution.undrained_pressure() == pytest.approx(100.0, rel=1e-12)
+    # a sample of width a has the time scale a^2 / c and the same
+    # normalized pressures at the same x / a and t / t_char
+    wide = mandel.MandelSolution(mandel.default_material(), width=2.0)
+    assert wide.t_char == pytest.approx(4.0 * solution.t_char, rel=1e-12)
+    x = np.array([0.0, 0.3, 0.7])
+    for frac in (0.01, 0.1):
+        assert (wide.pressure(2.0 * x, frac * wide.t_char)
+                / wide.undrained_pressure()) == pytest.approx(
+            solution.pressure(x, frac * solution.t_char)
+            / solution.undrained_pressure(), rel=1e-12)
 
 
 def test_series_roots_satisfy_equation():
@@ -75,14 +89,6 @@ def test_series_roots_that_do_not_converge_raise(monkeypatch):
     with pytest.raises(RuntimeError, match=r"roots of tan\(x\) = 2.5 x did "
                                            r"not converge in 1 iterations"):
         mandel.series_roots(2.5, 10)
-
-
-def test_characteristic_time(solution):
-    assert solution.t_char == pytest.approx(899928005.7595392, rel=1e-12)
-
-
-def test_undrained_pressure(solution):
-    assert solution.undrained_pressure() == pytest.approx(100.0, rel=1e-12)
 
 
 def test_center_pressure_frozen_values(solution):
@@ -539,7 +545,6 @@ def test_norms_vanish_on_reproducible_fields():
         return np.asarray(pts).reshape(-1, 2) @ grad.T + [0.5, -1.0]
 
     norms = ErrorNorms(system, pressure, displacement)
-    from poromech.assembly import State
     state = State(time=0.7, u=displacement(system.mesh.vertices, 0.7).ravel(),
                   p=np.full(system.n_p, 3.0), pi=np.zeros(system.n_pi))
     e_p, e_u, e_s = norms.instantaneous(state)
@@ -567,12 +572,28 @@ def test_norms_reuse_one_read_only_vertex_array():
     assert manufactured._trig(vertices[0]) is manufactured._trig(vertices[0])
 
 
+def test_stress_norm_of_a_linear_displacement_error():
+    """A linear displacement error of gradient G has on every cell the
+    stress 2 mu eps + lam tr(eps) I of eps = (G + G^T) / 2; on the unit
+    square e_s is its Frobenius norm."""
+    system = piecewise_exact_system()
+    grad = np.array([[0.4, -0.3], [0.2, 0.1]])
+    norms = ErrorNorms(system, lambda pts, t: np.zeros(len(pts)),
+                       lambda pts, t: np.asarray(pts) @ grad.T)
+    state = State(time=0.0, u=np.zeros(system.n_u), p=np.zeros(system.n_p),
+                  pi=np.zeros(system.n_pi))
+    eps = 0.5 * (grad + grad.T)
+    mu, lam = system.material.shear, system.material.lam
+    sigma = 2.0 * mu * eps + lam * np.trace(eps) * np.eye(2)
+    assert norms.instantaneous(state)[2] == pytest.approx(
+        np.sqrt((sigma**2).sum()), rel=1e-12)
+
+
 def test_pressure_norm_measures_constant_offset():
     system = piecewise_exact_system()
     zero_p = lambda pts, t: np.zeros(np.asarray(pts).reshape(-1, 2).shape[0])
     zero_u = lambda pts, t: np.zeros((np.asarray(pts).reshape(-1, 2).shape[0], 2))
     norms = ErrorNorms(system, zero_p, zero_u)
-    from poromech.assembly import State
     delta = 0.25
     state = State(time=0.0, u=np.zeros(system.n_u),
                   p=np.full(system.n_p, delta), pi=np.zeros(system.n_pi))
@@ -678,20 +699,30 @@ def test_observed_rates_on_synthetic_ladder():
     assert rates["e_s"] == 0.0
 
 
-@pytest.mark.parametrize("study, options", [
+@pytest.mark.parametrize("study, options, ladder", [
     (studies.convergence_study,
-     {"family": "voronoi", "levels": 3, "base": 3, "dt0": 0.5}),
-    (studies.time_refinement_study, {"family": "skewed", "n": 3}),
+     {"family": "voronoi", "levels": 3, "base": 3, "dt0": 0.5},
+     [(3, 0.5), (6, 0.25), (12, 0.125)]),
+    (studies.time_refinement_study, {"family": "skewed", "n": 3},
+     [(3, 0.1 / 2**k) for k in range(5)]),
 ], ids=["convergence", "time-refinement"])
-def test_worker_count_does_not_change_rows(monkeypatch, study, options):
+def test_worker_count_does_not_change_rows(monkeypatch, study, options,
+                                           ladder):
     """A ladder gives the same rows run here (one usable CPU) as in a pool
-    of two worker processes (two usable CPUs)."""
-    pools = []
+    of two worker processes (two usable CPUs).  The pool gets the (n, dt)
+    cases longest first, by descending n^2 / dt, and the rows come back in
+    ladder order."""
+    pools, submitted = [], []
 
     class Pool(ProcessPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers)
+
+        def map(self, fn, *iterables):
+            cases = list(zip(*iterables))
+            submitted.extend(cases)
+            return super().map(fn, *zip(*cases))
 
     monkeypatch.setattr(studies, "ProcessPoolExecutor", Pool)
     rows = {}
@@ -700,6 +731,10 @@ def test_worker_count_does_not_change_rows(monkeypatch, study, options):
                             lambda pid: set(range(cpus)), raising=False)
         rows[cpus] = study(**options)
     assert pools == [2]
+    assert sorted(submitted) == sorted(ladder)
+    costs = [n * n / dt for n, dt in submitted]
+    assert costs == sorted(costs, reverse=True)
+    assert [row["dt"] for row in rows[2]] == [dt for _, dt in ladder]
     assert rows[1] == rows[2]
 
 
