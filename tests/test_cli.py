@@ -64,20 +64,16 @@ def test_mesh_file_feeds_simulation(tmp_path):
 # ----- run -------------------------------------------------------------------------
 
 def test_run_cantilever_stabilized(tmp_path):
-    """The report, snapshot and partition of a stabilized run, written
-    again byte for byte by a second run."""
-    args = ["run", "--n", "3", "--steps", "2", "--stabilize"]
-    for name in ("a", "b"):
-        assert main(args + ["--outdir", str(tmp_path / name)]) == 0
-    header, rows = read_table(tmp_path / "a" / "report.csv")
+    outdir = tmp_path / "out"
+    assert main(["run", "--n", "3", "--steps", "2", "--stabilize",
+                 "--outdir", str(outdir)]) == 0
+    header, rows = read_table(outdir / "report.csv")
     assert header == REPORT_HEADER
     assert len(rows) == 2
     assert rows[1]["time"] == repr(2e-5)
-    header, rows = read_table(tmp_path / "a" / "partition.csv")
+    assert (outdir / "state_final.vtk").is_file()
+    header, rows = read_table(outdir / "partition.csv")
     assert header == "cell,macro" and len(rows) == 9
-    for name in ("report.csv", "state_final.vtk", "partition.csv"):
-        assert (tmp_path / "a" / name).read_bytes() \
-            == (tmp_path / "b" / name).read_bytes()
 
 
 def test_run_step_count_from_t_end(tmp_path):
@@ -148,6 +144,15 @@ def test_run_mandel_writes_report_and_snapshot(tmp_path):
     assert (outdir / "state_final.vtk").is_file()
 
 
+def test_run_outputs_are_deterministic(tmp_path):
+    args = ["run", "--n", "3", "--steps", "2", "--stabilize"]
+    for name in ("a", "b"):
+        assert main(args + ["--outdir", str(tmp_path / name)]) == 0
+    for name in ("report.csv", "state_final.vtk", "partition.csv"):
+        assert (tmp_path / "a" / name).read_bytes() \
+            == (tmp_path / "b" / name).read_bytes()
+
+
 # ----- exit codes and config --------------------------------------------------------
 
 def usage_error(args):
@@ -185,23 +190,18 @@ def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
 
 
 def test_config_missing_or_malformed(tmp_path):
-    """A config file that is absent, not JSON or not a JSON object is a
-    usage error."""
     usage_error(["mesh", "--config", str(tmp_path / "absent.json")])
-    for text in ("{not json", "3"):
-        usage_error(["mesh", "--config", config(tmp_path, text)])
+    usage_error(["mesh", "--config", config(tmp_path, "{not json")])
 
 
 def test_flags_override_config_values(tmp_path):
-    """A flag overrides its config value, and a config string is converted
-    by the option's type."""
+    cfg = config(tmp_path, '{"n": 4}')
     out = tmp_path / "m.txt"
-    for text, flags, cells in (('{"n": 4}', [], 16),
-                               ('{"n": 4}', ["--n", "3"], 9),
-                               ('{"n": "3"}', [], 9)):
-        assert main(["mesh", "--config", config(tmp_path, text), *flags,
-                     "--out", str(out)]) == 0
-        assert read_mesh(out).num_cells == cells
+    assert main(["mesh", "--config", cfg, "--out", str(out)]) == 0
+    assert read_mesh(out).num_cells == 16
+    assert main(["mesh", "--config", cfg, "--n", "3",
+                 "--out", str(out)]) == 0
+    assert read_mesh(out).num_cells == 9
 
 
 def test_config_boolean_overridden_by_negated_flag(tmp_path):
@@ -225,11 +225,22 @@ def test_config_unknown_problem_fails_cleanly(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_config_not_an_object_exits_with_usage_error(tmp_path):
+    usage_error(["mesh", "--config", config(tmp_path, "3")])
+
+
 def test_config_switch_rejects_non_boolean(tmp_path, capsys):
     assert main(["run", "--n", "2", "--config",
                  config(tmp_path, '{"stabilize": "false"}'),
                  "--outdir", str(tmp_path)]) == 1
     assert "take true or false" in capsys.readouterr().err
+
+
+def test_config_strings_converted_by_option_type(tmp_path):
+    out = tmp_path / "m.txt"
+    assert main(["mesh", "--config", config(tmp_path, '{"n": "3"}'),
+                 "--out", str(out)]) == 0
+    assert read_mesh(out).num_cells == 9
 
 
 @pytest.mark.parametrize("command, cfg, args, table, column, values", [
@@ -633,21 +644,10 @@ def test_options_follow_a_changed_owner_default(monkeypatch):
     check_owned_defaults(build_parser())
 
 
-def test_cantilever_command_indicator_table(tmp_path, monkeypatch, capsys):
-    """The snapshots reuse the study's two runs: no system is set up
-    again for them."""
-    calls = []
-    setup = cantilever.setup
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("stabilize"))
-        return setup(*args, **kwargs)
-
-    monkeypatch.setattr(cantilever, "setup", counted)
+def test_cantilever_command_indicator_table(tmp_path, capsys):
     outdir = tmp_path / "out"
     assert main(["cantilever", "--families", "cartesian", "--n", "4",
                  "--vtk", "--outdir", str(outdir)]) == 0
-    assert calls == [False, True]
     header, rows = read_table(outdir / "indicator.csv")
     assert header == INDICATOR_HEADER
     assert capsys.readouterr().out.startswith("cartesian  cells=16    "
@@ -667,3 +667,18 @@ def test_solver_bench_command(tmp_path):
     assert len(rows) == 1
     assert int(rows[0]["iterations"]) >= 1
     assert rows[0]["stabilized"] == "true"
+
+
+def test_cantilever_vtk_reuses_study_runs(tmp_path, monkeypatch):
+    calls = []
+    setup = cantilever.setup
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("stabilize"))
+        return setup(*args, **kwargs)
+
+    monkeypatch.setattr(cantilever, "setup", counted)
+    assert main(["cantilever", "--families", "cartesian", "--n", "4",
+                 "--vtk", "--outdir", str(tmp_path)]) == 0
+    assert calls == [False, True]
+    assert (tmp_path / "cantilever_cartesian_unstab.vtk").is_file()

@@ -711,6 +711,28 @@ def test_kappa_as_tensor_rejects_non_spd(kappa, reason):
 
 # ----- file round trips -----------------------------------------------------------
 
+def assert_roundtrip_exact(tmp_path, mesh):
+    """Reading a written mesh gives its vertex bits, cells and faces, and
+    writing that again gives the same bytes."""
+    path = tmp_path / "mesh.txt"
+    write_mesh(path, mesh)
+    loaded = read_mesh(path)
+    assert np.array_equal(loaded.vertices, mesh.vertices)
+    assert len(loaded.cells) == len(mesh.cells)
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.cells, mesh.cells))
+    assert np.array_equal(loaded.faces, mesh.faces)
+    write_mesh(tmp_path / "again.txt", loaded)
+    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+
+def test_io_roundtrip_idempotent(tmp_path):
+    assert_roundtrip_exact(tmp_path, build_cartesian(3, 3))
+
+
+def test_io_preserves_voronoi_vertices(tmp_path):
+    assert_roundtrip_exact(tmp_path, build_voronoi(100, 20, seed=3))
+
+
 # the header and vertex records of the unit square as one cell
 SQUARE_RECORDS = "4 1\n0 0\n1 0\n1 1\n0 1\n"
 
@@ -795,25 +817,13 @@ def test_io_one_record_per_line(tmp_path, text, line):
 
 @pytest.mark.parametrize("name", [*FAMILIES, "dart", "mixed"])
 def test_io_roundtrip_is_exact(tmp_path, name):
-    """Reading a written mesh gives its vertex bits, cells and faces, and
-    writing that again gives the same bytes."""
     if name == "dart":
         mesh = dart_mesh(10, 0.8)
     elif name == "mixed":
         mesh = mixed_mesh()
-    elif name == "voronoi":
-        mesh = build_voronoi(100, 20, seed=3)
     else:
         mesh = family_mesh(name, 6)
-    path = tmp_path / "mesh.txt"
-    write_mesh(path, mesh)
-    loaded = read_mesh(path)
-    assert np.array_equal(loaded.vertices, mesh.vertices)
-    assert len(loaded.cells) == len(mesh.cells)
-    assert all(np.array_equal(a, b) for a, b in zip(loaded.cells, mesh.cells))
-    assert np.array_equal(loaded.faces, mesh.faces)
-    write_mesh(tmp_path / "again.txt", loaded)
-    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+    assert_roundtrip_exact(tmp_path, mesh)
 
 
 # ----- property-based geometry checks ----------------------------------------------

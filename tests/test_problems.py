@@ -47,12 +47,8 @@ def solution():
 # ----- consolidation series ---------------------------------------------------
 
 def test_series_roots_frozen_values(solution):
-    """The roots, the characteristic time and the undrained pressure of the
-    benchmark material."""
     assert solution.nu == pytest.approx(0.2, rel=1e-12)
     assert solution.roots[:5] == pytest.approx(ROOTS_8_3, rel=1e-14)
-    assert solution.t_char == pytest.approx(899928005.7595392, rel=1e-12)
-    assert solution.undrained_pressure() == pytest.approx(100.0, rel=1e-12)
     # a sample of width a has the time scale a^2 / c and the same
     # normalized pressures at the same x / a and t / t_char
     wide = mandel.MandelSolution(mandel.default_material(), width=2.0)
@@ -89,6 +85,14 @@ def test_series_roots_that_do_not_converge_raise(monkeypatch):
     with pytest.raises(RuntimeError, match=r"roots of tan\(x\) = 2.5 x did "
                                            r"not converge in 1 iterations"):
         mandel.series_roots(2.5, 10)
+
+
+def test_characteristic_time(solution):
+    assert solution.t_char == pytest.approx(899928005.7595392, rel=1e-12)
+
+
+def test_undrained_pressure(solution):
+    assert solution.undrained_pressure() == pytest.approx(100.0, rel=1e-12)
 
 
 def test_center_pressure_frozen_values(solution):
