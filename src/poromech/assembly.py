@@ -41,7 +41,6 @@ conversion of the parts of all groups.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,6 +183,15 @@ def _finite(name: str, values: np.ndarray, what: str,
             first = labels[first]
         raise ValueError(f"{name} is not finite at {what} {first}")
     return values
+
+
+def _vector(name: str, values, size: str, n: int, what: str) -> np.ndarray:
+    """values as n floats, else a ValueError naming name and the fault."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        raise ValueError(f"{name} has shape {values.shape}, expected "
+                         f"{size} = {n} values")
+    return _finite(name, values, what)
 
 
 # The DiscreteSystem keywords that a problem set-up passes through; its
@@ -432,66 +440,57 @@ class DiscreteSystem:
         self._a_ff = rows[:, self.free].tocsr()
         self._a_fd = rows[:, self.fixed].tocsr()
         del rows
+        # plain functions: a bound method in self would be a reference cycle
         if self.linear_solver == "direct":
             self._lu = factorize(self._a_ff)
             self._abs_a_ff = abs(self._a_ff)
-            self._precond = None
-            self._krylov = None
+            self._solve_free = self._refined_solve.__func__
         else:
-            self._lu = None
-            self._abs_a_ff = None
             self._precond = BlockPreconditioner(self._a_ff, self.free_u % 2,
                                                 self.n_p)
             # every solve of this system reuses one Krylov storage
             self._krylov = KrylovStorage(self._a_ff.shape[0])
+            self._solve_free = self._krylov_solve.__func__
+
+    def _refined_solve(self, b_f: np.ndarray) -> np.ndarray:
+        # The coupled blocks span many orders of magnitude (stiffness versus
+        # dt-scaled mobility), so the first solve can leave a large
+        # componentwise backward error in the weakly scaled rows.  One sweep
+        # on the cached factor always follows: in working precision it makes
+        # the LU solve componentwise backward stable (Skeel 1980).
+        x_f = self._lu.solve(b_f)
+        r_f = b_f - self._a_ff @ x_f
+        for _ in range(REFINE_SWEEPS):
+            x_f = x_f + self._lu.solve(r_f)
+            r_f = b_f - self._a_ff @ x_f
+            denom = self._abs_a_ff @ np.abs(x_f) + np.abs(b_f)
+            # a zero row counts 0; NaN ends the sweeps, and _solve rejects x_f
+            omega = np.max(np.divide(np.abs(r_f), denom,
+                                     out=np.zeros_like(denom),
+                                     where=denom != 0.0), initial=0.0)
+            if not omega > REFINE_STOP:
+                break
+        if omega > REFINE_FAIL:
+            raise SolverError(
+                f"iterative refinement stalled at componentwise backward "
+                f"error {omega:.3e} after {REFINE_SWEEPS} sweeps")
+        return x_f
+
+    def _krylov_solve(self, b_f: np.ndarray) -> np.ndarray:
+        x_f, self.last_report = gmres(
+            lambda v: self._a_ff @ v, b_f, rtol=self.rtol,
+            maxiter=self.maxiter, precond=self._precond,
+            storage=self._krylov)
+        if not self.last_report.converged:
+            raise SolverError(
+                f"GMRES did not converge in "
+                f"{self.last_report.iterations} iterations "
+                f"(relative residual {self.last_report.reduction:.3e})")
+        return x_f
 
     def _solve(self, rhs: np.ndarray, t: float) -> np.ndarray:
         x_d = self.dirichlet_values(t)
-        b_f = rhs[self.free] - self._a_fd @ x_d
-        if self._lu is not None:
-            # The coupled blocks span many orders of magnitude (stiffness
-            # versus dt-scaled mobility), so the first solve can leave a
-            # large componentwise backward error in the weakly scaled rows.
-            # One refinement sweep on the cached factor always follows
-            # (one sweep in working precision makes the LU solve
-            # componentwise backward stable, Skeel 1980); more run only
-            # while the backward error exceeds REFINE_STOP.
-            x_f = self._lu.solve(b_f)
-            r_f = b_f - self._a_ff @ x_f
-            for _ in range(REFINE_SWEEPS):
-                x_f = x_f + self._lu.solve(r_f)
-                r_f = b_f - self._a_ff @ x_f
-                denom = self._abs_a_ff @ np.abs(x_f) + np.abs(b_f)
-                # a zero row counts 0; a NaN row makes omega NaN
-                omega = np.max(np.divide(np.abs(r_f), denom,
-                                         out=np.zeros_like(denom),
-                                         where=denom != 0.0), initial=0.0)
-                if omega <= REFINE_STOP:
-                    break
-                if math.isnan(omega):
-                    # no sweep removes a NaN or an infinity; name the first
-                    # one of b_f, or end at the check of x_f below
-                    bad = np.flatnonzero(~np.isfinite(b_f))
-                    if bad.size:
-                        raise SolverError(
-                            f"non-finite right-hand side at free dof "
-                            f"{bad[0]} (dof {self.free[bad[0]]})")
-                    break
-            if omega > REFINE_FAIL:
-                raise SolverError(
-                    f"iterative refinement stalled at componentwise backward "
-                    f"error {omega:.3e} after {REFINE_SWEEPS} sweeps")
-            self.last_report = None
-        else:
-            x_f, self.last_report = gmres(
-                lambda v: self._a_ff @ v, b_f, rtol=self.rtol,
-                maxiter=self.maxiter, precond=self._precond,
-                storage=self._krylov)
-            if not self.last_report.converged:
-                raise SolverError(
-                    f"GMRES did not converge in "
-                    f"{self.last_report.iterations} iterations "
-                    f"(relative residual {self.last_report.reduction:.3e})")
+        x_f = self._solve_free(self, rhs[self.free] - self._a_fd @ x_d)
         if not np.all(np.isfinite(x_f)):
             raise SolverError("linear solve produced non-finite values")
         x = np.empty(self.n_u + self.n_p + self.n_pi)
@@ -554,7 +553,12 @@ class DiscreteSystem:
     # ----- stepping -----------------------------------------------------------
 
     def step(self, state: State) -> State:
-        """Advance one time level of length dt from the given state."""
+        """Advance one time level of length dt from the given state; a
+        ValueError names a bad time, u or p before any solve."""
+        if not np.isfinite(state.time):
+            raise ValueError(f"state.time = {state.time} is not finite")
+        _vector("state.u", state.u, "n_u", self.n_u, "dof")
+        _vector("state.p", state.p, "n_p", self.n_p, "cell")
         t = state.time + self.dt
         rhs = np.concatenate([self.mech_rhs(t),
                               self.mass_rhs(state, t),
@@ -584,12 +588,11 @@ class DiscreteSystem:
             p_cells = (self._integrate("p0", p0(self.quad_points))
                        / self.mesh.cell_area)
         else:
-            p_cells = np.asarray(p0, dtype=float)
-            if p_cells.shape not in ((), (self.n_p,)):
-                raise ValueError(f"p0 has shape {p_cells.shape}, expected a "
-                                 f"scalar or n_p = {self.n_p} cell values")
-            p_cells = _finite("p0", np.broadcast_to(p_cells, (self.n_p,)),
-                              "cell").copy()
+            p_cells = np.array(p0, dtype=float)
+            if p_cells.ndim == 0:
+                p_cells = np.full(self.n_p, p_cells)
+            p_cells = _vector("p0", p_cells, "a scalar or n_p", self.n_p,
+                              "cell")
 
         if u0 is None:
             b_u = self.mech_rhs(0.0) + self.a_up @ p_cells
@@ -598,11 +601,7 @@ class DiscreteSystem:
                 b_u[self.free_u] - self._a_fd[:n_fu, :n_du] @ u_d)
             u0[self.fixed_u] = u_d
         else:
-            u0 = np.asarray(u0, dtype=float)
-            if u0.shape != (self.n_u,):
-                raise ValueError(f"u0 has shape {u0.shape}, expected "
-                                 f"n_u = {self.n_u} vertex displacements")
-            u0 = _finite("u0", u0, "dof")
+            u0 = _vector("u0", u0, "n_u", self.n_u, "dof")
 
         r_pi = self.trace_rhs(0.0) - self.a_ppi.T @ p_cells
         pi0 = np.empty(self.n_pi)

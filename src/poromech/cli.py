@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import SOLVER_KEYWORDS, DiscreteSystem
-from .mesh import MeshError, read_mesh, write_mesh
+from .mesh import read_mesh, write_mesh
 from .mesh.io import MeshFormatError
 from .output import write_csv, write_partition_csv, write_vtk
 from .problems import cantilever, mandel, manufactured, studies
@@ -399,7 +399,7 @@ def main(argv=None) -> int:
             _apply_config(parser.commands[args.command], args.config)
             args = parser.parse_args(argv)
         return args.func(args, parser)
-    except (ValueError, MeshError, SolverError) as exc:
+    except (ValueError, OSError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

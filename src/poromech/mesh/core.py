@@ -110,6 +110,42 @@ def polygon_quadrature(verts: np.ndarray, centroid: np.ndarray | None = None):
     return points, np.concatenate([prev + third, third], axis=-1)
 
 
+def _reject_crossing_edges(verts: np.ndarray) -> None:
+    """Raise MeshError, as _reject does, naming the first pair of
+    non-adjacent edges that cross or touch in the first polygon (..., nv,
+    2) that has one.  Edges a-b and c-d meet when each straddles the
+    other's line, or when an end point of one lies on the other: it has
+    zero orientation against it and lies in its bounding box."""
+    nv = verts.shape[-2]
+    i, j = np.triu_indices(nv, 2)
+    keep = j - i < nv - 1               # edges 0 and nv - 1 are adjacent
+    i, j = i[keep], j[keep]
+    nxt = _cyclic_next(verts)
+    a, b = verts[..., i, :], nxt[..., i, :]
+    c, d = verts[..., j, :], nxt[..., j, :]
+
+    def side(p, q, r):
+        """Sign of the orientation of r against the line p-q."""
+        pq, pr = q - p, r - p
+        return np.sign(pq[..., 0] * pr[..., 1] - pq[..., 1] * pr[..., 0])
+
+    s_c, s_d = side(a, b, c), side(a, b, d)
+    s_a, s_b = side(c, d, a), side(c, d, b)
+    meet = (s_c * s_d < 0) & (s_a * s_b < 0)
+    # zero orientations are rare, so the bounding boxes are tested only there
+    for s, p, q, r in ((s_c, a, b, c), (s_d, a, b, d), (s_a, c, d, a),
+                       (s_b, c, d, b)):
+        on = s == 0
+        if on.any():
+            p, q, r = p[on], q[on], r[on]
+            meet[on] |= ((np.minimum(p, q) <= r)
+                         & (r <= np.maximum(p, q))).all(axis=-1)
+    if meet.any():
+        pair = np.argwhere(meet)[0, -1]
+        _reject(meet.any(axis=-1), f"self-intersecting polygon: edges "
+                f"{i[pair]} and {j[pair]} cross or touch")
+
+
 class CellGeometry(NamedTuple):
     """Geometry of counterclockwise polygons (..., nv, 2): one cell, or a
     batch with leading axes.  Edge i runs from vertex i to vertex i + 1."""
@@ -125,14 +161,16 @@ class CellGeometry(NamedTuple):
 def polygon_geometry(verts: np.ndarray) -> CellGeometry:
     """CellGeometry of counterclockwise polygons (..., nv, 2).
 
-    Raises MeshError for a polygon with zero area, clockwise vertices or a
-    zero-length edge; for a batch, its `polygon` attribute is the flat
-    index of the first bad polygon.
+    Raises MeshError for a polygon with zero area, clockwise vertices, a
+    zero-length edge or two non-adjacent edges that cross or touch; for a
+    batch, its `polygon` attribute is the flat index of the first bad
+    polygon.
     """
     verts = np.asarray(verts, dtype=float)
     area, centroid = polygon_area_centroid(verts)
     _reject(area < 0.0, "polygon is not counterclockwise")
     lengths, midpoints, normals = polygon_edge_geometry(verts)
+    _reject_crossing_edges(verts)
     return CellGeometry(verts, area, centroid, polygon_diameter(verts),
                         lengths, normals, midpoints - centroid[..., None, :])
 

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from poromech import mfd
 from poromech.mesh import PolyMesh, build_cartesian
@@ -490,6 +491,37 @@ def four_field_blocks(system) -> FourFieldBlocks:
         abar_pp = sp.csr_matrix(abar_pp + system.j_mat)
     return FourFieldBlocks(a_uu=system.a_uu, a_ww=a_ww, a_wp=a_wp,
                            a_wpi=a_wpi, a_up=system.a_up, abar_pp=abar_pp)
+
+
+def inf_sup_constant(system) -> float:
+    """Smallest eigenvalue of (S + J) p = mu M p, scaled by (2G + lambda)
+    / alpha^2: S = A_up^T A_uu^-1 A_up is the dense pressure Schur
+    complement on the free displacements, J the system's jump matrix (none
+    when it is not stabilized) and M = diag(|K|) the pressure mass.  A
+    stable pair keeps it away from zero as the mesh is refined; a spurious
+    pressure mode drives it to zero."""
+    free = system.free_u
+    a_up = system.a_up[free].toarray()
+    lu = spla.splu(sp.csc_matrix(system.a_uu[free][:, free]))
+    schur = a_up.T @ lu.solve(a_up)
+    if system.j_mat is not None:
+        schur += system.j_mat.toarray()
+    scale = 1.0 / np.sqrt(system.mesh.cell_area)
+    pencil = scale[:, None] * schur * scale[None, :]
+    mat = system.material
+    return ((2.0 * mat.shear + mat.lam) / mat.alpha ** 2
+            * np.linalg.eigvalsh(0.5 * (pencil + pencil.T))[0])
+
+
+class CountingFactor:
+    """Factor stand-in that counts solves and scales each result."""
+
+    def __init__(self, factor, scale=1.0):
+        self.factor, self.scale, self.solves = factor, scale, 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.scale * self.factor.solve(b)
 
 
 # ----- modified Gram-Schmidt GMRES -------------------------------------------

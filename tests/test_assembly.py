@@ -2,10 +2,15 @@
 stepping, verified against dense solves of the uncondensed four-field
 system."""
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import poromech.assembly
 from poromech import vem
 from poromech.assembly import (BoundaryConditions, DiscreteSystem, Material,
                                State)
@@ -13,10 +18,10 @@ from poromech.mesh import (PolyMesh, build_cartesian, build_voronoi,
                            polygon_geometry)
 from poromech.problems import mandel, manufactured
 from poromech.problems.studies import FAMILIES, family_mesh
-from poromech.solver import SolverError
+from poromech.solver import SolverError, gmres
 
-from helpers import (dart_mesh, four_field_blocks, polygon_moments,
-                     recover_velocity)
+from helpers import (CountingFactor, dart_mesh, four_field_blocks,
+                     polygon_moments, recover_velocity)
 
 
 # a displacement entry that holds every boundary vertex at rest
@@ -530,15 +535,62 @@ def test_non_finite_boundary_data_is_named(kind, bad, linear_solver):
         system.step(state)
 
 
+BAD_STATES = [
+    ({"p": np.where(np.arange(16) == 3, np.nan, 0.0)},
+     r"state\.p is not finite at cell 3"),
+    ({"u": np.where(np.arange(50) == 9, -np.inf, 0.0)},
+     r"state\.u is not finite at dof 9"),
+    ({"u": np.zeros(3)}, r"state\.u has shape \(3,\), expected n_u = 50 "
+                         r"values"),
+    ({"p": np.zeros((16, 1))}, r"state\.p has shape \(16, 1\), expected "
+                               r"n_p = 16 values"),
+    ({"time": np.nan}, r"state\.time = nan is not finite"),
+]
+
+
 @pytest.mark.parametrize("linear_solver", ["direct", "gmres"])
-def test_non_finite_state_fails_in_the_solve(linear_solver):
-    """A stepped state that is not finite is not boundary data; it reaches
-    the solve, which names the failure on either path."""
+def test_non_finite_state_fails_in_the_solve(linear_solver, monkeypatch):
+    """A stepped state whose time, u or p is not finite, or whose u or p
+    has the wrong shape, is a ValueError naming the field and its first
+    bad dof or cell, on either path before any solve: no LU solve, no
+    GMRES call.  The good state then takes one solve."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return gmres(*args, **kwargs)
+
+    def solves():
+        """LU solves, or GMRES calls, so far."""
+        return system._lu.solves if linear_solver == "direct" else len(calls)
+
+    monkeypatch.setattr(poromech.assembly, "gmres", spy)
     system = clamped_system(build_cartesian(4, 4), linear_solver=linear_solver)
+    if linear_solver == "direct":
+        system._lu = CountingFactor(system._lu)
     state = system.initial_state()
-    state.p[3] = np.nan
-    with pytest.raises(SolverError, match="non-finite"):
-        system.step(state)
+    for fields, error in BAD_STATES:
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            system.step(dataclasses.replace(state, **fields))
+    assert solves() == 0
+    system.step(state)
+    assert solves() == (2 if linear_solver == "direct" else 1)
+
+
+@pytest.mark.parametrize("linear_solver", ["direct", "gmres"])
+def test_dropped_system_is_freed_at_once(linear_solver):
+    """A system holds no reference cycle: dropping the last reference
+    frees it, and its factor or preconditioner, without the cycle
+    collector."""
+    system = clamped_system(build_cartesian(4, 4), linear_solver=linear_solver)
+    system.step(system.initial_state())
+    ref = weakref.ref(system)
+    gc.disable()
+    try:
+        del system
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_all_neumann_mechanics_raises():

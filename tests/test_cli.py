@@ -183,6 +183,23 @@ def test_invalid_choice_exits_with_usage_error():
     usage_error(["run", "--problem", "beam"])
 
 
+@pytest.mark.parametrize("args, error", [
+    (["mesh", "--n", "2", "--out", "{tmp}/absent/m.txt"],
+     "No such file or directory: '{tmp}/absent/m.txt'"),
+    (["run", "--n", "2", "--steps", "1", "--outdir", "{tmp}/file"],
+     "File exists: '{tmp}/file'"),
+], ids=["mesh-out-in-missing-directory", "run-outdir-is-a-file"])
+def test_unwritable_output_path_fails_cleanly(tmp_path, capsys, args, error):
+    """An output path that cannot be written exits 1 with one error line
+    naming it, not a traceback."""
+    (tmp_path / "file").write_text("")
+    args = [arg.format(tmp=tmp_path) for arg in args]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert error.format(tmp=tmp_path) in err
+
+
 def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
     assert main(["mesh", "--config", config(tmp_path, '{"bogus": 3}'),
                  "--out", str(tmp_path / "m.txt")]) == 1

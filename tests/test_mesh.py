@@ -271,6 +271,30 @@ def test_constructor_rejects_no_cells_or_non_integral_index(cells, message):
         PolyMesh(UNIT_SQUARE, cells)
 
 
+# a bow-tie of positive signed area 0.5: edges 1 and 3 cross at (0.5, 0.75)
+BOW_TIE = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.5]])
+# two triangles joined at (2, 0), a vertex that touches edge 0
+PINCHED = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [2.0, 0.0],
+                    [0.0, 4.0]])
+
+
+@pytest.mark.parametrize("verts, pair", [(BOW_TIE, "1 and 3"),
+                                         (PINCHED, "0 and 2")],
+                         ids=["crossing", "touching"])
+def test_constructor_rejects_self_intersecting_cell(verts, pair):
+    """Two non-adjacent edges that cross or touch name the cell, which a
+    signed area above zero does not catch; the triangle after it in the
+    same mesh is fine."""
+    area, _ = polygon_area_centroid(verts)
+    assert area > 0.0
+    n = len(verts)
+    with pytest.raises(MeshError, match=f"^cell 1: self-intersecting "
+                                        f"polygon: edges {pair} cross or "
+                                        f"touch$"):
+        PolyMesh(np.vstack([verts, [[9.0, 9.0], [10.0, 9.0]]]),
+                 [[0, n + 1, n], list(range(n))])
+
+
 @pytest.mark.parametrize("cells", [[[0.0, 1.0, 2.0, 3.0]],
                                    np.array([[0, 1, 2, 3]], dtype=np.int32),
                                    np.array([[0, 1, 2, 3]], dtype=np.uint8)])
@@ -789,6 +813,12 @@ def test_io_rejects_non_finite_coordinate(tmp_path):
     with np.errstate(all="raise"), \
             pytest.raises(MeshError, match=r"vertex 3 .*\[nan, 1\.0\]"):
         read_text(tmp_path, "4 1\n0 0\n1 0\n1 1\nnan 1\n4 0 1 2 3\n")
+
+
+def test_io_rejects_self_intersecting_cell(tmp_path):
+    text = "4 1\n" + "".join(f"{x:g} {y:g}\n" for x, y in BOW_TIE)
+    with pytest.raises(MeshError, match="^cell 0: self-intersecting"):
+        read_text(tmp_path, text + "4 0 1 2 3\n")
 
 
 def test_io_truncated_file(tmp_path):

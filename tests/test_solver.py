@@ -20,7 +20,7 @@ from poromech.solver import (KRYLOV_CHUNK, BlockPreconditioner, KrylovReport,
                              KrylovStorage, SolverError, factorize, gmres,
                              separate_components)
 
-from helpers import mgs_gmres
+from helpers import CountingFactor, mgs_gmres
 
 
 def reference_gmres(a, b, rtol, maxiter):
@@ -386,17 +386,6 @@ def test_preconditioner_rejects_nonpositive_displacement_diagonal():
 
 # ----- sparse LU and refined direct solve -------------------------------------------
 
-class CountingFactor:
-    """Factor stand-in that counts solves and scales each result."""
-
-    def __init__(self, factor, scale=1.0):
-        self.factor, self.scale, self.solves = factor, scale, 0
-
-    def solve(self, b):
-        self.solves += 1
-        return self.scale * self.factor.solve(b)
-
-
 def reference_direct_solve(system, b_f):
     """Default-ordering partial-pivoting LU and up to four refinement
     sweeps until the correction is below 1e-13 of the solution."""
@@ -476,18 +465,27 @@ def test_refinement_that_cannot_converge_raises():
 
 
 def test_non_finite_rhs_stops_refinement_after_one_sweep():
-    """A NaN in the stepped pressure makes the backward error NaN after
-    the first sweep: the solve stops there and names the free dof, and
-    the dof, of the first non-finite right-hand side entry."""
+    """A NaN in the stepped pressure never reaches the right-hand side:
+    the step names the field and its cell before the first LU solve."""
     system, state = direct_case("cartesian")
     state.p[3] = np.nan
-    dof = system.n_u + 3
-    free_dof = np.flatnonzero(system.free == dof)[0]
     counter = CountingFactor(system._lu)
     system._lu = counter
-    with pytest.raises(SolverError, match=rf"^non-finite right-hand side "
-                                          rf"at free dof {free_dof} "
-                                          rf"\(dof {dof}\)$"):
+    with pytest.raises(ValueError, match=r"^state\.p is not finite at "
+                                         r"cell 3$"):
+        system.step(state)
+    assert counter.solves == 0
+
+
+def test_non_finite_solve_ends_refinement_at_the_check_of_the_result():
+    """A factor that returns NaN makes the backward error NaN after the
+    first sweep: the sweeps stop there, and the non-finite solution is a
+    SolverError, not a refinement stall."""
+    system, state = direct_case("cartesian")
+    counter = CountingFactor(system._lu, scale=np.nan)
+    system._lu = counter
+    with pytest.raises(SolverError, match="^linear solve produced "
+                                          "non-finite values$"):
         system.step(state)
     assert counter.solves == 2
 

@@ -5,12 +5,14 @@ import pytest
 import scipy.sparse as sp
 
 from poromech.mesh import MeshError, PolyMesh, build_cartesian, build_voronoi
+from poromech.problems import cantilever
+from poromech.problems.studies import FAMILIES, family_mesh
 from poromech.stab import (MacroPartition, assemble_jump_matrix,
                            beta_coefficient, build_macro_elements,
                            checkerboard_indicator, corner_areas,
                            upsilon_weights)
 
-from helpers import dart_mesh
+from helpers import dart_mesh, inf_sup_constant
 
 RNG = np.random.default_rng(42)
 
@@ -265,3 +267,34 @@ def test_indicator_of_smooth_field_scales_quadratically():
 def test_indicator_of_uniform_field_is_zero(cart10):
     assert checkerboard_indicator(cart10, np.full(100, 2.5)) == 0.0
     assert checkerboard_indicator(cart10, np.zeros(100)) == 0.0
+
+
+# ----- inf-sup certificate ------------------------------------------------------------
+
+def assert_inf_sup_certificate(family, levels):
+    """The cantilever's inf-sup constant (helpers.inf_sup_constant) on the
+    family at each of levels: stabilized, at least 0.5 everywhere;
+    unstabilized, at least 0.5 on Voronoi and, on the quadrilateral
+    families, a drop of at least 3x per doubling of n, the checkerboard
+    modes of Q1-P0 that the stabilization removes (Kechkar and Silvester,
+    Math. Comp. 1992).  The bounds were fixed before the first run."""
+    const = {(stab, n): inf_sup_constant(cantilever.setup(
+                 family_mesh(family, n), 1e-5, stabilize=stab)[0])
+             for stab in (False, True) for n in levels}
+    assert all(const[True, n] >= 0.5 for n in levels), const
+    if family == "voronoi":
+        assert all(const[False, n] >= 0.5 for n in levels), const
+    else:
+        assert all(const[False, coarse] >= 3.0 * const[False, fine]
+                   for coarse, fine in zip(levels, levels[1:])), const
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stabilization_certified_by_inf_sup_constant(family):
+    assert_inf_sup_certificate(family, (8, 16))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stabilization_certified_by_inf_sup_constant_at_n32(family):
+    assert_inf_sup_certificate(family, (16, 32))
